@@ -181,6 +181,21 @@ class TestFisherCommand:
         assert code == 0
         assert report["n_params"] == 3
 
+    @pytest.mark.filterwarnings("ignore:outcome .* dropped")
+    def test_drop_threshold_reaches_verdicts(self, capsys):
+        code, report, _ = run(capsys, "fisher", "--povm", "sic-single",
+                              "--state", "bloch:0,0,0.9",
+                              "--drop-threshold", "0.2")
+        assert code == 0
+        assert len(report["dropped_outcomes"]) == 2
+        i_mat = np.array(report["i_matrix"])
+        j_mat = np.array(report["j_matrix"])
+        fit = np.sum(j_mat * i_mat) / np.sum(j_mat * j_mat)
+        assert fit == pytest.approx(0.0268, abs=1e-4)
+        assert report["symmetry"]["scale_fit"] == pytest.approx(fit, rel=1e-9)
+        assert report["gm"]["value"] == pytest.approx(
+            np.trace(np.linalg.solve(j_mat, i_mat)), rel=1e-9)
+
     def test_bad_povm_spec(self, capsys):
         code, _, err = run(capsys, "fisher", "--povm", "unknown-name",
                            "--state", "bloch:0,0,0")

@@ -23,6 +23,7 @@ from fisym.fisher import (
     outcome_probs,
     wmse_bound,
 )
+from fisym.tomosim import scheme_povm
 from fisym.povm import (
     Povm,
     collective_sic_qubit,
@@ -273,3 +274,30 @@ class TestFisherReport:
         rep = fisher_report(par, great_circle_qubit())
         text = json.dumps(rep.to_dict())
         assert "i_matrix" in json.loads(text)
+
+    @pytest.mark.filterwarnings("ignore:outcome .* dropped")
+    def test_verdicts_use_report_drop_threshold(self):
+        # a high drop threshold removes two outcomes; both verdicts must be
+        # computed from the Fisher matrix the report returns
+        par = BlochQubit([0.0, 0.0, 0.9])
+        p = scheme_povm("sic-single")
+        rep = fisher_report(par, p, drop_threshold=0.2)
+        assert len(rep.dropped) == 2
+        i_mat, j_mat = rep.i_matrix, rep.j_matrix
+        assert np.max(np.abs(
+            i_mat - fisher_matrix(par, p, drop_threshold=0.2))) < 1e-14
+        assert rep.gm.value == pytest.approx(gm_value(j_mat, i_mat), rel=1e-12)
+        fit = np.sum(j_mat * i_mat) / np.sum(j_mat * j_mat)
+        assert rep.symmetry.scale_fit == pytest.approx(fit, rel=1e-12)
+
+    def test_tolerances_reach_verdicts(self):
+        par = BlochQubit([0.0, 0.0, 0.0])
+        p = diluted_sic_qubit()
+        rep = fisher_report(par, p)
+        assert rep.gm.verdict == "strict"
+        assert rep.symmetry.verdict == "weakly-fisher-symmetric"
+        loose = fisher_report(par, p, tol=1.0, symmetry_tol=1.0)
+        assert loose.gm.verdict == "equality"
+        assert loose.symmetry.verdict == "fisher-symmetric"
+        assert gm_check(par, p, tol=1.0) == loose.gm
+        assert fisher_symmetry_check(par, p, tol=1.0) == loose.symmetry
