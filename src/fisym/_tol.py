@@ -34,5 +34,11 @@ DROP_THRESHOLD = 1e-12
 # since the classical Fisher information may then be ill defined.
 REGULARITY_DERIV_TOL = 1e-6
 
+# Relative margin within which tr(J^-1 I) counts as equal to its bound.
+GM_TOL = 1e-8
+
+# Default tolerance of the command-line certification checks.
+VERIFY_TOL = 1e-8
+
 # Relative residual below which a scalar fit I = c*J counts as proportional.
 SYMMETRY_TOL = 1e-6

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import designs, fisher, opfile, povm, states, tomosim
+from . import _tol, designs, fisher, opfile, povm, states, tomosim
 
 _BUILTIN_POVMS = ("collective-sic", "sic-single", "mub-single", "great-circle")
 
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="certify a design or POVM file")
     p_verify.add_argument("kind", choices=sorted(_VERIFIERS))
     p_verify.add_argument("file")
-    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("--tol", type=float, default=_tol.VERIFY_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_build = sub.add_parser("build", help="write a standard construction")
@@ -352,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["auto", "pure", "bloch", "affine"])
     p_fisher.add_argument("--mode", default="auto",
                           choices=["auto", "single-copy", "two-copy", "pure-n"])
-    p_fisher.add_argument("--drop-threshold", type=float, default=1e-12)
+    p_fisher.add_argument("--drop-threshold", type=float,
+                          default=_tol.DROP_THRESHOLD)
     p_fisher.set_defaults(func=cmd_fisher)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo tomography run")

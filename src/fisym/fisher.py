@@ -16,7 +16,7 @@ the last bound is saturated exactly by coherent POVMs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,10 +43,27 @@ __all__ = [
 _MODES = ("single-copy", "two-copy", "pure-n")
 
 
-def _state_power(rho: DensityMatrix, copies: int) -> np.ndarray:
-    if copies == 1:
-        return rho.matrix
-    return matcore.kron(rho.matrix, rho.matrix)
+def _probs_and_grads(
+    rho: DensityMatrix, tangents, p: Povm
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities tr(rho^(xt) Pi_xi) and their derivatives along each
+    tangent, from one contraction of the stacked state and derivative
+    operators with the stacked POVM elements."""
+    if rho.dim != p.base_dim:
+        raise ValueError(f"state dimension {rho.dim} does not match POVM "
+                         f"base dimension {p.base_dim}")
+    m = rho.matrix
+    ops = np.array([m, *tangents])
+    if p.copies == 2:
+        # d(rho x rho) = t x rho + rho x t; slot 0 becomes 2 rho x rho
+        x = np.einsum("aij,kl->aikjl", ops, m)
+        ops = (x + x.transpose(0, 2, 1, 4, 3)).reshape(len(ops), p.dim, p.dim)
+        ops[0] *= 0.5
+    vals = np.einsum("aij,kji->ka", ops, np.array(p.elements)).real
+    probs = vals[:, 0]
+    if probs.min() < -1e-12:
+        raise ValueError(f"negative outcome probability {probs.min():.3e}")
+    return np.clip(probs, 0.0, None), vals[:, 1:]
 
 
 def outcome_probs(rho: DensityMatrix, p: Povm) -> np.ndarray:
@@ -56,30 +73,7 @@ def outcome_probs(rho: DensityMatrix, p: Povm) -> np.ndarray:
     raises.  For symmetric-subspace POVMs the probabilities sum to
     tr(rho^(x2) P_+) instead of 1.
     """
-    if rho.dim != p.base_dim:
-        raise ValueError(f"state dimension {rho.dim} does not match POVM "
-                         f"base dimension {p.base_dim}")
-    sigma = _state_power(rho, p.copies)
-    probs = np.array([np.einsum("ab,ba->", sigma, e).real for e in p.elements])
-    if probs.min() < -1e-12:
-        raise ValueError(f"negative outcome probability {probs.min():.3e}")
-    return np.clip(probs, 0.0, None)
-
-
-def _prob_grads(param: Parametrization, p: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and their exact parameter derivatives at theta = 0."""
-    rho = param.base()
-    probs = outcome_probs(rho, p)
-    tangents = tangent_ops(param)
-    grads = np.zeros((p.size, len(tangents)))
-    for a, t in enumerate(tangents):
-        if p.copies == 1:
-            dop = t
-        else:
-            dop = matcore.kron(t, rho.matrix) + matcore.kron(rho.matrix, t)
-        for xi, e in enumerate(p.elements):
-            grads[xi, a] = np.einsum("ab,ba->", dop, e).real
-    return probs, grads
+    return _probs_and_grads(rho, (), p)[0]
 
 
 def _accumulate(
@@ -111,9 +105,8 @@ def fisher_matrix(
     if such an outcome has a non-negligible probability gradient a
     regularity warning is emitted.
     """
-    probs, grads = _prob_grads(param, p)
-    i_mat, _ = _accumulate(probs, grads, drop_threshold)
-    return i_mat
+    probs, grads = _probs_and_grads(param.base(), tangent_ops(param), p)
+    return _accumulate(probs, grads, drop_threshold)[0]
 
 
 def fisher_fd_oracle(
@@ -188,23 +181,9 @@ class GmVerdict:
     verdict: str
 
 
-def gm_check(
-    param: Parametrization, p: Povm,
-    mode: str | None = None,
-    tol: float = 1e-8,
+def _gm_verdict(
+    i_mat: np.ndarray, j_mat: np.ndarray, bound: float, mode: str, tol: float
 ) -> GmVerdict:
-    """Evaluate tr(J^{-1} I) and compare with the applicable bound.
-
-    Without an explicit mode, pure basepoints check the N-copy pure-state
-    bound and mixed basepoints the single- or two-copy bound matching the
-    POVM.
-    """
-    rho = param.base()
-    if mode is None:
-        mode = _infer_mode(rho, p)
-    bound = gm_bound(mode, rho.dim, p.copies)
-    i_mat = fisher_matrix(param, p)
-    j_mat = qfi_matrix(rho, tangent_ops(param))
     value = gm_value(j_mat, i_mat)
     margin = bound - value
     scale = max(1.0, bound)
@@ -216,6 +195,20 @@ def gm_check(
         verdict = "strict"
     return GmVerdict(value=value, bound=bound, margin=margin,
                      mode=mode, verdict=verdict)
+
+
+def gm_check(
+    param: Parametrization, p: Povm,
+    mode: str | None = None,
+    tol: float = _tol.GM_TOL,
+) -> GmVerdict:
+    """Evaluate tr(J^{-1} I) and compare with the applicable bound.
+
+    Without an explicit mode, pure basepoints check the N-copy pure-state
+    bound and mixed basepoints the single- or two-copy bound matching the
+    POVM.  Equality holds within ``tol`` times max(1, bound).
+    """
+    return fisher_report(param, p, mode=mode, tol=tol).gm
 
 
 @dataclass(frozen=True)
@@ -235,22 +228,14 @@ class SymmetryReport:
     full_residual: float
 
 
-def fisher_symmetry_check(
-    param: Parametrization, p: Povm,
-    tol: float = _tol.SYMMETRY_TOL,
+def _symmetry_verdict(
+    i_mat: np.ndarray, j_mat: np.ndarray, rho: DensityMatrix,
+    bound: float, tol: float,
 ) -> SymmetryReport:
-    """Classify a measurement as Fisher symmetric, weakly so, or neither."""
-    rho = param.base()
     d = rho.dim
-    i_mat = fisher_matrix(param, p)
-    j_mat = qfi_matrix(rho, tangent_ops(param))
-    pure = rho.is_pure()
-    n_manifold = 2 * d - 2 if pure else d * d - 1
-    bound = gm_bound(_infer_mode(rho, p), d, p.copies)
+    n_manifold = 2 * d - 2 if rho.is_pure() else d * d - 1
     target = bound / n_manifold
-
-    jj = float(np.sum(j_mat * j_mat))
-    fit = float(np.sum(j_mat * i_mat)) / jj
+    fit = float(np.sum(j_mat * i_mat)) / float(np.sum(j_mat * j_mat))
     i_norm = max(float(np.linalg.norm(i_mat)), 1e-300)
     weak_residual = float(np.linalg.norm(i_mat - fit * j_mat)) / i_norm
     full_residual = (float(np.linalg.norm(i_mat - target * j_mat))
@@ -268,6 +253,14 @@ def fisher_symmetry_check(
         weak_residual=weak_residual,
         full_residual=full_residual,
     )
+
+
+def fisher_symmetry_check(
+    param: Parametrization, p: Povm,
+    tol: float = _tol.SYMMETRY_TOL,
+) -> SymmetryReport:
+    """Classify a measurement as Fisher symmetric, weakly so, or neither."""
+    return fisher_report(param, p, symmetry_tol=tol).symmetry
 
 
 def wmse_bound(
@@ -333,20 +326,8 @@ class FisherReport:
             "n_params": self.n_params,
             "i_matrix": self.i_matrix.tolist(),
             "j_matrix": self.j_matrix.tolist(),
-            "gm": {
-                "value": self.gm.value,
-                "bound": self.gm.bound,
-                "margin": self.gm.margin,
-                "mode": self.gm.mode,
-                "verdict": self.gm.verdict,
-            },
-            "symmetry": {
-                "verdict": self.symmetry.verdict,
-                "scale_fit": self.symmetry.scale_fit,
-                "target_factor": self.symmetry.target_factor,
-                "weak_residual": self.symmetry.weak_residual,
-                "full_residual": self.symmetry.full_residual,
-            },
+            "gm": asdict(self.gm),
+            "symmetry": asdict(self.symmetry),
             "dropped_outcomes": [
                 {"index": i, "probability": pr, "max_derivative": dp}
                 for i, pr, dp in self.dropped
@@ -358,27 +339,33 @@ def fisher_report(
     param: Parametrization, p: Povm,
     mode: str | None = None,
     drop_threshold: float = _tol.DROP_THRESHOLD,
+    tol: float = _tol.GM_TOL,
+    symmetry_tol: float = _tol.SYMMETRY_TOL,
 ) -> FisherReport:
-    """Full information report: Fisher matrices, bound check, symmetry."""
+    """Full information report: Fisher matrices, bound check, symmetry.
+
+    The tangents, rho, I and J are computed once, and both verdicts are
+    derived from the returned ``i_matrix`` and ``j_matrix``: outcomes at
+    or below ``drop_threshold`` are left out of I for the bound check and
+    the symmetry test alike.  ``tol`` is the relative margin for equality
+    with the bound (as in :func:`gm_check`), ``symmetry_tol`` the residual
+    allowed by the symmetry test (as in :func:`fisher_symmetry_check`).
+    The symmetry target always uses the bound of the inferred mode, so
+    an explicit ``mode`` changes only the bound check.
+    """
     rho = param.base()
-    probs, grads = _prob_grads(param, p)
+    tangents = tangent_ops(param)
+    probs, grads = _probs_and_grads(rho, tangents, p)
     i_mat, dropped = _accumulate(probs, grads, drop_threshold)
-    j_mat = qfi_matrix(rho, tangent_ops(param))
+    j_mat = qfi_matrix(rho, tangents)
+    natural = _infer_mode(rho, p)
     if mode is None:
-        mode = _infer_mode(rho, p)
-    bound = gm_bound(mode, rho.dim, p.copies)
-    value = gm_value(j_mat, i_mat)
-    margin = bound - value
-    scale = max(1.0, bound)
-    if margin < -1e-8 * scale:
-        verdict = "violated"
-    elif abs(margin) <= 1e-8 * scale:
-        verdict = "equality"
-    else:
-        verdict = "strict"
-    gm = GmVerdict(value=value, bound=bound, margin=margin,
-                   mode=mode, verdict=verdict)
-    symmetry = fisher_symmetry_check(param, p)
+        mode = natural
+    gm = _gm_verdict(i_mat, j_mat, gm_bound(mode, rho.dim, p.copies), mode,
+                     tol)
+    symmetry = _symmetry_verdict(i_mat, j_mat, rho,
+                                 gm_bound(natural, rho.dim, p.copies),
+                                 symmetry_tol)
     return FisherReport(
         dim=rho.dim,
         copies=p.copies,

@@ -111,18 +111,20 @@ class PovmReport:
     ok: bool
 
 
-def validate_povm(p: Povm, tol: float = _tol.POVM_TOL) -> PovmReport:
-    """Largest negative-eigenvalue excursion and |sum - target|_F."""
-    violation = 0.0
-    for e in p.elements:
-        vals = np.linalg.eigvalsh(e)
-        violation = max(violation, max(0.0, -float(vals.min())))
+def _povm_report(p: Povm, vals: np.ndarray, tol: float) -> PovmReport:
+    """:func:`validate_povm` given the element eigenvalues ``vals``."""
+    violation = max(0.0, -float(vals.min()))
     resid = float(np.linalg.norm(sum(p.elements) - p.completeness_target()))
     return PovmReport(
         psd_violation=violation,
         completeness_residual=resid,
         ok=bool(violation <= tol and resid <= tol),
     )
+
+
+def validate_povm(p: Povm, tol: float = _tol.POVM_TOL) -> PovmReport:
+    """Largest negative-eigenvalue excursion and |sum - target|_F."""
+    return _povm_report(p, np.linalg.eigvalsh(np.array(p.elements)), tol)
 
 
 def twocopy_design_povm(
@@ -231,11 +233,16 @@ def classify_coherent(p: Povm, tol: float = _tol.RANK_TOL) -> CoherenceReport:
     """
     if p.copies != 2:
         raise ValueError("coherence structure applies to two-copy POVMs")
+    return _classify(p, np.linalg.eigvalsh(np.array(p.elements)), tol)
+
+
+def _classify(p: Povm, vals: np.ndarray, tol: float) -> CoherenceReport:
+    """:func:`classify_coherent` given the element eigenvalues ``vals``."""
     d = p.base_dim
     p_sym = matcore.sym_projector(d)
     p_anti = matcore.antisym_projector(d)
     classes = []
-    for e in p.elements:
+    for e, evals in zip(p.elements, vals):
         scale = float(np.linalg.norm(e))
         weight = float(np.trace(e).real)
         if scale <= _tol.POVM_TOL:
@@ -243,8 +250,7 @@ def classify_coherent(p: Povm, tol: float = _tol.RANK_TOL) -> CoherenceReport:
             continue
         sym_resid = np.linalg.norm(e - p_sym @ e @ p_sym)
         anti_resid = np.linalg.norm(e - p_anti @ e @ p_anti)
-        vals = np.linalg.eigvalsh(e)
-        rank1 = _numerical_rank(vals, tol) == 1
+        rank1 = _numerical_rank(evals, tol) == 1
         marg = matcore.partial_trace(e, 0)
         mvals, mvecs = np.linalg.eigh(marg)
         order = np.argsort(mvals)[::-1]
@@ -392,19 +398,18 @@ def tight_coherent_check(
     if p.copies != 2 or p.subspace is not None:
         raise ValueError("tightness applies to complete two-copy POVMs")
     d = p.base_dim
-    report = validate_povm(p)
-    classification = classify_coherent(p)
-    q_ops = OperatorSet(tuple(marginal_Q(e) for e in p.elements))
-    q_cert = generalized_2design_check(q_ops, tol)
+    # one batched eigensolve serves the PSD check and the rank tests
+    vals = np.linalg.eigvalsh(np.array(p.elements))
+    report = _povm_report(p, vals, _tol.POVM_TOL)
+    classification = _classify(p, vals, _tol.RANK_TOL)
+    q_all = [marginal_Q(e) for e in p.elements]
+    q_cert = generalized_2design_check(OperatorSet(tuple(q_all)), tol)
     target = (3.0 * d + 1.0) / (4.0 * d)
     purity_residual = abs(q_cert.purity - target)
 
-    sym_q, anti_q = [], []
-    for e, c in zip(p.elements, classification.classes):
-        if c.kind == "sym-power":
-            sym_q.append(marginal_Q(e))
-        elif c.kind == "slater":
-            anti_q.append(marginal_Q(e))
+    kinds = [c.kind for c in classification.classes]
+    sym_q = [q for q, k in zip(q_all, kinds) if k == "sym-power"]
+    anti_q = [q for q, k in zip(q_all, kinds) if k == "slater"]
     sym_cert = (generalized_2design_check(OperatorSet(tuple(sym_q)), tol)
                 if sym_q else None)
     anti_cert = (generalized_2design_check(OperatorSet(tuple(anti_q)), tol)

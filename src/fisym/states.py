@@ -8,7 +8,7 @@ matrices in :mod:`fisym.fisher`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,13 +176,9 @@ def _adapted_basis(psi: np.ndarray) -> np.ndarray:
     m = np.hstack([psi.reshape(d, 1), np.eye(d, dtype=complex)])
     q, r = np.linalg.qr(m)
     # rotate columns so the R diagonal is real positive; column 0 then
-    # reproduces psi exactly
-    phases = np.ones(d, dtype=complex)
-    for j in range(d):
-        rjj = r[j, j]
-        if abs(rjj) > 0:
-            phases[j] = rjj.conj() / abs(rjj)
-    return q * phases
+    # reproduces psi exactly.  The phase comes from the angle, since
+    # conj(r)/|r| overflows for subnormal r.
+    return q * np.exp(-1j * np.angle(np.diag(r)))
 
 
 class PureCanonical(Parametrization):
@@ -291,50 +287,58 @@ def tangent_ops(param: Parametrization) -> list[np.ndarray]:
     return out
 
 
+def _slds(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:
+    """SLDs for a stack of Hermitian derivatives from one eigendecomposition
+    of rho; the derivatives are not re-validated here."""
+    dec = matcore.hermitian_eig(rho.matrix)
+    vals = dec.eigenvalues
+    if vals.min() > _tol.RANK_TOL:
+        v = dec.eigenvectors
+        vh = v.conj().T
+        denom = vals[:, None] + vals[None, :]
+        l = v @ (2.0 * (vh @ ops @ v) / denom) @ vh
+    elif vals[0] >= 1.0 - _tol.RANK_TOL:
+        l = 2.0 * ops
+    else:
+        raise ValueError("state is rank deficient but not pure; "
+                         "sld supports full-rank and pure states only")
+    m = rho.matrix
+    resid = np.linalg.norm(0.5 * (m @ l + l @ m) - ops, axis=(1, 2))
+    limit = _tol.SLD_RESIDUAL_TOL * np.maximum(
+        1.0, np.linalg.norm(ops, axis=(1, 2)))
+    if np.any(resid > limit):
+        raise ValueError(f"sld residual {resid.max():.3e}; for a pure state "
+                         "the derivative must lie in the tangent space")
+    return 0.5 * (l + l.conj().swapaxes(1, 2))
+
+
 def sld(rho: DensityMatrix, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative L with (rho L + L rho)/2 = drho.
 
     Supported ranks: full rank (solved in the eigenbasis) and pure states
     (L = 2 drho, valid when drho is tangent to the pure manifold).  Other
     rank-deficient states raise; depolarize slightly first if needed.
+    The residual of the defining equation is checked, which rejects
+    non-tangent derivatives at pure states.  :func:`qfi_matrix` solves
+    all its tangents with one eigendecomposition of rho instead of
+    calling this once per tangent.
     """
-    drho = matcore.require_hermitian(drho)
-    dec = matcore.hermitian_eig(rho.matrix)
-    vals = dec.eigenvalues
-    d = rho.dim
-    if vals.min() > _tol.RANK_TOL:
-        v = dec.eigenvectors
-        dtil = v.conj().T @ drho @ v
-        denom = vals[:, None] + vals[None, :]
-        l_eig = 2.0 * dtil / denom
-        l = v @ l_eig @ v.conj().T
-    elif vals[0] >= 1.0 - _tol.RANK_TOL:
-        l = 2.0 * drho
-    else:
-        raise ValueError("state is rank deficient but not pure; "
-                         "sld supports full-rank and pure states only")
-    resid = np.linalg.norm(0.5 * (rho.matrix @ l + l @ rho.matrix) - drho)
-    if resid > _tol.SLD_RESIDUAL_TOL * max(1.0, np.linalg.norm(drho)):
-        raise ValueError(f"sld residual {resid:.3e}; for a pure state the "
-                         "derivative must lie in the tangent space")
-    return matcore.hermitian_part(l)
+    return _slds(rho, matcore.require_hermitian(drho)[None])[0]
 
 
 def qfi_matrix(rho: DensityMatrix, tangents) -> np.ndarray:
     """Quantum Fisher matrix J_ab = Re tr(rho L_a L_b).
 
-    The SLDs come from :func:`sld`, so pure states take the shortcut
-    L = 2 drho (with its tangency validation) and this reduces to
-    J_ab = 2 tr(drho_a drho_b) there.
+    Each tangent is checked to be Hermitian once.  All SLDs are solved as
+    in :func:`sld`, from a single eigendecomposition of rho, and each
+    keeps its residual check.  Pure states take the shortcut
+    L = 2 drho (with its tangency validation), where this reduces to
+    J_ab = 2 tr(drho_a drho_b).
     """
-    slds = [sld(rho, matcore.require_hermitian(t)) for t in tangents]
-    n = len(slds)
-    j = np.zeros((n, n))
-    for a in range(n):
-        ra = rho.matrix @ slds[a]
-        for b in range(a, n):
-            j[a, b] = j[b, a] = np.trace(ra @ slds[b]).real
-    return j
+    slds = _slds(rho, np.array([matcore.require_hermitian(t)
+                                for t in tangents]))
+    j = np.einsum("aij,bji->ab", rho.matrix @ slds, slds).real
+    return 0.5 * (j + j.T)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

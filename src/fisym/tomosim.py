@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _tol
 from .fisher import fisher_matrix, outcome_probs
 from .povm import Povm, classify_coherent, collective_sic_qubit
 from .designs import mub_state_set, sic_qubit
@@ -28,7 +27,6 @@ from .states import (
     BlochQubit,
     DensityMatrix,
     Parametrization,
-    bloch_from_density,
     density_from_bloch,
     fidelity,
     qfi_matrix,
@@ -389,7 +387,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     if abs(total - 1.0) > 1e-9:
         raise ValueError("POVM is not complete; cannot sample outcomes")
     probs = probs / total
-    model = _quad_model(p)
+    model = _quad_model(p) if config.estimator == "mle" else None
     try:
         linsys = _linear_system(p)
     except ValueError:

@@ -99,6 +99,15 @@ class TestParametrizations:
         assert par.n_params == 4
         assert np.allclose(par.base().matrix, psi.projector())
 
+    def test_pure_canonical_subnormal_amplitudes(self):
+        # amplitudes near the smallest double once made the adapted basis NaN
+        v = np.array([1j, 2.2250738585e-309j, 2.2250738585e-309j])
+        par = PureCanonical(PureState(v))
+        assert np.allclose(par.base().matrix, np.outer(v, v.conj()),
+                           atol=1e-15)
+        j = qfi_matrix(par.base(), par.tangents())
+        assert np.max(np.abs(j - 4.0 * np.eye(4))) < 1e-12
+
     def test_pure_canonical_tangents_match_finite_differences(self, rng):
         h = 1e-6
         for d in (2, 3, 4):
