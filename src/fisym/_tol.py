@@ -15,6 +15,12 @@ PSD_TOL = 1e-10
 # Normalization check for state vectors.
 NORM_TOL = 1e-12
 
+# Rounding-noise floor (about 9 machine epsilons) for quantities of order
+# one that vanish exactly on pure states: 1 - |s|^2 of a Bloch vector, and
+# per dimension the eigenvalues inside a fidelity.  At or below it they
+# count as zero instead of entering a square root as noise.
+ROUNDOFF_TOL = 2e-15
+
 # Relative eigenvalue cutoff used for numerical rank decisions.
 RANK_TOL = 1e-9
 

@@ -28,6 +28,7 @@ __all__ = [
     "sld",
     "qfi_matrix",
     "fidelity",
+    "qubit_fidelity",
     "bures_distance",
     "hs_distance",
 ]
@@ -342,12 +343,41 @@ def qfi_matrix(rho: DensityMatrix, tangents) -> np.ndarray:
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1]."""
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].
+
+    Eigenvalues of sqrt(rho) sigma sqrt(rho) at or below
+    d * ``_tol.ROUNDOFF_TOL`` are rounding noise and count as zero, so a
+    rank-deficient product (a pure rho or sigma) does not pick up the
+    square root of that noise.
+    """
     root = matcore.mat_power(rho.matrix, 0.5)
     inner = root @ sigma.matrix @ root
     vals = np.linalg.eigvalsh(matcore.hermitian_part(inner))
-    f = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2)
+    vals = np.where(vals > rho.dim * _tol.ROUNDOFF_TOL, vals, 0.0)
+    f = float(np.sum(np.sqrt(vals)) ** 2)
     return min(max(f, 0.0), 1.0)
+
+
+def qubit_fidelity(s, t) -> np.ndarray:
+    """Fidelity of qubit states from their Bloch vectors, in closed form,
+
+        F = (1 + s.t + sqrt((1 - |s|^2)(1 - |t|^2))) / 2,
+
+    (Hubner, Phys. Lett. A 163, 239 (1992)), clamped to [0, 1].  The last
+    axis holds the Bloch coordinates; other axes broadcast.  A factor
+    1 - |s|^2 at or below ``_tol.ROUNDOFF_TOL`` counts as zero (pure
+    state), matching :func:`fidelity` on the same states.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+
+    def mixedness(v):
+        m = 1.0 - np.sum(v * v, axis=-1)
+        return np.where(m > _tol.ROUNDOFF_TOL, m, 0.0)
+
+    f = 0.5 * (1.0 + np.sum(s * t, axis=-1)
+               + np.sqrt(mixedness(s) * mixedness(t)))
+    return np.clip(f, 0.0, 1.0)
 
 
 def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

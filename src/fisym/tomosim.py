@@ -11,7 +11,9 @@ Asymptotically these approach t * tr(W I^{-1}) with W the matching weight
 matrix, which is what :func:`asymptotic_metrics` evaluates.
 
 Trial RNG streams are keyed by (seed, trial index), so results are
-reproducible and independent of execution order.
+reproducible and independent of execution order.  The trials of one run
+are processed as arrays: one count matrix, one least-squares solve for
+the linear estimates, and error metrics in closed form from Bloch vectors.
 """
 
 from __future__ import annotations
@@ -20,16 +22,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _tol
 from .fisher import fisher_matrix, outcome_probs
 from .povm import Povm, classify_coherent, collective_sic_qubit
 from .designs import mub_state_set, sic_qubit
 from .states import (
+    _PAULI,
     BlochQubit,
     DensityMatrix,
     Parametrization,
     density_from_bloch,
-    fidelity,
     qfi_matrix,
+    qubit_fidelity,
     tangent_ops,
 )
 
@@ -49,11 +53,20 @@ __all__ = [
 
 SCHEMES = ("collective-sic", "sic-single", "mub-single", "custom")
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+
+def _validate_run(config) -> None:
+    """Checks shared by :class:`SimConfig` and :class:`SweepConfig`."""
+    if config.scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {config.scheme!r}; choose from "
+                         f"{SCHEMES}")
+    if config.scheme == "custom" and config.povm is None:
+        raise ValueError("custom scheme needs an explicit POVM")
+    if config.estimator not in ("mle", "linear"):
+        raise ValueError("estimator must be 'mle' or 'linear'")
+    if config.n_trials < 1:
+        raise ValueError("need at least one trial")
+    if not (0.0 < config.interior_clip < 1.0):
+        raise ValueError("interior_clip must be in (0, 1)")
 
 
 @dataclass
@@ -75,16 +88,7 @@ class SimConfig:
     interior_clip: float = 1.0 - 1e-9
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.scheme == "custom" and self.povm is None:
-            raise ValueError("custom scheme needs an explicit POVM")
-        if self.estimator not in ("mle", "linear"):
-            raise ValueError("estimator must be 'mle' or 'linear'")
-        if self.n_trials < 1:
-            raise ValueError("need at least one trial")
-        if not (0.0 < self.interior_clip < 1.0):
-            raise ValueError("interior_clip must be in (0, 1)")
+        _validate_run(self)
         self.bloch = tuple(float(x) for x in np.asarray(self.bloch).reshape(3))
 
 
@@ -142,6 +146,15 @@ def scheme_povm(scheme: str, custom: Povm | None = None) -> Povm:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _single_copy_rows(elements) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets tr(E)/2 and rows tr(sigma_a E)/2 of qubit operators E, so
+    that tr(rho(s) E) = offset + rows @ s."""
+    offset = np.array([0.5 * np.trace(e).real for e in elements])
+    rows = np.array([[0.5 * np.einsum("ab,ba->", sa, e).real for sa in _PAULI]
+                     for e in elements])
+    return offset, rows
+
+
 @dataclass
 class _QuadModel:
     """Outcome probabilities as p(s) = c + L s + s^T M s over Bloch space."""
@@ -160,26 +173,21 @@ class _QuadModel:
 def _quad_model(p: Povm) -> _QuadModel:
     if p.base_dim != 2:
         raise ValueError("simulation estimators are implemented for qubits")
+    if p.copies == 1:
+        c, lin = _single_copy_rows(p.elements)
+        return _QuadModel(c, lin, np.zeros((p.size, 3, 3)))
     k = p.size
     c = np.zeros(k)
     lin = np.zeros((k, 3))
     quad = np.zeros((k, 3, 3))
-    if p.copies == 1:
-        for xi, e in enumerate(p.elements):
-            c[xi] = 0.5 * np.trace(e).real
-            for a in range(3):
-                lin[xi, a] = 0.5 * np.einsum("ab,ba->", _PAULI[a], e).real
-    else:
-        for xi, e in enumerate(p.elements):
-            c[xi] = 0.25 * np.trace(e).real
-            for a in range(3):
-                sa1 = np.kron(_PAULI[a], np.eye(2))
-                sa2 = np.kron(np.eye(2), _PAULI[a])
-                lin[xi, a] = 0.25 * np.einsum("ab,ba->", sa1 + sa2, e).real
-                for b in range(3):
-                    sab = np.kron(_PAULI[a], _PAULI[b])
-                    quad[xi, a, b] = 0.25 * np.einsum("ab,ba->", sab, e).real
-            quad[xi] = 0.5 * (quad[xi] + quad[xi].T)
+    for xi, e in enumerate(p.elements):
+        c[xi] = 0.25 * np.trace(e).real
+        for a, sa in enumerate(_PAULI):
+            sa12 = np.kron(sa, np.eye(2)) + np.kron(np.eye(2), sa)
+            lin[xi, a] = 0.25 * np.einsum("ab,ba->", sa12, e).real
+            quad[xi, a] = [0.25 * np.einsum("ab,ba->", np.kron(sa, sb), e).real
+                           for sb in _PAULI]
+        quad[xi] = 0.5 * (quad[xi] + quad[xi].T)
     return _QuadModel(c, lin, quad)
 
 
@@ -215,36 +223,21 @@ def _linear_system(p: Povm) -> _LinearSystem:
     if p.base_dim != 2:
         raise ValueError("simulation estimators are implemented for qubits")
     if p.copies == 1:
-        k = p.size
-        offset = np.zeros(k)
-        rows = np.zeros((k, 3))
-        for xi, e in enumerate(p.elements):
-            offset[xi] = 0.5 * np.trace(e).real
-            for a in range(3):
-                rows[xi, a] = 0.5 * np.einsum("ab,ba->", _PAULI[a], e).real
-        indices = np.arange(k)
+        indices = np.arange(p.size)
+        offset, rows = _single_copy_rows(p.elements)
         weights = None
     else:
-        report = classify_coherent(p)
-        indices, offs, rws, ws = [], [], [], []
-        for xi, c in enumerate(report.classes):
-            if c.kind != "sym-power":
-                continue
-            psi = c.states[0]
-            proj = np.outer(psi, psi.conj())
-            u = np.array([np.einsum("ab,ba->", _PAULI[a], proj).real
-                          for a in range(3)])
-            indices.append(xi)
-            offs.append(0.5)
-            rws.append(0.5 * u)
-            ws.append(c.weight)
-        if not indices:
+        sym = [(xi, c) for xi, c in enumerate(classify_coherent(p).classes)
+               if c.kind == "sym-power"]
+        if not sym:
             raise ValueError("two-copy POVM has no symmetric rank-one-power "
                              "outcomes; linear inversion is unavailable")
-        indices = np.array(indices)
-        offset = np.array(offs)
-        rows = np.array(rws)
-        weights = np.array(ws)
+        indices = np.array([xi for xi, _ in sym])
+        # <psi|rho|psi> = (1 + s.u)/2 for the unit vector psi of each outcome
+        rows = _single_copy_rows(
+            [np.outer(c.states[0], c.states[0].conj()) for _, c in sym])[1]
+        offset = np.full(len(sym), 0.5)
+        weights = np.array([c.weight for _, c in sym])
     if np.linalg.matrix_rank(rows, tol=1e-10) < 3:
         raise ValueError("POVM is not informationally complete for the "
                          "Bloch vector")
@@ -252,14 +245,20 @@ def _linear_system(p: Povm) -> _LinearSystem:
 
 
 def _linear_bloch(counts: np.ndarray, sys: _LinearSystem) -> np.ndarray:
-    freqs = counts / counts.sum()
-    if sys.sym_weights is None:
-        target = freqs[sys.indices]
-    else:
-        target = np.sqrt(np.clip(freqs[sys.indices], 0.0, None)
-                         / sys.sym_weights)
-    s, *_ = np.linalg.lstsq(sys.rows, target - sys.offset, rcond=None)
-    return s
+    """Least-squares Bloch vectors for a (trials, outcomes) count array,
+    every trial solved by one lstsq with a matrix right-hand side."""
+    freqs = counts / counts.sum(axis=1, keepdims=True)
+    target = freqs[:, sys.indices]
+    if sys.sym_weights is not None:
+        target = np.sqrt(np.clip(target, 0.0, None) / sys.sym_weights)
+    s, *_ = np.linalg.lstsq(sys.rows, (target - sys.offset).T, rcond=None)
+    return s.T
+
+
+def _to_ball(s: np.ndarray) -> np.ndarray:
+    """Rescale the rows of s that lie outside the unit Bloch ball onto it."""
+    r = np.linalg.norm(s, axis=-1, keepdims=True)
+    return np.where(r > 1.0, s / np.maximum(r, 1.0), s)
 
 
 def _check_counts(counts, size: int) -> np.ndarray:
@@ -280,11 +279,8 @@ def estimate_linear_qubit(counts, p: Povm) -> DensityMatrix:
     into the Bloch ball.  Used as initialization and as a baseline.
     """
     counts = _check_counts(counts, p.size)
-    s = _linear_bloch(counts, _linear_system(p))
-    r = np.linalg.norm(s)
-    if r > 1.0:
-        s = s / r
-    return density_from_bloch(s)
+    return density_from_bloch(
+        _to_ball(_linear_bloch(counts[None], _linear_system(p)))[0])
 
 
 def _project(s: np.ndarray, clip: float) -> np.ndarray:
@@ -336,6 +332,20 @@ def _mle_bloch(
     return s, f
 
 
+def _mle_multistart(counts: np.ndarray, model: _QuadModel, s0: np.ndarray,
+                    clip: float, max_iter: int = 200,
+                    grad_tol: float = 1e-10) -> np.ndarray:
+    """Best :func:`_mle_bloch` solution from s0 and from s0 moved by 0.05
+    along each axis, all projected into the clipped ball."""
+    s0 = _project(s0, clip)
+    best, best_f = None, -np.inf
+    for init in (s0, *(_project(s0 + 0.05 * e, clip) for e in np.eye(3))):
+        s, f = _mle_bloch(counts, model, init, clip, max_iter, grad_tol)
+        if f > best_f:
+            best, best_f = s, f
+    return best
+
+
 def estimate_mle_qubit(
     counts, p: Povm,
     interior_clip: float = 1.0 - 1e-9,
@@ -349,44 +359,25 @@ def estimate_mle_qubit(
     The returned log-likelihood never falls below the linear start's.
     """
     counts = _check_counts(counts, p.size)
-    model = _quad_model(p)
     try:
-        s0 = _linear_bloch(counts, _linear_system(p))
+        s0 = _linear_bloch(counts[None], _linear_system(p))[0]
     except ValueError:
         s0 = np.zeros(3)
-    s0 = _project(s0, interior_clip)
-    starts = [s0]
-    for a in range(3):
-        delta = np.zeros(3)
-        delta[a] = 0.05
-        starts.append(_project(s0 + delta, interior_clip))
-    best, best_f = None, -np.inf
-    for init in starts:
-        s, f = _mle_bloch(counts, model, init, interior_clip,
-                          max_iter, grad_tol)
-        if f > best_f:
-            best, best_f = s, f
-    return density_from_bloch(best)
+    return density_from_bloch(_mle_multistart(
+        counts, _quad_model(p), s0, interior_clip, max_iter, grad_tol))
 
 
-def run_simulation(config: SimConfig) -> SimResult:
-    """Run the configured Monte Carlo experiment.
+@dataclass
+class _Scheme:
+    """What a run needs from its scheme, built once per run or sweep."""
 
-    Deterministic in the seed: trial i uses the RNG stream keyed by
-    (seed, i) regardless of how many trials run.
-    """
+    povm: Povm
+    linsys: _LinearSystem | None  # None: MLE starts from the centre
+    model: _QuadModel | None  # MLE only
+
+
+def _scheme_setup(config) -> _Scheme:
     p = scheme_povm(config.scheme, config.povm)
-    t = p.copies
-    if config.n_copies < t or config.n_copies % t != 0:
-        raise ValueError(f"n_copies must be a positive multiple of {t}")
-    n_meas = config.n_copies // t
-    rho_true = density_from_bloch(config.bloch)
-    s_true = np.asarray(config.bloch)
-    probs = outcome_probs(rho_true, p)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("POVM is not complete; cannot sample outcomes")
-    probs = probs / total
     model = _quad_model(p) if config.estimator == "mle" else None
     try:
         linsys = _linear_system(p)
@@ -394,49 +385,52 @@ def run_simulation(config: SimConfig) -> SimResult:
         if config.estimator == "linear":
             raise
         linsys = None
+    return _Scheme(p, linsys, model)
 
-    hs2 = np.zeros(config.n_trials)
-    bures2 = np.zeros(config.n_trials)
-    infid = np.zeros(config.n_trials)
-    counts_total = np.zeros(p.size, dtype=np.int64)
-    n_clipped = 0
-    clip = config.interior_clip
-    for i in range(config.n_trials):
-        rng = np.random.default_rng((config.seed, i))
-        counts = rng.multinomial(n_meas, probs)
-        counts_total += counts
-        if config.estimator == "linear":
-            s_hat = _linear_bloch(counts.astype(float), linsys)
-            r = np.linalg.norm(s_hat)
-            if r > 1.0:
-                s_hat = s_hat / r
-        else:
-            if linsys is not None:
-                s0 = _linear_bloch(counts.astype(float), linsys)
-            else:
-                s0 = np.zeros(3)
-            s0 = _project(s0, clip)
-            starts = [s0]
-            for a in range(3):
-                delta = np.zeros(3)
-                delta[a] = 0.05
-                starts.append(_project(s0 + delta, clip))
-            best, best_f = None, -np.inf
-            for init in starts:
-                s, f = _mle_bloch(counts.astype(float), model, init, clip)
-                if f > best_f:
-                    best, best_f = s, f
-            s_hat = best
-        if np.linalg.norm(s_hat) >= clip - 1e-12:
-            n_clipped += 1
-        est = density_from_bloch(s_hat)
-        hs2[i] = 0.5 * float(np.sum((s_hat - s_true) ** 2))
-        fid = fidelity(rho_true, est)
-        bures2[i] = max(2.0 - 2.0 * np.sqrt(fid), 0.0)
-        infid[i] = 1.0 - fid
 
-    n = config.n_copies
+def run_simulation(config: SimConfig, _setup: _Scheme | None = None) -> SimResult:
+    """Run the configured Monte Carlo experiment.
+
+    Deterministic in the seed: trial i uses the RNG stream keyed by
+    (seed, i) regardless of how many trials run.  ``_setup`` lets
+    :func:`sweep` share one scheme set-up across its grid points.
+    """
+    setup = _setup or _scheme_setup(config)
+    p = setup.povm
+    t = p.copies
+    if config.n_copies < t or config.n_copies % t != 0:
+        raise ValueError(f"n_copies must be a positive multiple of {t}")
+    n_meas = config.n_copies // t
+    s_true = np.asarray(config.bloch)
+    probs = outcome_probs(density_from_bloch(s_true), p)
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError("POVM is not complete; cannot sample outcomes")
+    probs = probs / total
+
     nt = config.n_trials
+    counts = np.array([np.random.default_rng((config.seed, i))
+                       .multinomial(n_meas, probs) for i in range(nt)])
+    freqs = counts.astype(float)
+    s_lin = (np.zeros((nt, 3)) if setup.linsys is None
+             else _linear_bloch(freqs, setup.linsys))
+    clip = config.interior_clip
+    if config.estimator == "linear":
+        s_hat = _to_ball(s_lin)
+    else:
+        s_hat = np.array([_mle_multistart(c, setup.model, s0, clip)
+                          for c, s0 in zip(freqs, s_lin)])
+    radii = np.linalg.norm(s_hat, axis=1)
+    if not (np.all(np.isfinite(s_hat))
+            and np.all(radii <= 1.0 + _tol.NORM_TOL)):
+        raise ValueError("an estimate is not a finite Bloch vector in the "
+                         "unit ball")
+
+    hs2 = 0.5 * np.sum((s_hat - s_true) ** 2, axis=1)
+    fid = qubit_fidelity(s_true, s_hat)
+    bures2 = np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0)
+    infid = 1.0 - fid
+    n = config.n_copies
 
     def stderr(x):
         if nt < 2:
@@ -451,40 +445,42 @@ def run_simulation(config: SimConfig) -> SimResult:
         msb_stderr=stderr(bures2),
         scaled_infidelity=float(n * infid.mean()),
         infidelity_stderr=stderr(infid),
-        n_clipped=n_clipped,
-        counts_total=counts_total,
+        n_clipped=int(np.count_nonzero(radii >= clip - 1e-12)),
+        counts_total=counts.sum(axis=0),
     )
 
 
-def asymptotic_metrics(
-    param: Parametrization, p: Povm, weight="hs"
-) -> float:
-    """Asymptotic scaled error t * tr(W I^{-1}).
-
-    ``weight`` selects the Hilbert-Schmidt matrix W_ab = tr(t_a t_b)
-    ('hs'), the Bures matrix J/4 ('msb'), or any explicit matrix.
-    """
+def _asymptotic(param: Parametrization, p: Povm, weights) -> list[float]:
+    """t * tr(W I^{-1}) for each weight, from one Fisher matrix, one
+    inverse and one set of tangents."""
     i_mat = fisher_matrix(param, p)
     vals = np.linalg.eigvalsh(i_mat)
     if vals.min() <= 1e-12 * max(1.0, vals.max()):
         raise ValueError("classical Fisher matrix is singular; the scheme "
                          "does not identify all parameters here")
-    if isinstance(weight, str):
-        if weight == "hs":
-            tangents = tangent_ops(param)
-            g = len(tangents)
-            w = np.zeros((g, g))
-            for a in range(g):
-                for b in range(a, g):
-                    w[a, b] = w[b, a] = np.trace(
-                        tangents[a] @ tangents[b]).real
+    i_inv = np.linalg.inv(i_mat)
+    tangents = tangent_ops(param)
+    out = []
+    for weight in weights:
+        if not isinstance(weight, str):
+            w = np.asarray(weight, dtype=float)
+        elif weight == "hs":
+            w = np.einsum("aij,bji->ab", tangents, tangents).real
         elif weight == "msb":
-            w = qfi_matrix(param.base(), tangent_ops(param)) / 4.0
+            w = qfi_matrix(param.base(), tangents) / 4.0
         else:
             raise ValueError(f"unknown weight {weight!r}")
-    else:
-        w = np.asarray(weight, dtype=float)
-    return float(p.copies * np.trace(w @ np.linalg.inv(i_mat)))
+        out.append(float(p.copies * np.trace(w @ i_inv)))
+    return out
+
+
+def asymptotic_metrics(param: Parametrization, p: Povm, weight="hs") -> float:
+    """Asymptotic scaled error t * tr(W I^{-1}).
+
+    ``weight`` selects the Hilbert-Schmidt matrix W_ab = tr(t_a t_b)
+    ('hs'), the Bures matrix J/4 ('msb'), or any explicit matrix.
+    """
+    return _asymptotic(param, p, [weight])[0]
 
 
 @dataclass
@@ -502,6 +498,7 @@ class SweepConfig:
     interior_clip: float = 1.0 - 1e-9
 
     def __post_init__(self):
+        _validate_run(self)
         d = np.asarray(self.direction, dtype=float).reshape(3)
         r = np.linalg.norm(d)
         if r <= 0:
@@ -524,8 +521,9 @@ def sweep(config: SweepConfig) -> list[dict]:
 
     Each grid point runs with its own derived seed; rows carry the scaled
     Monte Carlo errors next to the asymptotic values t * tr(W I^{-1}).
+    The scheme is set up once for the whole grid.
     """
-    p = scheme_povm(config.scheme, config.povm)
+    setup = _scheme_setup(config)
     rows = []
     for idx, s in enumerate(config.radii):
         bloch = tuple(s * np.asarray(config.direction))
@@ -538,8 +536,8 @@ def sweep(config: SweepConfig) -> list[dict]:
             estimator=config.estimator,
             povm=config.povm,
             interior_clip=config.interior_clip,
-        ))
-        param = BlochQubit(bloch)
+        ), setup)
+        mse, msb = _asymptotic(BlochQubit(bloch), setup.povm, ["hs", "msb"])
         rows.append({
             "s": s,
             "scheme": config.scheme,
@@ -547,8 +545,8 @@ def sweep(config: SweepConfig) -> list[dict]:
             "mse_stderr": sim.mse_stderr,
             "scaled_msb": sim.scaled_msb,
             "msb_stderr": sim.msb_stderr,
-            "analytic_mse": asymptotic_metrics(param, p, "hs"),
-            "analytic_msb": asymptotic_metrics(param, p, "msb"),
+            "analytic_mse": mse,
+            "analytic_msb": msb,
         })
     return rows
 

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from fisym.matcore import mat_power
 from fisym.povm import Povm
 from fisym.states import DensityMatrix, PureState
+
+# One hypothesis profile for every property module: examples run numpy
+# linear algebra whose time varies with the host, so no per-example
+# deadline and no too-slow health check.  Modules set max_examples.
+settings.register_profile("fisym", deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile("fisym")
 
 
 def random_pure(rng, dim):

@@ -91,6 +91,17 @@ class TestVerifyFailures:
         assert code == 1
         assert report["ok"] is False
 
+    def test_tol_does_not_leak_into_next_call(self, capsys, tmp_path):
+        # main() reuses one parser; --tol must fall back to its default
+        path = str(tmp_path / "coll.json")
+        run(capsys, "build", "collective-sic", "--out", path)
+        obj = load_json(path)
+        obj["elements"][0]["matrix"][0][0][0] *= 1.0 + 1e-6
+        save_json(obj, path)
+        assert run(capsys, "verify", "povm", path, "--tol", "1e-3")[0] == 0
+        assert run(capsys, "verify", "povm", path)[0] == 1
+        assert run(capsys, "verify", "povm", path, "--tol", "1e-3")[0] == 0
+
     def test_unassemblable_content_fails(self, capsys, tmp_path):
         path = str(tmp_path / "bad.json")
         run(capsys, "build", "collective-sic", "--out", path)
@@ -196,6 +207,16 @@ class TestFisherCommand:
         assert report["gm"]["value"] == pytest.approx(
             np.trace(np.linalg.solve(j_mat, i_mat)), rel=1e-9)
 
+    @pytest.mark.filterwarnings("ignore:outcome .* dropped")
+    def test_options_do_not_leak_into_next_call(self, capsys):
+        # main() reuses one parser; a non-default option must not stick
+        argv = ["fisher", "--povm", "sic-single", "--state", "bloch:0,0,0.9"]
+        raised = run(capsys, *argv, "--drop-threshold", "0.2")[1]
+        plain = run(capsys, *argv)[1]
+        assert len(raised["dropped_outcomes"]) == 2
+        assert plain["dropped_outcomes"] == []
+        assert plain == run(capsys, *argv, "--drop-threshold", "1e-12")[1]
+
     def test_bad_povm_spec(self, capsys):
         code, _, err = run(capsys, "fisher", "--povm", "unknown-name",
                            "--state", "bloch:0,0,0")
@@ -274,3 +295,18 @@ class TestSweepCommand:
         assert lines[0].startswith("#")
         assert lines[1].split(",")[0] == "s"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("bad", [{"scheme": "bogus"},
+                                     {"estimator": "nope"},
+                                     {"n_trials": 0}])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
+        obj = {"scheme": "collective-sic", "radii": [0.0, 0.5],
+               "n_copies": 200, "n_trials": 3, "seed": 5}
+        obj.update(bad)
+        config = str(tmp_path / "sweep.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        code, _, err = run(capsys, "sweep", "--config", config, "--out",
+                           str(tmp_path / "rows.csv"))
+        assert code == 2
+        assert "bad sweep config" in err

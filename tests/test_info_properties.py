@@ -10,7 +10,7 @@ oracle; and that no single-copy POVM beats tr(J^-1 I) <= d - 1
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,8 +35,7 @@ from fisym.states import (
 )
 from fisym.tomosim import scheme_povm
 
-SETTINGS = settings(max_examples=50, deadline=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+SETTINGS = settings(max_examples=50)  # on the suite profile (conftest.py)
 
 QUBIT_POVMS = {name: scheme_povm(name)
                for name in ("sic-single", "mub-single", "collective-sic")}

@@ -202,6 +202,26 @@ class TestRunSimulation:
         r = run_simulation(self.base_config(n_trials=3))
         json.dumps(r.to_dict())
 
+    @pytest.mark.parametrize("estimator", ["linear", "mle"])
+    def test_counts_total_sums_keyed_streams(self, estimator):
+        # the batched count matrix keeps one RNG stream per (seed, trial)
+        config = self.base_config(n_trials=7, estimator=estimator)
+        p = scheme_povm(config.scheme)
+        probs = outcome_probs(density_from_bloch(config.bloch), p)
+        probs = probs / probs.sum()
+        expected = sum(np.random.default_rng((config.seed, i)).multinomial(
+            config.n_copies // p.copies, probs) for i in range(7))
+        assert np.array_equal(run_simulation(config).counts_total, expected)
+
+    def test_non_finite_estimate_is_numerical_failure(self, monkeypatch):
+        import fisym.tomosim as tomosim
+
+        monkeypatch.setattr(tomosim, "_linear_bloch",
+                            lambda counts, sys: np.full((len(counts), 3),
+                                                        np.nan))
+        with pytest.raises(ValueError, match="finite Bloch vector"):
+            run_simulation(self.base_config(estimator="linear"))
+
 
 class TestAsymptoticMetrics:
     def test_collective_sic_values(self):
@@ -258,6 +278,29 @@ class TestSweep:
         assert len(parsed) == 2
         assert float(parsed[1]["s"]) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("scheme,estimator", [
+        ("collective-sic", "linear"), ("sic-single", "linear"),
+        ("collective-sic", "mle")])
+    def test_rows_match_independent_runs(self, scheme, estimator):
+        # one set-up per sweep must not change any grid point
+        config = SweepConfig(scheme=scheme, radii=(0.0, 0.4, 0.8),
+                             n_copies=300, n_trials=4, seed=9,
+                             direction=(1.0, -1.0, 0.5), estimator=estimator)
+        p = scheme_povm(scheme)
+        for idx, row in enumerate(sweep(config)):
+            bloch = tuple(row["s"] * np.asarray(config.direction))
+            sim = run_simulation(SimConfig(
+                scheme=scheme, bloch=bloch, n_copies=300, n_trials=4,
+                seed=9 + 99991 * idx, estimator=estimator))
+            par = BlochQubit(bloch)
+            assert row == {
+                "s": row["s"], "scheme": scheme,
+                "scaled_mse": sim.scaled_mse, "mse_stderr": sim.mse_stderr,
+                "scaled_msb": sim.scaled_msb, "msb_stderr": sim.msb_stderr,
+                "analytic_mse": asymptotic_metrics(par, p, "hs"),
+                "analytic_msb": asymptotic_metrics(par, p, "msb"),
+            }
+
     def test_direction_normalized(self):
         config = SweepConfig(scheme="sic-single", radii=(0.1,),
                              n_copies=100, n_trials=2, seed=1,
@@ -274,3 +317,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(scheme="sic-single", radii=(0.5,), n_copies=10,
                         n_trials=1, seed=0, direction=(0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [
+        {"scheme": "bogus"},
+        {"scheme": "custom"},
+        {"estimator": "nope"},
+        {"n_trials": 0},
+        {"interior_clip": 1.0},
+        {"interior_clip": 0.0},
+    ])
+    def test_config_validated_at_construction(self, bad):
+        # the same checks as SimConfig, before any grid point runs
+        args = dict(scheme="sic-single", radii=(0.5,), n_copies=10,
+                    n_trials=1, seed=0)
+        args.update(bad)
+        with pytest.raises(ValueError):
+            SweepConfig(**args)
