@@ -33,6 +33,9 @@ DESIGN_TOL = 1e-8
 # POVM completeness / positivity reporting threshold.
 POVM_TOL = 1e-9
 
+# Largest Bloch radius of a Monte Carlo estimate; keeps Bures distances finite.
+INTERIOR_CLIP = 1.0 - 1e-9
+
 # Outcome probabilities at or below this are dropped from Fisher sums.
 DROP_THRESHOLD = 1e-12
 

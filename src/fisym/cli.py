@@ -21,8 +21,6 @@ import numpy as np
 
 from . import _tol, designs, fisher, opfile, povm, states, tomosim
 
-_BUILTIN_POVMS = ("collective-sic", "sic-single", "mub-single", "great-circle")
-
 
 class UsageError(Exception):
     pass
@@ -144,16 +142,14 @@ def cmd_verify(args) -> int:
 
 def cmd_build(args) -> int:
     name = args.name
-    if name == "sic-qubit":
+    if name in povm.NAMED_POVMS:
+        obj = opfile.povm_to_obj(povm.NAMED_POVMS[name]())
+    elif name == "sic-qubit":
         obj = opfile.state_set_to_obj(designs.sic_qubit())
     elif name == "sic-d3":
         obj = opfile.state_set_to_obj(designs.sic_d3(args.phi))
     elif name == "mub":
         obj = opfile.state_set_to_obj(designs.mub_state_set(args.dim))
-    elif name == "collective-sic":
-        obj = opfile.povm_to_obj(povm.collective_sic_qubit())
-    elif name == "great-circle":
-        obj = opfile.povm_to_obj(povm.great_circle_qubit())
     elif name == "twocopy-design":
         if args.design is None:
             raise UsageError("twocopy-design needs --design FILE")
@@ -161,19 +157,17 @@ def cmd_build(args) -> int:
         obj = opfile.povm_to_obj(povm.twocopy_design_povm(design))
     elif name == "companion":
         if args.source is None:
-            raise UsageError("companion needs --source FILE built by "
-                             "twocopy-design")
+            raise UsageError("companion needs --source FILE, a projective "
+                             "2-design state set such as sic-qubit writes")
         design = opfile.obj_to_state_set(_load(args.source))
         two = povm.twocopy_design_povm(design)
         obj = opfile.povm_to_obj(povm.companion_povm(two))
-    elif name == "tight-coherent-d3":
+    else:  # tight-coherent-d3, the last of the parser's choices
         sic1 = (opfile.obj_to_state_set(_load(args.sic1))
                 if args.sic1 else None)
         sic2 = (opfile.obj_to_state_set(_load(args.sic2))
                 if args.sic2 else None)
         obj = opfile.povm_to_obj(povm.minimal_tight_coherent_d3(sic1, sic2))
-    else:
-        raise UsageError(f"unknown construction {name!r}")
     opfile.save_json(obj, args.out)
     return 0
 
@@ -181,15 +175,12 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------- fisher
 
 def _resolve_povm(spec: str) -> povm.Povm:
-    if spec == "collective-sic":
-        return povm.collective_sic_qubit()
-    if spec in ("sic-single", "mub-single"):
-        return tomosim.scheme_povm(spec)
-    if spec == "great-circle":
-        return povm.great_circle_qubit()
+    if spec in povm.NAMED_POVMS:
+        return povm.NAMED_POVMS[spec]()
     if os.path.exists(spec):
         return opfile.obj_to_povm(_load(spec))
-    raise UsageError(f"--povm must be a file or one of {_BUILTIN_POVMS}")
+    raise UsageError(f"--povm must be a file or one of "
+                     f"{tuple(povm.NAMED_POVMS)}")
 
 
 def _parse_state(spec: str) -> states.DensityMatrix:
@@ -333,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="write a standard construction")
     p_build.add_argument("name", choices=[
-        "sic-qubit", "sic-d3", "mub", "collective-sic", "great-circle",
+        "sic-qubit", "sic-d3", "mub", *povm.NAMED_POVMS,
         "twocopy-design", "companion", "tight-coherent-d3"])
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--phi", type=float, default=0.0)
@@ -346,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fisher = sub.add_parser("fisher", help="information report")
     p_fisher.add_argument("--povm", required=True,
-                          help=f"file or one of {_BUILTIN_POVMS}")
+                          help=f"file or one of {tuple(povm.NAMED_POVMS)}")
     p_fisher.add_argument("--state", required=True,
                           help="'bloch:x,y,z', 'pure:a0,a1,...', or file")
     p_fisher.add_argument("--param", default="auto",

@@ -26,6 +26,8 @@ from .designs import (
     WeightedStateSet,
     generalized_2design_check,
     generalized_sic_check,
+    mub,
+    mub_state_set,
     projective_2design_check,
     sic_d3,
     sic_qubit,
@@ -39,6 +41,7 @@ __all__ = [
     "companion_povm",
     "collective_sic_qubit",
     "great_circle_qubit",
+    "NAMED_POVMS",
     "ElementClass",
     "CoherenceReport",
     "classify_coherent",
@@ -150,6 +153,13 @@ def twocopy_design_povm(
                 source_design=scaled)
 
 
+def _rank_one_povm(states: WeightedStateSet) -> Povm:
+    """Single-copy POVM {w_xi |psi_xi><psi_xi|} of a weighted state set."""
+    return Povm([w * np.outer(v, v.conj())
+                 for w, v in zip(states.weights, states.vectors)],
+                copies=1, base_dim=states.dim)
+
+
 def companion_povm(p: Povm) -> Povm:
     """Single-copy POVM {2 w_xi / (d + 1) |psi_xi><psi_xi|}.
 
@@ -160,11 +170,9 @@ def companion_povm(p: Povm) -> Povm:
     if p.source_design is None:
         raise ValueError("companion is defined only for POVMs built from a "
                          "projective 2-design")
-    d = p.base_dim
-    elements = []
-    for w, v in zip(p.source_design.weights, p.source_design.vectors):
-        elements.append((2.0 * w / (d + 1)) * np.outer(v, v.conj()))
-    return Povm(elements, copies=1, base_dim=d)
+    design = p.source_design
+    return _rank_one_povm(WeightedStateSet(
+        design.vectors, 2.0 * design.weights / (p.base_dim + 1)))
 
 
 def _singlet(d: int = 2) -> np.ndarray:
@@ -187,12 +195,19 @@ def collective_sic_qubit() -> Povm:
 def great_circle_qubit() -> Povm:
     """Four-outcome qubit POVM from two orthogonal great-circle bases:
     {|0>, |1>, |+>, |->} each with weight 1/2."""
-    z0 = np.array([1.0, 0.0], dtype=complex)
-    z1 = np.array([0.0, 1.0], dtype=complex)
-    xp = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    xm = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    elements = [0.5 * np.outer(v, v.conj()) for v in (z0, z1, xp, xm)]
-    return Povm(elements, copies=1, base_dim=2)
+    bx, _, bz = mub(2)
+    return _rank_one_povm(
+        WeightedStateSet(np.hstack([bz, bx]).T, np.full(4, 0.5)))
+
+
+# The paper's named measurements; ``fisym build``, ``fisym fisher --povm``
+# and the tomography schemes all resolve these names here.
+NAMED_POVMS = {
+    "collective-sic": collective_sic_qubit,
+    "sic-single": lambda: _rank_one_povm(sic_qubit()),
+    "mub-single": lambda: _rank_one_povm(mub_state_set(2)),
+    "great-circle": great_circle_qubit,
+}
 
 
 @dataclass(frozen=True)

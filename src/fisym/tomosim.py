@@ -24,8 +24,7 @@ import numpy as np
 
 from . import _tol
 from .fisher import fisher_matrix, outcome_probs
-from .povm import Povm, classify_coherent, collective_sic_qubit
-from .designs import mub_state_set, sic_qubit
+from .povm import NAMED_POVMS, Povm, classify_coherent
 from .states import (
     _PAULI,
     BlochQubit,
@@ -51,7 +50,13 @@ __all__ = [
     "write_sweep_csv",
 ]
 
+# The informationally complete subset of the named POVMs, plus "custom".
+# great-circle is left out: its Bloch rows have rank 2.
 SCHEMES = ("collective-sic", "sic-single", "mub-single", "custom")
+
+# Iteration cap and absolute gradient norm that end one MLE ascent.
+_MLE_MAX_ITER = 200
+_MLE_GRAD_TOL = 1e-10
 
 
 def _validate_run(config) -> None:
@@ -85,7 +90,7 @@ class SimConfig:
     seed: int
     estimator: str = "mle"
     povm: Povm | None = None
-    interior_clip: float = 1.0 - 1e-9
+    interior_clip: float = _tol.INTERIOR_CLIP
 
     def __post_init__(self):
         _validate_run(self)
@@ -126,24 +131,14 @@ class SimResult:
 
 
 def scheme_povm(scheme: str, custom: Povm | None = None) -> Povm:
-    """Resolve a named measurement scheme to its POVM."""
-    if scheme == "collective-sic":
-        return collective_sic_qubit()
-    if scheme == "sic-single":
-        s = sic_qubit()
-        return Povm([w * np.outer(v, v.conj())
-                     for w, v in zip(s.weights, s.vectors)],
-                    copies=1, base_dim=2)
-    if scheme == "mub-single":
-        s = mub_state_set(2)
-        return Povm([w * np.outer(v, v.conj())
-                     for w, v in zip(s.weights, s.vectors)],
-                    copies=1, base_dim=2)
+    """Resolve a scheme to a POVM of ``povm.NAMED_POVMS`` or to ``custom``."""
     if scheme == "custom":
         if custom is None:
             raise ValueError("custom scheme needs an explicit POVM")
         return custom
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return NAMED_POVMS[scheme]()
 
 
 def _single_copy_rows(elements) -> tuple[np.ndarray, np.ndarray]:
@@ -191,16 +186,21 @@ def _quad_model(p: Povm) -> _QuadModel:
     return _QuadModel(c, lin, quad)
 
 
+def _sampling_probs(rho: DensityMatrix, p: Povm) -> np.ndarray:
+    """Outcome probabilities of rho, checked complete and renormalized."""
+    probs = outcome_probs(rho, p)
+    total = probs.sum()
+    if abs(total - 1.0) > _tol.POVM_TOL:
+        raise ValueError(f"outcome probabilities sum to {total}, POVM is not "
+                         "complete for this state")
+    return probs / total
+
+
 def sample_outcomes(
     rho: DensityMatrix, p: Povm, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Multinomial counts for n measurements of rho with a complete POVM."""
-    probs = outcome_probs(rho, p)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {total}, POVM is not "
-                         "complete for this state")
-    return rng.multinomial(n, probs / total)
+    return rng.multinomial(n, _sampling_probs(rho, p))
 
 
 @dataclass
@@ -293,8 +293,6 @@ def _mle_bloch(
     model: _QuadModel,
     init: np.ndarray,
     clip: float,
-    max_iter: int = 200,
-    grad_tol: float = 1e-10,
 ) -> tuple[np.ndarray, float]:
     """Projected gradient ascent on the multinomial log-likelihood."""
     observed = counts > 0
@@ -312,10 +310,10 @@ def _mle_bloch(
         s = np.zeros(3)
         f = loglik(s)
     step = 1.0 / counts.sum()
-    for _ in range(max_iter):
+    for _ in range(_MLE_MAX_ITER):
         pr = model.probs(s)
         g = (model.grads(s)[observed] * (c_obs / pr[observed])[:, None]).sum(axis=0)
-        if np.linalg.norm(g) <= grad_tol:
+        if np.linalg.norm(g) <= _MLE_GRAD_TOL:
             break
         improved = False
         while step >= 1e-18:
@@ -333,24 +331,20 @@ def _mle_bloch(
 
 
 def _mle_multistart(counts: np.ndarray, model: _QuadModel, s0: np.ndarray,
-                    clip: float, max_iter: int = 200,
-                    grad_tol: float = 1e-10) -> np.ndarray:
+                    clip: float) -> np.ndarray:
     """Best :func:`_mle_bloch` solution from s0 and from s0 moved by 0.05
     along each axis, all projected into the clipped ball."""
     s0 = _project(s0, clip)
     best, best_f = None, -np.inf
     for init in (s0, *(_project(s0 + 0.05 * e, clip) for e in np.eye(3))):
-        s, f = _mle_bloch(counts, model, init, clip, max_iter, grad_tol)
+        s, f = _mle_bloch(counts, model, init, clip)
         if f > best_f:
             best, best_f = s, f
     return best
 
 
 def estimate_mle_qubit(
-    counts, p: Povm,
-    interior_clip: float = 1.0 - 1e-9,
-    max_iter: int = 200,
-    grad_tol: float = 1e-10,
+    counts, p: Povm, interior_clip: float = _tol.INTERIOR_CLIP
 ) -> DensityMatrix:
     """Maximum-likelihood qubit estimate over the clipped Bloch ball.
 
@@ -364,7 +358,7 @@ def estimate_mle_qubit(
     except ValueError:
         s0 = np.zeros(3)
     return density_from_bloch(_mle_multistart(
-        counts, _quad_model(p), s0, interior_clip, max_iter, grad_tol))
+        counts, _quad_model(p), s0, interior_clip))
 
 
 @dataclass
@@ -402,11 +396,7 @@ def run_simulation(config: SimConfig, _setup: _Scheme | None = None) -> SimResul
         raise ValueError(f"n_copies must be a positive multiple of {t}")
     n_meas = config.n_copies // t
     s_true = np.asarray(config.bloch)
-    probs = outcome_probs(density_from_bloch(s_true), p)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("POVM is not complete; cannot sample outcomes")
-    probs = probs / total
+    probs = _sampling_probs(density_from_bloch(s_true), p)
 
     nt = config.n_trials
     counts = np.array([np.random.default_rng((config.seed, i))
@@ -495,7 +485,7 @@ class SweepConfig:
     direction: tuple = (1.0, 0.0, 0.0)
     estimator: str = "mle"
     povm: Povm | None = None
-    interior_clip: float = 1.0 - 1e-9
+    interior_clip: float = _tol.INTERIOR_CLIP
 
     def __post_init__(self):
         _validate_run(self)
