@@ -40,6 +40,18 @@ def _load(path) -> dict:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float options; NaN and infinities are usage
+    errors."""
+    try:
+        x = float(text)
+        if np.isfinite(x):
+            return x
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _cert_dict(cert: designs.DesignCertificate) -> dict:
     return dataclasses.asdict(cert)
 
@@ -199,16 +211,19 @@ def _parse_state(spec: str) -> states.DensityMatrix:
             raise UsageError(f"bad amplitude list: {exc}") from exc
         v = np.array(amps, dtype=complex)
         norm = np.linalg.norm(v)
-        if norm <= 0:
-            raise UsageError("state vector is zero")
+        if not 0.0 < norm < np.inf:
+            raise UsageError("state vector must be finite and nonzero")
         return states.DensityMatrix.from_pure(states.PureState(v / norm))
     path = spec[len("file:"):] if spec.startswith("file:") else spec
     if os.path.exists(path):
         obj = _load(path)
-        mats = [opfile.json_to_matrix(e["matrix"]) for e in obj.get("elements", [])]
-        if len(mats) != 1:
-            raise UsageError("a state file must hold exactly one element")
-        return states.DensityMatrix(mats[0])
+        try:
+            (element,) = obj["elements"]
+            matrix = element["matrix"]
+        except (TypeError, KeyError, ValueError) as exc:
+            raise UsageError("a state file must hold exactly one element, "
+                             "with a matrix") from exc
+        return states.DensityMatrix(opfile.json_to_matrix(matrix))
     raise UsageError("state must be 'bloch:x,y,z', 'pure:a0,a1,...', or a "
                      "density-matrix file")
 
@@ -237,7 +252,10 @@ def _choose_param(rho: states.DensityMatrix, choice: str) -> states.Parametrizat
 
 def cmd_fisher(args) -> int:
     p = _resolve_povm(args.povm)
-    rho = _parse_state(args.state)
+    try:
+        rho = _parse_state(args.state)
+    except ValueError as exc:
+        raise UsageError(f"bad state {args.state!r}: {exc}") from exc
     param = _choose_param(rho, args.param)
     mode = None if args.mode == "auto" else args.mode
     report = fisher.fisher_report(param, p, mode=mode,
@@ -282,14 +300,11 @@ def cmd_simulate(args) -> int:
     obj = _load(args.config)
     try:
         config = tomosim.SimConfig(**_sim_config(obj, for_sweep=False))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad simulation config: {exc}") from exc
-    result = tomosim.run_simulation(config)
-    out = result.to_dict()
+    out = tomosim.run_simulation(config).to_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(out, fh, indent=1)
-            fh.write("\n")
+        opfile.save_json(out, args.out)
     _emit(out)
     return 0
 
@@ -298,7 +313,7 @@ def cmd_sweep(args) -> int:
     obj = _load(args.config)
     try:
         config = tomosim.SweepConfig(**_sim_config(obj, for_sweep=True))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad sweep config: {exc}") from exc
     rows = tomosim.sweep(config)
     tomosim.write_sweep_csv(rows, args.out)
@@ -319,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="certify a design or POVM file")
     p_verify.add_argument("kind", choices=sorted(_VERIFIERS))
     p_verify.add_argument("file")
-    p_verify.add_argument("--tol", type=float, default=_tol.VERIFY_TOL)
+    p_verify.add_argument("--tol", type=_finite_float,
+                          default=_tol.VERIFY_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_build = sub.add_parser("build", help="write a standard construction")
@@ -327,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sic-qubit", "sic-d3", "mub", *povm.NAMED_POVMS,
         "twocopy-design", "companion", "tight-coherent-d3"])
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--phi", type=float, default=0.0)
+    p_build.add_argument("--phi", type=_finite_float, default=0.0)
     p_build.add_argument("--dim", type=int, default=2)
     p_build.add_argument("--design", help="state-set file for twocopy-design")
     p_build.add_argument("--source", help="state-set file for companion")
@@ -344,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["auto", "pure", "bloch", "affine"])
     p_fisher.add_argument("--mode", default="auto",
                           choices=["auto", "single-copy", "two-copy", "pure-n"])
-    p_fisher.add_argument("--drop-threshold", type=float,
+    p_fisher.add_argument("--drop-threshold", type=_finite_float,
                           default=_tol.DROP_THRESHOLD)
     p_fisher.set_defaults(func=cmd_fisher)
 

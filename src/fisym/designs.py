@@ -53,8 +53,8 @@ class WeightedStateSet:
         norms = np.linalg.norm(v, axis=1)
         if np.any(np.abs(norms - 1.0) > _tol.NORM_TOL):
             raise ValueError("state vectors must be normalized")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "weights", w)
 

@@ -53,21 +53,34 @@ def json_to_matrix(obj) -> np.ndarray:
         for row in obj:
             rows.append([complex(float(x[0]), float(x[1])) for x in row])
         m = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError,
+            OverflowError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is not square: shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     return m
+
+
+def _field(entry, key: str, convert):
+    """``convert(entry[key])`` for an element or header field, with any
+    missing key or unconvertible value raised as ValueError."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise ValueError(f"operator-file entry is missing the {key!r} field")
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad {key!r} field: {exc}") from exc
 
 
 def _header(obj) -> tuple[int, int, str | None]:
     if not isinstance(obj, dict):
         raise ValueError("operator file must contain a JSON object")
-    for key in ("dim", "copies", "elements"):
-        if key not in obj:
-            raise ValueError(f"operator file is missing the {key!r} field")
-    dim = int(obj["dim"])
-    copies = int(obj["copies"])
+    dim = _field(obj, "dim", int)
+    copies = _field(obj, "copies", int)
+    if "elements" not in obj:
+        raise ValueError("operator file is missing the 'elements' field")
     subspace = obj.get("subspace")
     if subspace not in (None, "symmetric"):
         raise ValueError(f"unknown subspace {subspace!r}")
@@ -86,7 +99,7 @@ def povm_to_obj(p: Povm) -> dict:
 
 def obj_to_povm(obj) -> Povm:
     dim, copies, subspace = _header(obj)
-    elements = [json_to_matrix(e["matrix"]) for e in obj["elements"]]
+    elements = [_field(e, "matrix", json_to_matrix) for e in obj["elements"]]
     return Povm(elements, copies=copies, base_dim=dim, subspace=subspace)
 
 
@@ -119,10 +132,9 @@ def obj_to_state_set(obj) -> WeightedStateSet:
         raise ValueError("a state set is a single-copy object")
     vectors, weights = [], []
     for e in obj["elements"]:
-        if "weight" not in e:
-            raise ValueError("state-set entries need a weight field")
-        weights.append(float(e["weight"]))
-        vectors.append(_vector_from_projector(json_to_matrix(e["matrix"])))
+        weights.append(_field(e, "weight", float))
+        vectors.append(_vector_from_projector(
+            _field(e, "matrix", json_to_matrix)))
     return WeightedStateSet(np.array(vectors), np.array(weights))
 
 
@@ -136,14 +148,17 @@ def operator_set_to_obj(s: OperatorSet) -> dict:
 
 def obj_to_operator_set(obj) -> OperatorSet:
     _header(obj)
-    elements = tuple(json_to_matrix(e["matrix"]) for e in obj["elements"])
+    elements = tuple(_field(e, "matrix", json_to_matrix)
+                     for e in obj["elements"])
     return OperatorSet(elements)
 
 
 def save_json(obj: dict, path) -> None:
+    """Write obj as JSON.  NaN and infinities, which JSON lacks, raise
+    ValueError before the file is opened."""
+    text = json.dumps(obj, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path) -> dict:

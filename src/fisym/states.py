@@ -107,12 +107,20 @@ _PAULI = (
 )
 
 
-def density_from_bloch(s) -> DensityMatrix:
-    """Qubit state (1 + s·σ)/2 from a Bloch vector with |s| <= 1."""
+def _bloch_vector(s) -> np.ndarray:
+    """s as a float 3-vector, checked finite and inside the unit ball."""
     s = np.asarray(s, dtype=float).reshape(3)
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"Bloch vector {s} is not finite")
     r = np.linalg.norm(s)
     if r > 1.0 + _tol.NORM_TOL:
         raise ValueError(f"Bloch vector has length {r} > 1")
+    return s
+
+
+def density_from_bloch(s) -> DensityMatrix:
+    """Qubit state (1 + s·σ)/2 from a finite Bloch vector with |s| <= 1."""
+    s = _bloch_vector(s)
     m = 0.5 * (np.eye(2, dtype=complex)
                + s[0] * _PAULI[0] + s[1] * _PAULI[1] + s[2] * _PAULI[2])
     return DensityMatrix(m)
@@ -246,6 +254,9 @@ class AffineMixed(Parametrization):
         self.basis = [np.asarray(e, dtype=complex) for e in basis]
         self.n_params = len(self.basis)
 
+    def base(self) -> DensityMatrix:
+        return self.base_state
+
     def density(self, theta: np.ndarray) -> DensityMatrix:
         theta = np.asarray(theta, dtype=float).reshape(self.n_params)
         m = self.base_state.matrix.copy()
@@ -262,9 +273,12 @@ class BlochQubit(Parametrization):
 
     def __init__(self, s0):
         self.s0 = np.asarray(s0, dtype=float).reshape(3)
-        density_from_bloch(self.s0)  # validates |s0| <= 1
+        self._base = density_from_bloch(self.s0)
         self.dim = 2
         self.n_params = 3
+
+    def base(self) -> DensityMatrix:
+        return self._base
 
     def density(self, theta: np.ndarray) -> DensityMatrix:
         theta = np.asarray(theta, dtype=float).reshape(3)

@@ -27,6 +27,7 @@ from .fisher import fisher_matrix, outcome_probs
 from .povm import NAMED_POVMS, Povm, classify_coherent
 from .states import (
     _PAULI,
+    _bloch_vector,
     BlochQubit,
     DensityMatrix,
     Parametrization,
@@ -70,6 +71,10 @@ def _validate_run(config) -> None:
         raise ValueError("estimator must be 'mle' or 'linear'")
     if config.n_trials < 1:
         raise ValueError("need at least one trial")
+    if config.n_copies < 1:
+        raise ValueError("need at least one copy per trial")
+    if config.seed < 0:
+        raise ValueError("seed must be nonnegative")
     if not (0.0 < config.interior_clip < 1.0):
         raise ValueError("interior_clip must be in (0, 1)")
 
@@ -94,7 +99,7 @@ class SimConfig:
 
     def __post_init__(self):
         _validate_run(self)
-        self.bloch = tuple(float(x) for x in np.asarray(self.bloch).reshape(3))
+        self.bloch = tuple(float(x) for x in _bloch_vector(self.bloch))
 
 
 @dataclass
@@ -491,13 +496,13 @@ class SweepConfig:
         _validate_run(self)
         d = np.asarray(self.direction, dtype=float).reshape(3)
         r = np.linalg.norm(d)
-        if r <= 0:
-            raise ValueError("direction must be a nonzero vector")
+        if not 0.0 < r < np.inf:
+            raise ValueError("direction must be a finite nonzero vector")
         self.direction = tuple(d / r)
         radii = tuple(float(s) for s in self.radii)
         if not radii:
             raise ValueError("need at least one radius")
-        if any(s < 0 or s >= 1.0 for s in radii):
+        if not all(0.0 <= s < 1.0 for s in radii):
             raise ValueError("radii must lie in [0, 1)")
         self.radii = radii
 

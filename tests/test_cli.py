@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from fisym.cli import main
+from fisym.povm import NAMED_POVMS
 from fisym.designs import OperatorSet, sic_qubit
 from fisym.opfile import load_json, operator_set_to_obj, save_json
 
@@ -79,6 +81,39 @@ class TestBuildVerify:
         assert code == 2
         assert "design" in err
 
+    def test_companion_needs_state_set(self, capsys, tmp_path):
+        code, _, err = run(capsys, "build", "companion", "--out",
+                           str(tmp_path / "x.json"))
+        assert code == 2
+        assert "state set" in err
+
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_phi_is_usage_error(self, tmp_path, phi):
+        path = tmp_path / "sic3.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "sic-d3", "--phi", phi, "--out", str(path)])
+        assert exc.value.code == 2
+        assert not path.exists()
+
+
+class TestNamedPovms:
+    @pytest.mark.parametrize("name", sorted(NAMED_POVMS))
+    def test_built_file_gives_the_named_report(self, capsys, tmp_path, name):
+        # every registered name builds, and the file stands in for the name
+        path = str(tmp_path / f"{name}.json")
+        assert run(capsys, "build", name, "--out", path)[0] == 0
+        assert run(capsys, "verify", "povm", path)[0] == 0
+        state = ["--state", "bloch:0.3,-0.2,0.5"]
+        code, by_name, _ = run(capsys, "fisher", "--povm", name, *state)
+        assert code == 0
+        assert run(capsys, "fisher", "--povm", path, *state)[1] == by_name
+
+    def test_unknown_name_lists_the_registry(self, capsys):
+        code, _, err = run(capsys, "fisher", "--povm", "unknown-name",
+                           "--state", "bloch:0,0,0")
+        assert code == 2
+        assert all(name in err for name in NAMED_POVMS)
+
 
 class TestVerifyFailures:
     def test_tampered_file_fails(self, capsys, tmp_path):
@@ -109,6 +144,34 @@ class TestVerifyFailures:
         del obj["elements"][0]["matrix"][0]  # no longer square
         save_json(obj, path)
         code, report, _ = run(capsys, "verify", "povm", path)
+        assert code == 1
+        assert report["ok"] is False
+        assert "error" in report
+
+    @pytest.mark.parametrize("kind", ["povm", "gdesign2", "sic"])
+    @pytest.mark.parametrize("path,value", [
+        (("elements", 0, "matrix"), None),
+        (("elements", 0), []),
+        (("dim",), None),
+        (("copies",), [1]),
+    ])
+    def test_malformed_file_fails_the_check(self, capsys, tmp_path, kind,
+                                            path, value):
+        # a key that is missing or of the wrong type is content that cannot
+        # be assembled, not a crash
+        file = str(tmp_path / "bad.json")
+        run(capsys, "build", "sic-qubit", "--out", file)
+        obj = load_json(file)
+        *parents, last = path
+        node = obj
+        for key in parents:
+            node = node[key]
+        if value is None and last == "matrix":
+            del node[last]
+        else:
+            node[last] = value
+        save_json(obj, file)
+        code, report, _ = run(capsys, "verify", kind, file)
         assert code == 1
         assert report["ok"] is False
         assert "error" in report
@@ -217,6 +280,29 @@ class TestFisherCommand:
         assert plain["dropped_outcomes"] == []
         assert plain == run(capsys, *argv, "--drop-threshold", "1e-12")[1]
 
+    @pytest.mark.parametrize("spec", ["bloch:nan,0,0", "bloch:0,inf,0",
+                                      "bloch:2,0,0", "pure:nan,1",
+                                      "pure:inf,1"])
+    def test_bad_state_is_usage_error(self, capsys, spec):
+        code, _, err = run(capsys, "fisher", "--povm", "sic-single",
+                           "--state", spec)
+        assert code == 2
+        assert "numerical failure" not in err
+
+    @pytest.mark.parametrize("content", [
+        [1, 2, 3],
+        {"elements": [{"weight": 1.0}]},
+        {"elements": [{"matrix": [[[0.5, 0.0], [0.0, 0.0]],
+                                  [[0.0, 0.0], [float("nan"), 0.0]]]}]},
+    ])
+    def test_malformed_state_file_is_usage_error(self, capsys, tmp_path,
+                                                 content):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(content))
+        code, _, err = run(capsys, "fisher", "--povm", "sic-single",
+                           "--state", str(path))
+        assert code == 2
+
     def test_bad_povm_spec(self, capsys):
         code, _, err = run(capsys, "fisher", "--povm", "unknown-name",
                            "--state", "bloch:0,0,0")
@@ -275,6 +361,16 @@ class TestSimulateCommand:
         config = self.write_config(tmp_path, scheme="bogus")
         assert run(capsys, "simulate", "--config", config)[0] == 2
 
+    @pytest.mark.parametrize("bad", [{"n_copies": 0}, {"seed": -1},
+                                     {"n_trials": float("inf")},
+                                     {"bloch": [float("nan"), 0.0, 0.0]},
+                                     {"bloch": [2.0, 0.0, 0.0]}])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
+        config = self.write_config(tmp_path, **bad)
+        code, _, err = run(capsys, "simulate", "--config", config)
+        assert code == 2
+        assert "bad simulation config" in err
+
     def test_incompatible_copies(self, capsys, tmp_path):
         config = self.write_config(tmp_path, scheme="collective-sic",
                                    n_copies=301)
@@ -298,7 +394,10 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("bad", [{"scheme": "bogus"},
                                      {"estimator": "nope"},
-                                     {"n_trials": 0}])
+                                     {"n_trials": 0},
+                                     {"n_copies": 0},
+                                     {"seed": -1},
+                                     {"radii": [float("nan")]}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         obj = {"scheme": "collective-sic", "radii": [0.0, 0.5],
                "n_copies": 200, "n_trials": 3, "seed": 5}

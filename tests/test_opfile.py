@@ -28,6 +28,11 @@ class TestMatrixCodec:
         with pytest.raises(ValueError):
             json_to_matrix([[[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]]])
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            json_to_matrix([[[1.0, 0.0], [0.0, x]], [[0.0, 0.0], [1.0, 0.0]]])
+
 
 class TestPovmFiles:
     def test_roundtrip_preserves_elements(self):
@@ -48,6 +53,23 @@ class TestPovmFiles:
         del obj["copies"]
         with pytest.raises(ValueError):
             obj_to_povm(obj)
+
+    @pytest.mark.parametrize("field", ["dim", "copies"])
+    @pytest.mark.parametrize("value", [None, [2], "two", float("inf")])
+    def test_bad_header_value_rejected(self, field, value):
+        obj = povm_to_obj(collective_sic_qubit())
+        obj[field] = value
+        for load in (obj_to_povm, obj_to_operator_set):
+            with pytest.raises(ValueError):
+                load(obj)
+
+    @pytest.mark.parametrize("entry", [{}, {"weight": 0.5}, [], 1.0, None])
+    def test_element_without_matrix_rejected(self, entry):
+        obj = state_set_to_obj(sic_qubit())
+        obj["elements"][0] = entry
+        for load in (obj_to_povm, obj_to_state_set, obj_to_operator_set):
+            with pytest.raises(ValueError):
+                load(obj)
 
     def test_empty_elements_rejected(self):
         obj = povm_to_obj(collective_sic_qubit())
@@ -78,6 +100,14 @@ class TestStateSetFiles:
         with pytest.raises(ValueError):
             obj_to_state_set(obj)
 
+    @pytest.mark.parametrize("weight", [None, [0.5], float("nan"),
+                                        float("inf")])
+    def test_bad_weight_rejected(self, weight):
+        obj = state_set_to_obj(sic_qubit())
+        obj["elements"][0]["weight"] = weight
+        with pytest.raises(ValueError):
+            obj_to_state_set(obj)
+
 
 class TestOperatorSetFiles:
     def test_roundtrip(self):
@@ -96,6 +126,13 @@ class TestFileRoundTrip:
         save_json(povm_to_obj(p), first)
         save_json(povm_to_obj(obj_to_povm(load_json(first))), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_non_finite_values_are_not_written(self, tmp_path):
+        # NaN is not JSON; nothing is written rather than a partial file
+        path = tmp_path / "nan.json"
+        with pytest.raises(ValueError):
+            save_json({"dim": 2, "x": float("nan")}, path)
+        assert not path.exists()
 
     def test_file_ends_with_newline(self, tmp_path):
         path = tmp_path / "p.json"

@@ -65,6 +65,12 @@ class TestBlochMaps:
         with pytest.raises(ValueError):
             density_from_bloch([1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("s", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                   [0.0, 0.0, -np.inf]])
+    def test_non_finite_rejected(self, s):
+        with pytest.raises(ValueError, match="finite"):
+            density_from_bloch(s)
+
     def test_center_is_maximally_mixed(self):
         rho = density_from_bloch([0.0, 0.0, 0.0])
         assert np.allclose(rho.matrix, np.eye(2) / 2)
@@ -149,6 +155,19 @@ class TestParametrizations:
         assert np.allclose(tans[0], sx / 2)
         assert np.allclose(par.base().matrix,
                            density_from_bloch([0.1, 0.2, 0.3]).matrix)
+
+    def test_base_state_is_kept(self, rng):
+        # base() returns the state validated at construction, and it equals
+        # the chart at theta = 0
+        bloch = BlochQubit([0.1, 0.2, 0.3])
+        assert bloch.base() is bloch.base()
+        assert np.array_equal(bloch.base().matrix,
+                              bloch.density(np.zeros(3)).matrix)
+        rho = random_full_rank(rng, 3)
+        affine = AffineMixed(rho)
+        assert affine.base() is rho
+        assert np.array_equal(affine.base().matrix,
+                              affine.density(np.zeros(8)).matrix)
 
     def test_tangent_ops_validation(self, rng):
         par = BlochQubit([0.0, 0.0, 0.0])

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from fisym.povm import Povm, collective_sic_qubit, twocopy_design_povm
+from fisym.povm import (NAMED_POVMS, Povm, collective_sic_qubit,
+                        twocopy_design_povm)
 from fisym.designs import sic_qubit
 from fisym.states import BlochQubit, density_from_bloch
 from fisym.tomosim import (
@@ -52,6 +53,12 @@ class TestSchemePovm:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             scheme_povm("adaptive")
+
+    def test_schemes_come_from_the_registry(self):
+        assert set(SCHEMES) - {"custom"} <= set(NAMED_POVMS)
+        # great-circle is named but not informationally complete
+        with pytest.raises(ValueError):
+            scheme_povm("great-circle")
 
 
 class TestQuadModel:
@@ -198,6 +205,18 @@ class TestRunSimulation:
             SimConfig(scheme="sic-single", bloch=(0, 0, 0), n_copies=10,
                       n_trials=0, seed=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"n_copies": 0},
+        {"n_copies": -2},
+        {"seed": -1},
+        {"bloch": (float("nan"), 0.0, 0.0)},
+        {"bloch": (float("inf"), 0.0, 0.0)},
+        {"bloch": (1.0, 1.0, 0.0)},
+    ])
+    def test_config_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            self.base_config(**bad)
+
     def test_to_dict_serializable(self):
         r = run_simulation(self.base_config(n_trials=3))
         json.dumps(r.to_dict())
@@ -325,6 +344,11 @@ class TestSweep:
         {"n_trials": 0},
         {"interior_clip": 1.0},
         {"interior_clip": 0.0},
+        {"n_copies": 0},
+        {"seed": -1},
+        {"radii": (float("nan"),)},
+        {"direction": (float("nan"), 0.0, 0.0)},
+        {"direction": (float("inf"), 0.0, 0.0)},
     ])
     def test_config_validated_at_construction(self, bad):
         # the same checks as SimConfig, before any grid point runs
