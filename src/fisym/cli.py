@@ -41,8 +41,8 @@ def _load(path) -> dict:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of the float options; NaN and infinities are usage
-    errors."""
+    """argparse type of the float options: NaN and infinities are usage
+    errors, as unparsable text is."""
     try:
         x = float(text)
         if np.isfinite(x):
@@ -190,7 +190,10 @@ def _resolve_povm(spec: str) -> povm.Povm:
     if spec in povm.NAMED_POVMS:
         return povm.NAMED_POVMS[spec]()
     if os.path.exists(spec):
-        return opfile.obj_to_povm(_load(spec))
+        try:
+            return opfile.obj_to_povm(_load(spec))
+        except ValueError as exc:
+            raise UsageError(f"bad POVM file {spec}: {exc}") from exc
     raise UsageError(f"--povm must be a file or one of "
                      f"{tuple(povm.NAMED_POVMS)}")
 

@@ -51,7 +51,7 @@ class WeightedStateSet:
         if v.ndim != 2 or v.shape[0] != w.size:
             raise ValueError("need one weight per state vector")
         norms = np.linalg.norm(v, axis=1)
-        if np.any(np.abs(norms - 1.0) > _tol.NORM_TOL):
+        if not np.all(np.abs(norms - 1.0) <= _tol.NORM_TOL):
             raise ValueError("state vectors must be normalized")
         if not np.all((w > 0) & np.isfinite(w)):
             raise ValueError("weights must be positive and finite")

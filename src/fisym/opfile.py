@@ -79,12 +79,12 @@ def _header(obj) -> tuple[int, int, str | None]:
         raise ValueError("operator file must contain a JSON object")
     dim = _field(obj, "dim", int)
     copies = _field(obj, "copies", int)
-    if "elements" not in obj:
-        raise ValueError("operator file is missing the 'elements' field")
+    if copies not in (1, 2):
+        raise ValueError("copies must be 1 or 2")
     subspace = obj.get("subspace")
     if subspace not in (None, "symmetric"):
         raise ValueError(f"unknown subspace {subspace!r}")
-    if not isinstance(obj["elements"], list) or not obj["elements"]:
+    if not isinstance(obj.get("elements"), list) or not obj["elements"]:
         raise ValueError("operator file needs a nonempty element list")
     return dim, copies, subspace
 
@@ -135,7 +135,11 @@ def obj_to_state_set(obj) -> WeightedStateSet:
         weights.append(_field(e, "weight", float))
         vectors.append(_vector_from_projector(
             _field(e, "matrix", json_to_matrix)))
-    return WeightedStateSet(np.array(vectors), np.array(weights))
+    s = WeightedStateSet(np.array(vectors), np.array(weights))
+    if s.dim != dim:
+        raise ValueError(f"header dim {dim} does not match {s.dim}-dimensional "
+                         "states")
+    return s
 
 
 def operator_set_to_obj(s: OperatorSet) -> dict:
@@ -147,10 +151,13 @@ def operator_set_to_obj(s: OperatorSet) -> dict:
 
 
 def obj_to_operator_set(obj) -> OperatorSet:
-    _header(obj)
-    elements = tuple(_field(e, "matrix", json_to_matrix)
-                     for e in obj["elements"])
-    return OperatorSet(elements)
+    dim, copies, _ = _header(obj)
+    ops = OperatorSet(tuple(_field(e, "matrix", json_to_matrix)
+                            for e in obj["elements"]))
+    if ops.dim != dim ** copies:
+        raise ValueError(f"header dim {dim} and copies {copies} do not match "
+                         f"{ops.dim}-dimensional operators")
+    return ops
 
 
 def save_json(obj: dict, path) -> None:

@@ -28,6 +28,10 @@ class TestWeightedStateSet:
         with pytest.raises(ValueError):
             WeightedStateSet(np.array([[1.0, 1.0]]), np.array([1.0]))
 
+    def test_requires_finite_vectors(self):
+        with pytest.raises(ValueError):
+            WeightedStateSet(np.array([[np.nan, 0.0]]), np.array([1.0]))
+
     def test_requires_positive_weights(self):
         v = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):

@@ -63,6 +63,15 @@ class TestPovmFiles:
             with pytest.raises(ValueError):
                 load(obj)
 
+    @pytest.mark.parametrize("header", [{"dim": 3}, {"copies": 2},
+                                        {"copies": 10 ** 9}])
+    def test_header_must_match_matrices(self, header):
+        obj = state_set_to_obj(sic_qubit())
+        obj.update(header)
+        for load in (obj_to_povm, obj_to_state_set, obj_to_operator_set):
+            with pytest.raises(ValueError):
+                load(obj)
+
     @pytest.mark.parametrize("entry", [{}, {"weight": 0.5}, [], 1.0, None])
     def test_element_without_matrix_rejected(self, entry):
         obj = state_set_to_obj(sic_qubit())
