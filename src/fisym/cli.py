@@ -102,7 +102,7 @@ def _verify_gsic(obj, tol) -> tuple[bool, dict]:
 
 def _verify_coherent(obj, tol) -> tuple[bool, dict]:
     p = opfile.obj_to_povm(obj)
-    report = povm.classify_coherent(p)
+    report = povm.classify_coherent(p, tol)
     out = {
         "coherent": report.coherent,
         "classes": [{"kind": c.kind, "weight": c.weight}
@@ -152,6 +152,21 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------- build
 
+def _povm_from_files(construct, *paths) -> dict:
+    """File object of the POVM ``construct`` makes from the state sets in
+    ``paths`` (None where a path is not given).  A given file that does
+    not load as a state set, or whose states the construction rejects,
+    is a usage error."""
+    try:
+        sets = [opfile.obj_to_state_set(_load(f)) if f else None
+                for f in paths]
+        return opfile.povm_to_obj(construct(*sets))
+    except ValueError as exc:
+        if not any(paths):
+            raise
+        raise UsageError(f"unfit input file: {exc}") from exc
+
+
 def cmd_build(args) -> int:
     name = args.name
     if name in povm.NAMED_POVMS:
@@ -165,21 +180,17 @@ def cmd_build(args) -> int:
     elif name == "twocopy-design":
         if args.design is None:
             raise UsageError("twocopy-design needs --design FILE")
-        design = opfile.obj_to_state_set(_load(args.design))
-        obj = opfile.povm_to_obj(povm.twocopy_design_povm(design))
+        obj = _povm_from_files(povm.twocopy_design_povm, args.design)
     elif name == "companion":
         if args.source is None:
             raise UsageError("companion needs --source FILE, a projective "
                              "2-design state set such as sic-qubit writes")
-        design = opfile.obj_to_state_set(_load(args.source))
-        two = povm.twocopy_design_povm(design)
-        obj = opfile.povm_to_obj(povm.companion_povm(two))
+        obj = _povm_from_files(
+            lambda s: povm.companion_povm(povm.twocopy_design_povm(s)),
+            args.source)
     else:  # tight-coherent-d3, the last of the parser's choices
-        sic1 = (opfile.obj_to_state_set(_load(args.sic1))
-                if args.sic1 else None)
-        sic2 = (opfile.obj_to_state_set(_load(args.sic2))
-                if args.sic2 else None)
-        obj = opfile.povm_to_obj(povm.minimal_tight_coherent_d3(sic1, sic2))
+        obj = _povm_from_files(povm.minimal_tight_coherent_d3,
+                               args.sic1, args.sic2)
     opfile.save_json(obj, args.out)
     return 0
 
@@ -272,8 +283,6 @@ def cmd_fisher(args) -> int:
 def _sim_config(obj, for_sweep: bool) -> dict:
     if not isinstance(obj, dict):
         raise UsageError("config must be a JSON object")
-    if "seed" not in obj:
-        raise UsageError("config is missing the required 'seed' field")
     required = ["scheme", "n_copies", "n_trials", "seed"]
     required.append("radii" if for_sweep else "bloch")
     for key in required:
@@ -281,9 +290,9 @@ def _sim_config(obj, for_sweep: bool) -> dict:
             raise UsageError(f"config is missing the required {key!r} field")
     kwargs = {
         "scheme": obj["scheme"],
-        "n_copies": int(obj["n_copies"]),
-        "n_trials": int(obj["n_trials"]),
-        "seed": int(obj["seed"]),
+        "n_copies": opfile._integer(obj["n_copies"]),
+        "n_trials": opfile._integer(obj["n_trials"]),
+        "seed": opfile._integer(obj["seed"]),
         "estimator": obj.get("estimator", "mle"),
     }
     if "interior_clip" in obj:

@@ -263,6 +263,21 @@ def fisher_symmetry_check(
     return fisher_report(param, p, symmetry_tol=tol).symmetry
 
 
+def _wmse_parts(
+    j_matrix: np.ndarray, weight: np.ndarray, d: int, mode: str
+) -> tuple[int, float, np.ndarray]:
+    """Copies t, information bound and S = sqrt(J^{-1/2} W J^{-1/2}) of a
+    weighted-MSE problem; 'separable' takes the single-copy bound."""
+    copies = {"separable": 1, "two-copy": 2}.get(mode)
+    if copies is None:
+        raise ValueError(f"unknown mode {mode!r}; choose 'separable' or "
+                         "'two-copy'")
+    bound = gm_bound("single-copy" if copies == 1 else mode, d)
+    inv_root = matcore.mat_power(np.asarray(j_matrix, dtype=complex), -0.5)
+    k = inv_root @ matcore.require_hermitian(weight) @ inv_root
+    return copies, bound, matcore.mat_power(k, 0.5)
+
+
 def wmse_bound(
     j_matrix: np.ndarray, weight: np.ndarray, d: int, mode: str
 ) -> float:
@@ -272,14 +287,9 @@ def wmse_bound(
     separable (single-copy) schemes and 2 T^2 / (3(d-1)) for two-copy
     collective schemes, per input copy in both cases.
     """
-    inv_root = matcore.mat_power(np.asarray(j_matrix, dtype=complex), -0.5)
-    k = inv_root @ matcore.require_hermitian(weight) @ inv_root
-    t = float(np.trace(matcore.mat_power(k, 0.5)).real)
-    if mode == "separable":
-        return t * t / (d - 1)
-    if mode == "two-copy":
-        return 2.0 * t * t / (3.0 * (d - 1))
-    raise ValueError(f"unknown mode {mode!r}; choose 'separable' or 'two-copy'")
+    copies, bound, s = _wmse_parts(j_matrix, weight, d, mode)
+    t = float(np.trace(s).real)
+    return copies * t * t / bound
 
 
 def optimal_fisher(
@@ -290,20 +300,12 @@ def optimal_fisher(
     Returns c J^{1/2} S J^{1/2} / tr(S) with S = sqrt(J^{-1/2} W J^{-1/2})
     and c = d - 1 (separable) or 3(d - 1) (two-copy).
     """
-    j = np.asarray(j_matrix, dtype=complex)
-    inv_root = matcore.mat_power(j, -0.5)
-    root = matcore.mat_power(j, 0.5)
-    s = matcore.mat_power(inv_root @ matcore.require_hermitian(weight) @ inv_root, 0.5)
+    _, bound, s = _wmse_parts(j_matrix, weight, d, mode)
     t = float(np.trace(s).real)
     if t <= 0:
         raise ValueError("weight matrix is zero")
-    if mode == "separable":
-        c = d - 1.0
-    elif mode == "two-copy":
-        c = 3.0 * (d - 1.0)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; choose 'separable' or 'two-copy'")
-    return (c / t) * np.real(root @ s @ root)
+    root = matcore.mat_power(np.asarray(j_matrix, dtype=complex), 0.5)
+    return (bound / t) * np.real(root @ s @ root)
 
 
 @dataclass(frozen=True)

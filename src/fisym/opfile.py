@@ -74,11 +74,19 @@ def _field(entry, key: str, convert):
         raise ValueError(f"bad {key!r} field: {exc}") from exc
 
 
+def _integer(x) -> int:
+    """int(x), except that a number with a fractional part (or NaN or an
+    infinity) raises ValueError instead of being truncated."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def _header(obj) -> tuple[int, int, str | None]:
     if not isinstance(obj, dict):
         raise ValueError("operator file must contain a JSON object")
-    dim = _field(obj, "dim", int)
-    copies = _field(obj, "copies", int)
+    dim = _field(obj, "dim", _integer)
+    copies = _field(obj, "copies", _integer)
     if copies not in (1, 2):
         raise ValueError("copies must be 1 or 2")
     subspace = obj.get("subspace")

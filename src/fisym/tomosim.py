@@ -146,13 +146,20 @@ def scheme_povm(scheme: str, custom: Povm | None = None) -> Povm:
     return NAMED_POVMS[scheme]()
 
 
-def _single_copy_rows(elements) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets tr(E)/2 and rows tr(sigma_a E)/2 of qubit operators E, so
-    that tr(rho(s) E) = offset + rows @ s."""
-    offset = np.array([0.5 * np.trace(e).real for e in elements])
-    rows = np.array([[0.5 * np.einsum("ab,ba->", sa, e).real for sa in _PAULI]
-                     for e in elements])
-    return offset, rows
+# B_m = (1, sigma_x, sigma_y, sigma_z)/2, so rho(s) = sum_m shat_m B_m with
+# shat = (1, s).
+_BASIS = 0.5 * np.array([np.eye(2), *_PAULI])
+
+
+def _pauli_coeffs(elements, copies: int = 1) -> np.ndarray:
+    """tr((B_m1 x ... x B_mt) E) for stacked qubit operators E on t copies,
+    shape (k, 4) or (k, 4, 4), so that tr(rho(s)^(xt) E) contracts the
+    result with shat once per copy."""
+    e = np.asarray(elements).reshape(-1, *(2,) * (2 * copies))
+    if copies == 1:
+        return np.einsum("mab,kba->km", _BASIS, e).real
+    return np.einsum("mab,ncd,kbdac->kmn", _BASIS, _BASIS, e,
+                     optimize=True).real
 
 
 @dataclass
@@ -171,24 +178,15 @@ class _QuadModel:
 
 
 def _quad_model(p: Povm) -> _QuadModel:
-    if p.base_dim != 2:
-        raise ValueError("simulation estimators are implemented for qubits")
+    q = _pauli_coeffs(p.elements, p.copies)
     if p.copies == 1:
-        c, lin = _single_copy_rows(p.elements)
-        return _QuadModel(c, lin, np.zeros((p.size, 3, 3)))
-    k = p.size
-    c = np.zeros(k)
-    lin = np.zeros((k, 3))
-    quad = np.zeros((k, 3, 3))
-    for xi, e in enumerate(p.elements):
-        c[xi] = 0.25 * np.trace(e).real
-        for a, sa in enumerate(_PAULI):
-            sa12 = np.kron(sa, np.eye(2)) + np.kron(np.eye(2), sa)
-            lin[xi, a] = 0.25 * np.einsum("ab,ba->", sa12, e).real
-            quad[xi, a] = [0.25 * np.einsum("ab,ba->", np.kron(sa, sb), e).real
-                           for sb in _PAULI]
-        quad[xi] = 0.5 * (quad[xi] + quad[xi].T)
-    return _QuadModel(c, lin, quad)
+        parts = q[:, 0], q[:, 1:], np.zeros((p.size, 3, 3))
+    else:
+        q = 0.5 * (q + q.transpose(0, 2, 1))  # rho x rho is swap-symmetric
+        parts = q[:, 0, 0], 2.0 * q[:, 0, 1:], q[:, 1:, 1:]
+    # contiguous copies of the slices: the MLE evaluates the model hundreds
+    # of times per trial, and products with strided views are slower
+    return _QuadModel(*map(np.ascontiguousarray, parts))
 
 
 def _sampling_probs(rho: DensityMatrix, p: Povm) -> np.ndarray:
@@ -225,11 +223,10 @@ class _LinearSystem:
 
 
 def _linear_system(p: Povm) -> _LinearSystem:
-    if p.base_dim != 2:
-        raise ValueError("simulation estimators are implemented for qubits")
     if p.copies == 1:
         indices = np.arange(p.size)
-        offset, rows = _single_copy_rows(p.elements)
+        q = _pauli_coeffs(p.elements)
+        offset, rows = q[:, 0], q[:, 1:]
         weights = None
     else:
         sym = [(xi, c) for xi, c in enumerate(classify_coherent(p).classes)
@@ -239,8 +236,8 @@ def _linear_system(p: Povm) -> _LinearSystem:
                              "outcomes; linear inversion is unavailable")
         indices = np.array([xi for xi, _ in sym])
         # <psi|rho|psi> = (1 + s.u)/2 for the unit vector psi of each outcome
-        rows = _single_copy_rows(
-            [np.outer(c.states[0], c.states[0].conj()) for _, c in sym])[1]
+        rows = _pauli_coeffs(
+            [np.outer(c.states[0], c.states[0].conj()) for _, c in sym])[:, 1:]
         offset = np.full(len(sym), 0.5)
         weights = np.array([c.weight for _, c in sym])
     if np.linalg.matrix_rank(rows, tol=1e-10) < 3:
@@ -275,17 +272,6 @@ def _check_counts(counts, size: int) -> np.ndarray:
     if counts.sum() <= 0:
         raise ValueError("need at least one recorded outcome")
     return counts
-
-
-def estimate_linear_qubit(counts, p: Povm) -> DensityMatrix:
-    """Least-squares Bloch inversion of observed frequencies.
-
-    Exact frequencies reproduce the exact state.  The result is projected
-    into the Bloch ball.  Used as initialization and as a baseline.
-    """
-    counts = _check_counts(counts, p.size)
-    return density_from_bloch(
-        _to_ball(_linear_bloch(counts[None], _linear_system(p)))[0])
 
 
 def _project(s: np.ndarray, clip: float) -> np.ndarray:
@@ -348,6 +334,52 @@ def _mle_multistart(counts: np.ndarray, model: _QuadModel, s0: np.ndarray,
     return best
 
 
+@dataclass
+class _Scheme:
+    """What estimation needs from a POVM, built once per run or sweep."""
+
+    povm: Povm
+    linsys: _LinearSystem | None  # None: MLE starts from the centre
+    model: _QuadModel | None  # None: linear inversion
+
+
+def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
+    if p.base_dim != 2:
+        raise ValueError("simulation estimators are implemented for qubits")
+    model = _quad_model(p) if estimator == "mle" else None
+    try:
+        linsys = _linear_system(p)
+    except ValueError:
+        if model is None:
+            raise
+        linsys = None
+    return _Scheme(p, linsys, model)
+
+
+def _estimate(counts: np.ndarray, setup: _Scheme,
+              clip: float = _tol.INTERIOR_CLIP) -> np.ndarray:
+    """Bloch estimates for a (trials, outcomes) count array: the linear
+    inversion projected into the unit ball, or the multi-start MLE from
+    it over the ball clipped at ``clip``."""
+    s_lin = (np.zeros((len(counts), 3)) if setup.linsys is None
+             else _linear_bloch(counts, setup.linsys))
+    if setup.model is None:
+        return _to_ball(s_lin)
+    return np.array([_mle_multistart(c, setup.model, s0, clip)
+                     for c, s0 in zip(counts, s_lin)])
+
+
+def estimate_linear_qubit(counts, p: Povm) -> DensityMatrix:
+    """Least-squares Bloch inversion of observed frequencies.
+
+    Exact frequencies reproduce the exact state.  The result is projected
+    into the Bloch ball.  Used as initialization and as a baseline.
+    """
+    counts = _check_counts(counts, p.size)
+    return density_from_bloch(_estimate(counts[None],
+                                        _scheme_setup(p, "linear"))[0])
+
+
 def estimate_mle_qubit(
     counts, p: Povm, interior_clip: float = _tol.INTERIOR_CLIP
 ) -> DensityMatrix:
@@ -358,33 +390,8 @@ def estimate_mle_qubit(
     The returned log-likelihood never falls below the linear start's.
     """
     counts = _check_counts(counts, p.size)
-    try:
-        s0 = _linear_bloch(counts[None], _linear_system(p))[0]
-    except ValueError:
-        s0 = np.zeros(3)
-    return density_from_bloch(_mle_multistart(
-        counts, _quad_model(p), s0, interior_clip))
-
-
-@dataclass
-class _Scheme:
-    """What a run needs from its scheme, built once per run or sweep."""
-
-    povm: Povm
-    linsys: _LinearSystem | None  # None: MLE starts from the centre
-    model: _QuadModel | None  # MLE only
-
-
-def _scheme_setup(config) -> _Scheme:
-    p = scheme_povm(config.scheme, config.povm)
-    model = _quad_model(p) if config.estimator == "mle" else None
-    try:
-        linsys = _linear_system(p)
-    except ValueError:
-        if config.estimator == "linear":
-            raise
-        linsys = None
-    return _Scheme(p, linsys, model)
+    return density_from_bloch(_estimate(
+        counts[None], _scheme_setup(p, "mle"), interior_clip)[0])
 
 
 def run_simulation(config: SimConfig, _setup: _Scheme | None = None) -> SimResult:
@@ -394,7 +401,8 @@ def run_simulation(config: SimConfig, _setup: _Scheme | None = None) -> SimResul
     (seed, i) regardless of how many trials run.  ``_setup`` lets
     :func:`sweep` share one scheme set-up across its grid points.
     """
-    setup = _setup or _scheme_setup(config)
+    setup = _setup or _scheme_setup(scheme_povm(config.scheme, config.povm),
+                                     config.estimator)
     p = setup.povm
     t = p.copies
     if config.n_copies < t or config.n_copies % t != 0:
@@ -406,15 +414,8 @@ def run_simulation(config: SimConfig, _setup: _Scheme | None = None) -> SimResul
     nt = config.n_trials
     counts = np.array([np.random.default_rng((config.seed, i))
                        .multinomial(n_meas, probs) for i in range(nt)])
-    freqs = counts.astype(float)
-    s_lin = (np.zeros((nt, 3)) if setup.linsys is None
-             else _linear_bloch(freqs, setup.linsys))
     clip = config.interior_clip
-    if config.estimator == "linear":
-        s_hat = _to_ball(s_lin)
-    else:
-        s_hat = np.array([_mle_multistart(c, setup.model, s0, clip)
-                          for c, s0 in zip(freqs, s_lin)])
+    s_hat = _estimate(counts.astype(float), setup, clip)
     radii = np.linalg.norm(s_hat, axis=1)
     if not (np.all(np.isfinite(s_hat))
             and np.all(radii <= 1.0 + _tol.NORM_TOL)):
@@ -518,7 +519,8 @@ def sweep(config: SweepConfig) -> list[dict]:
     Monte Carlo errors next to the asymptotic values t * tr(W I^{-1}).
     The scheme is set up once for the whole grid.
     """
-    setup = _scheme_setup(config)
+    setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
+                          config.estimator)
     rows = []
     for idx, s in enumerate(config.radii):
         bloch = tuple(s * np.asarray(config.direction))

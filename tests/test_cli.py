@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fisym.cli import main
-from fisym.designs import OperatorSet, sic_qubit
-from fisym.opfile import load_json, operator_set_to_obj, save_json
+from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
+from fisym.opfile import (load_json, operator_set_to_obj, save_json,
+                          state_set_to_obj)
 from fisym.povm import NAMED_POVMS
 
 
@@ -86,6 +87,32 @@ class TestBuildVerify:
         assert code == 2
         assert "state set" in err
 
+    @pytest.mark.parametrize("option", [
+        ("twocopy-design", "--design"),
+        ("companion", "--source"),
+        ("tight-coherent-d3", "--sic1"),
+        ("tight-coherent-d3", "--sic2"),
+    ], ids=lambda o: "-".join(o))
+    @pytest.mark.parametrize("source", ["xz-bases", "two-copy-povm"])
+    def test_input_file_unfit_for_the_construction_is_usage_error(
+            self, capsys, tmp_path, option, source):
+        # the input file, not the numerics, is at fault: exit 2, no output
+        path = str(tmp_path / "in.json")
+        if source == "xz-bases":
+            # four qubit states, not a projective 2-design
+            bx, _, bz = mub(2)
+            vectors = np.concatenate([bx.T, bz.T])
+            save_json(state_set_to_obj(WeightedStateSet(vectors,
+                                                        np.full(4, 0.5))),
+                      path)
+        else:
+            run(capsys, "build", "collective-sic", "--out", path)
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "build", *option, path, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("phi", ["nan", "inf"])
     def test_non_finite_phi_is_usage_error(self, tmp_path, phi):
         path = tmp_path / "sic3.json"
@@ -130,6 +157,19 @@ class TestVerifyFailures:
         assert run(capsys, "verify", "povm", path)[0] == 1
         assert run(capsys, "verify", "povm", path, "--tol", "1e-3")[0] == 0
 
+    def test_coherent_honours_tol(self, capsys, tmp_path):
+        # a 1e-6 diagonal shift gives element 0 a second small eigenvalue
+        path = str(tmp_path / "coll.json")
+        run(capsys, "build", "collective-sic", "--out", path)
+        obj = load_json(path)
+        obj["elements"][0]["matrix"][0][0][0] += 1e-6
+        save_json(obj, path)
+        code, report, _ = run(capsys, "verify", "coherent", path,
+                              "--tol", "1e-3")
+        assert (code, report["coherent"]) == (0, True)
+        code, report, _ = run(capsys, "verify", "coherent", path)
+        assert (code, report["coherent"]) == (1, False)
+
     def test_unassemblable_content_fails(self, capsys, tmp_path):
         path = str(tmp_path / "bad.json")
         run(capsys, "build", "collective-sic", "--out", path)
@@ -147,7 +187,10 @@ class TestVerifyFailures:
         lambda obj: obj["elements"].__setitem__(0, []),
         lambda obj: obj.update(dim=None),
         lambda obj: obj.update(copies=[1]),
-    ], ids=["no-matrix", "list-element", "null-dim", "list-copies"])
+        lambda obj: obj.update(dim=2.7),
+        lambda obj: obj.update(copies=1.5),
+    ], ids=["no-matrix", "list-element", "null-dim", "list-copies",
+            "fractional-dim", "fractional-copies"])
     def test_malformed_file_fails_the_check(self, capsys, tmp_path, kind,
                                             spoil):
         # a key that is missing or of the wrong type is content that cannot
@@ -362,12 +405,21 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("bad", [{"n_copies": 0}, {"seed": -1},
                                      {"n_trials": float("inf")},
                                      {"bloch": [float("nan"), 0.0, 0.0]},
-                                     {"bloch": [2.0, 0.0, 0.0]}])
+                                     {"bloch": [2.0, 0.0, 0.0]},
+                                     {"n_copies": 300.7}, {"seed": 1.5},
+                                     {"n_trials": 5.5}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         config = self.write_config(tmp_path, **bad)
         code, _, err = run(capsys, "simulate", "--config", config)
         assert code == 2
         assert "bad simulation config" in err
+
+    def test_integral_floats_run_as_integers(self, capsys, tmp_path):
+        as_int = run(capsys, "simulate", "--config",
+                     self.write_config(tmp_path))[1]
+        as_float = run(capsys, "simulate", "--config", self.write_config(
+            tmp_path, n_copies=300.0, n_trials=5.0, seed=11.0))[1]
+        assert as_float == as_int
 
     def test_incompatible_copies(self, capsys, tmp_path):
         config = self.write_config(tmp_path, scheme="collective-sic",
@@ -395,7 +447,9 @@ class TestSweepCommand:
                                      {"n_trials": 0},
                                      {"n_copies": 0},
                                      {"seed": -1},
-                                     {"radii": [float("nan")]}])
+                                     {"radii": [float("nan")]},
+                                     {"n_copies": 200.5}, {"seed": 5.5},
+                                     {"n_trials": 3.5}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         obj = {"scheme": "collective-sic", "radii": [0.0, 0.5],
                "n_copies": 200, "n_trials": 3, "seed": 5}

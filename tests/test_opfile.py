@@ -55,13 +55,21 @@ class TestPovmFiles:
             obj_to_povm(obj)
 
     @pytest.mark.parametrize("field", ["dim", "copies"])
-    @pytest.mark.parametrize("value", [None, [2], "two", float("inf")])
+    @pytest.mark.parametrize("value", [None, [2], "two", float("inf"), 2.5])
     def test_bad_header_value_rejected(self, field, value):
         obj = povm_to_obj(collective_sic_qubit())
         obj[field] = value
         for load in (obj_to_povm, obj_to_operator_set):
             with pytest.raises(ValueError):
                 load(obj)
+
+    def test_integral_float_header_accepted(self):
+        p = collective_sic_qubit()
+        obj = povm_to_obj(p)
+        obj.update(dim=2.0, copies=2.0)
+        q = obj_to_povm(obj)
+        assert (q.base_dim, q.copies) == (2, 2)
+        assert povm_to_obj(q) == povm_to_obj(p)
 
     @pytest.mark.parametrize("header", [{"dim": 3}, {"copies": 2},
                                         {"copies": 10 ** 9}])
