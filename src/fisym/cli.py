@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "twocopy-design", "companion", "tight-coherent-d3"])
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--phi", type=_finite_float, default=0.0)
-    p_build.add_argument("--dim", type=int, default=2)
+    p_build.add_argument("--dim", type=int, default=2, choices=(2, 3))
     p_build.add_argument("--design", help="state-set file for twocopy-design")
     p_build.add_argument("--source", help="state-set file for companion")
     p_build.add_argument("--sic1", help="first SIC file for tight-coherent-d3")

@@ -86,23 +86,27 @@ class OperatorSet:
     elements: tuple
 
     def __post_init__(self):
-        elems = []
-        dim = None
-        for e in self.elements:
-            e = matcore.require_hermitian(e)
-            if dim is None:
-                dim = e.shape[0]
-            elif e.shape[0] != dim:
-                raise ValueError("operators must share one dimension")
-            vals = np.linalg.eigvalsh(e)
-            if vals.min() < -_tol.PSD_TOL * max(1.0, vals.max()):
-                raise ValueError(f"operator not PSD (min eigenvalue {vals.min():.3e})")
-            if np.trace(e).real <= _tol.PSD_TOL:
-                raise ValueError("operator has (near) zero trace")
-            elems.append(e)
-        if not elems:
+        if len(self.elements) == 0:
             raise ValueError("need at least one operator")
+        shape = np.shape(self.elements[0])
+        if len(shape) != 2 or any(np.shape(e) != shape for e in self.elements):
+            raise ValueError("operators must be matrices of one dimension")
+        elems = matcore.require_hermitian(self.elements)
+        vals = np.linalg.eigvalsh(elems)
+        if np.any(vals[:, 0] < -_tol.PSD_TOL * np.maximum(1.0, vals[:, -1])):
+            raise ValueError(f"operator not PSD (min eigenvalue "
+                             f"{vals.min():.3e})")
+        if np.any(np.trace(elems, axis1=1, axis2=2).real <= _tol.PSD_TOL):
+            raise ValueError("operator has (near) zero trace")
         object.__setattr__(self, "elements", tuple(elems))
+
+    def subset(self, keep) -> "OperatorSet | None":
+        """The elements where ``keep`` is true, or None if there are none.
+        They were validated with this set and are not checked again."""
+        sub = object.__new__(OperatorSet)
+        elems = tuple(np.compress(keep, self.elements, axis=0))
+        object.__setattr__(sub, "elements", elems)
+        return sub if elems else None
 
     @property
     def size(self) -> int:
@@ -354,7 +358,7 @@ def g2design_from_unitary_design(
     elems = []
     for u, w in zip(unitaries, weights):
         u = np.asarray(u, dtype=complex)
-        if np.linalg.norm(u @ u.conj().T - np.eye(d)) > 1e-10 * d:
+        if np.linalg.norm(u @ u.conj().T - np.eye(d)) > _tol.UNITARY_TOL * d:
             raise ValueError("non-unitary matrix in the design")
         elems.append(w * u @ seed @ u.conj().T)
     return OperatorSet(tuple(elems))

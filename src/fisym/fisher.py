@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _tol, matcore
 from .povm import Povm
-from .states import DensityMatrix, Parametrization, qfi_matrix, tangent_ops
+from .states import DensityMatrix, Parametrization, _qfi, tangent_ops
 
 __all__ = [
     "outcome_probs",
@@ -48,7 +48,8 @@ def _probs_and_grads(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities tr(rho^(xt) Pi_xi) and their derivatives along each
     tangent, from one contraction of the stacked state and derivative
-    operators with the stacked POVM elements."""
+    operators with the stacked POVM elements.  ``tangents`` come from
+    :func:`tangent_ops` and are not checked again."""
     if rho.dim != p.base_dim:
         raise ValueError(f"state dimension {rho.dim} does not match POVM "
                          f"base dimension {p.base_dim}")
@@ -61,7 +62,7 @@ def _probs_and_grads(
         ops[0] *= 0.5
     vals = np.einsum("aij,kji->ka", ops, np.array(p.elements)).real
     probs = vals[:, 0]
-    if probs.min() < -1e-12:
+    if probs.min() < -_tol.NEG_PROB_TOL:
         raise ValueError(f"negative outcome probability {probs.min():.3e}")
     return np.clip(probs, 0.0, None), vals[:, 1:]
 
@@ -69,9 +70,9 @@ def _probs_and_grads(
 def outcome_probs(rho: DensityMatrix, p: Povm) -> np.ndarray:
     """Probabilities tr(rho^(xt) Pi_xi), clipped at zero.
 
-    A probability below -1e-12 signals an invalid POVM/state pair and
-    raises.  For symmetric-subspace POVMs the probabilities sum to
-    tr(rho^(x2) P_+) instead of 1.
+    A probability below -``_tol.NEG_PROB_TOL`` signals an invalid
+    POVM/state pair and raises.  For symmetric-subspace POVMs the
+    probabilities sum to tr(rho^(x2) P_+) instead of 1.
     """
     return _probs_and_grads(rho, (), p)[0]
 
@@ -139,15 +140,19 @@ def fisher_fd_oracle(
     return 0.5 * (i_mat + i_mat.T)
 
 
-def gm_value(j_matrix: np.ndarray, i_matrix: np.ndarray) -> float:
-    """tr(J^{-1} I).  J must be positive definite."""
-    j = matcore.require_hermitian(j_matrix).real
-    i = matcore.require_hermitian(i_matrix).real
+def _gm(j: np.ndarray, i: np.ndarray) -> float:
+    """:func:`gm_value` of real symmetric J and I, not checked again."""
     vals = np.linalg.eigvalsh(j)
-    if vals.min() <= 1e-10:
+    if vals.min() <= _tol.SINGULAR_J_TOL:
         raise ValueError(f"quantum Fisher matrix is singular "
                          f"(min eigenvalue {vals.min():.3e})")
     return float(np.trace(np.linalg.solve(j, i)).real)
+
+
+def gm_value(j_matrix: np.ndarray, i_matrix: np.ndarray) -> float:
+    """tr(J^{-1} I).  J must be positive definite."""
+    return _gm(matcore.require_hermitian(j_matrix).real,
+               matcore.require_hermitian(i_matrix).real)
 
 
 def gm_bound(mode: str, d: int, copies: int = 1) -> float:
@@ -184,7 +189,7 @@ class GmVerdict:
 def _gm_verdict(
     i_mat: np.ndarray, j_mat: np.ndarray, bound: float, mode: str, tol: float
 ) -> GmVerdict:
-    value = gm_value(j_mat, i_mat)
+    value = _gm(j_mat, i_mat)
     margin = bound - value
     scale = max(1.0, bound)
     if margin < -tol * scale:
@@ -357,9 +362,9 @@ def fisher_report(
     """
     rho = param.base()
     tangents = tangent_ops(param)
-    probs, grads = _probs_and_grads(rho, tangents, p)
-    i_mat, dropped = _accumulate(probs, grads, drop_threshold)
-    j_mat = qfi_matrix(rho, tangents)
+    i_mat, dropped = _accumulate(*_probs_and_grads(rho, tangents, p),
+                                 drop_threshold)
+    j_mat = _qfi(rho, tangents)
     natural = _infer_mode(rho, p)
     if mode is None:
         mode = natural

@@ -29,22 +29,33 @@ __all__ = [
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A†)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Return (A + A†)/2 of a matrix or of each matrix in a stack.
+
+    The real and imaginary parts are halved apart: a complex product by
+    1/2 would give some zeros a sign that depends on the imaginary part,
+    so the result would not be its own Hermitian part bit for bit.
+    """
+    s = np.asarray(a + a.conj().swapaxes(-1, -2), dtype=complex)
+    return (0.5 * s.view(float)).view(complex)
 
 
-def require_hermitian(a: np.ndarray, tol: float = _tol.HERM_TOL) -> np.ndarray:
-    """Symmetrize ``a`` and reject if the asymmetry is too large.
+def require_hermitian(a) -> np.ndarray:
+    """Symmetrize a matrix, or a stack of shape (..., n, n), and reject it
+    if an entry is not finite or a matrix is too far from Hermitian.
 
-    The threshold is ``tol`` scaled by the Frobenius norm, with ``tol``
-    itself as an absolute floor for near-zero matrices.
+    Each matrix is held to ``_tol.HERM_TOL`` times its own Frobenius norm,
+    with ``HERM_TOL`` itself as an absolute floor for near-zero matrices.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    asym = np.linalg.norm(a - a.conj().T)
-    if asym > tol * max(1.0, np.linalg.norm(a)):
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    asym = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    limit = _tol.HERM_TOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    if np.any(asym > limit):
+        raise ValueError(f"matrix is not Hermitian (asymmetry "
+                         f"{np.max(asym):.3e})")
     return hermitian_part(a)
 
 
@@ -121,36 +132,35 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(a: np.ndarray, tol: float = _tol.HERM_TOL) -> EigenDecomposition:
+def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, sorted descending."""
-    h = require_hermitian(a, tol)
+    h = require_hermitian(a)
+    if h.ndim != 2:
+        raise ValueError(f"expected one matrix, got shape {h.shape}")
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(vals)[::-1]
     return EigenDecomposition(vals[order], vecs[:, order])
 
 
 def mat_power(
-    a: np.ndarray,
-    p: float,
-    null_tolerance: float = 1e-12,
-    allow_pseudoinverse: bool = False,
+    a: np.ndarray, p: float, allow_pseudoinverse: bool = False
 ) -> np.ndarray:
     """Hermitian matrix power A^p through the spectral decomposition.
 
-    Eigenvalues in [-null_tolerance, 0) are clipped to zero.  More negative
-    ones reject the input as not PSD.  For p < 0, eigenvalues at or below
-    ``null_tolerance`` either raise or, with ``allow_pseudoinverse``, are
-    excluded from inversion (pseudoinverse convention).
+    Eigenvalues in [-``_tol.NULL_TOL``, 0) are clipped to zero.  More
+    negative ones reject the input as not PSD.  For p < 0, eigenvalues at
+    or below ``NULL_TOL`` either raise or, with ``allow_pseudoinverse``,
+    are excluded from inversion (pseudoinverse convention).
     """
     dec = hermitian_eig(a)
     vals = dec.eigenvalues.copy()
-    if np.any(vals < -null_tolerance):
+    if np.any(vals < -_tol.NULL_TOL):
         raise ValueError(
             f"matrix has negative eigenvalue {vals.min():.3e}, not PSD"
         )
     vals = np.clip(vals, 0.0, None)
     if p < 0:
-        null = vals <= null_tolerance
+        null = vals <= _tol.NULL_TOL
         if np.any(null) and not allow_pseudoinverse:
             raise ValueError("matrix is singular at this tolerance; "
                              "pass allow_pseudoinverse to skip the null space")

@@ -14,8 +14,10 @@ One format stores POVMs, weighted state sets, and operator sets:
 
 Matrices are nested rows of [re, im] pairs.  ``weight`` appears for state
 sets (whose matrices are the rank-one projectors) and is omitted for raw
-operators.  Floats are serialized with ``repr``, so a parse-validate
-round trip is lossless and export -> import -> export is byte identical.
+operators.  Floats are serialized with ``repr``, so export -> import ->
+export is byte identical for POVMs and operator sets.  A state set is
+read back as the eigenvectors of its projectors, so its second export
+has the same weights and matrices equal to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 
 import numpy as np
 
-from . import _tol
+from . import _tol, matcore
 from .designs import OperatorSet, WeightedStateSet
 from .povm import Povm
 
@@ -112,14 +114,14 @@ def obj_to_povm(obj) -> Povm:
 
 
 def _vector_from_projector(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = np.linalg.eigh(matcore.require_hermitian(m))
     if vals[-1] <= 0:
         raise ValueError("projector entry has no positive eigenvalue")
     if np.abs(vals[:-1]).max() > _tol.RANK_TOL * vals[-1]:
         raise ValueError("state-set entry is not a rank-one projector")
     v = vecs[:, -1]
     for x in v:
-        if abs(x) > 1e-8:
+        if abs(x) > _tol.PHASE_ANCHOR_TOL:
             return v * (x.conj() / abs(x))
     raise ValueError("zero eigenvector")
 

@@ -57,11 +57,11 @@ __all__ = [
 class Povm:
     """Measurement with Hermitian elements on (base_dim)^copies dimensions.
 
-    Construction checks hermiticity and shapes only; positivity and
-    completeness are inspected by :func:`validate_povm` so that imperfect
-    candidates can still be examined.  ``subspace='symmetric'`` marks a
-    two-copy measurement that resolves the symmetric projector instead of
-    the identity.
+    Construction checks shapes, finiteness and hermiticity only, in one
+    stacked check; positivity and completeness are inspected by
+    :func:`validate_povm` so that imperfect candidates can still be
+    examined.  ``subspace='symmetric'`` marks a two-copy measurement that
+    resolves the symmetric projector instead of the identity.
     """
 
     elements: list
@@ -82,14 +82,9 @@ class Povm:
         if not self.elements:
             raise ValueError("need at least one element")
         dim = self.base_dim ** self.copies
-        elems = []
-        for e in self.elements:
-            e = matcore.require_hermitian(e)
-            if e.shape[0] != dim:
-                raise ValueError(
-                    f"element has dimension {e.shape[0]}, expected {dim}")
-            elems.append(e)
-        self.elements = elems
+        if any(np.shape(e) != (dim, dim) for e in self.elements):
+            raise ValueError(f"elements must be {dim} x {dim} matrices")
+        self.elements = list(matcore.require_hermitian(self.elements))
 
     @property
     def dim(self) -> int:
@@ -130,6 +125,19 @@ def validate_povm(p: Povm, tol: float = _tol.POVM_TOL) -> PovmReport:
     return _povm_report(p, np.linalg.eigvalsh(np.array(p.elements)), tol)
 
 
+def _design_elements(design, tol: float) -> tuple[list, WeightedStateSet]:
+    """Elements w_xi (psi psi)^(x2) of :func:`twocopy_design_povm` and the
+    rescaled design they come from."""
+    cert = projective_2design_check(design, tol)
+    if not cert.is_design:
+        raise ValueError(
+            f"state set is not a projective 2-design (slack {cert.slack:.3e})")
+    d = design.dim
+    scaled = design.rescaled(d * (d + 1) / 2.0)
+    return [w * matcore.kron(proj, proj) for w, proj in
+            zip(scaled.weights, scaled.projectors())], scaled
+
+
 def twocopy_design_povm(
     design: WeightedStateSet, tol: float = _tol.DESIGN_TOL
 ) -> Povm:
@@ -139,17 +147,8 @@ def twocopy_design_povm(
     elements resolve the symmetric projector.  The input must certify as a
     projective 2-design.
     """
-    cert = projective_2design_check(design, tol)
-    if not cert.is_design:
-        raise ValueError(
-            f"state set is not a projective 2-design (slack {cert.slack:.3e})")
-    d = design.dim
-    scaled = design.rescaled(d * (d + 1) / 2.0)
-    elements = []
-    for w, v in zip(scaled.weights, scaled.vectors):
-        proj = np.outer(v, v.conj())
-        elements.append(w * matcore.kron(proj, proj))
-    return Povm(elements, copies=2, base_dim=d, subspace="symmetric",
+    elements, scaled = _design_elements(design, tol)
+    return Povm(elements, copies=2, base_dim=design.dim, subspace="symmetric",
                 source_design=scaled)
 
 
@@ -186,10 +185,9 @@ def collective_sic_qubit() -> Povm:
     """Five-outcome collective qubit measurement saturating the two-copy
     information bound: four elements (3/4)(psi psi)^(x2) over the
     tetrahedral SIC plus the singlet projector."""
-    base = twocopy_design_povm(sic_qubit())
-    elements = list(base.elements) + [_singlet()]
-    return Povm(elements, copies=2, base_dim=2,
-                source_design=base.source_design)
+    elements, scaled = _design_elements(sic_qubit(), _tol.DESIGN_TOL)
+    return Povm(elements + [_singlet()], copies=2, base_dim=2,
+                source_design=scaled)
 
 
 def great_circle_qubit() -> Povm:
@@ -417,24 +415,22 @@ def tight_coherent_check(
     vals = np.linalg.eigvalsh(np.array(p.elements))
     report = _povm_report(p, vals, _tol.POVM_TOL)
     classification = _classify(p, vals, _tol.RANK_TOL)
-    q_all = [marginal_Q(e) for e in p.elements]
-    q_cert = generalized_2design_check(OperatorSet(tuple(q_all)), tol)
+    q_all = OperatorSet(tuple(marginal_Q(e) for e in p.elements))
+    q_cert = generalized_2design_check(q_all, tol)
     target = (3.0 * d + 1.0) / (4.0 * d)
     purity_residual = abs(q_cert.purity - target)
 
     kinds = [c.kind for c in classification.classes]
-    sym_q = [q for q, k in zip(q_all, kinds) if k == "sym-power"]
-    anti_q = [q for q, k in zip(q_all, kinds) if k == "slater"]
-    sym_cert = (generalized_2design_check(OperatorSet(tuple(sym_q)), tol)
-                if sym_q else None)
-    anti_cert = (generalized_2design_check(OperatorSet(tuple(anti_q)), tol)
-                 if anti_q else None)
+    sym_q = q_all.subset([k == "sym-power" for k in kinds])
+    anti_q = q_all.subset([k == "slater" for k in kinds])
+    sym_cert = generalized_2design_check(sym_q, tol) if sym_q else None
+    anti_cert = generalized_2design_check(anti_q, tol) if anti_q else None
     anti_gsic = None
-    if len(anti_q) == d * d:
-        anti_gsic = generalized_sic_check(OperatorSet(tuple(anti_q)), tol)
+    if anti_q and anti_q.size == d * d:
+        anti_gsic = generalized_sic_check(anti_q, tol)
 
     ok = (report.ok and classification.coherent and q_cert.is_design
-          and purity_residual <= max(tol, 1e-8))
+          and purity_residual <= max(tol, _tol.TIGHT_PURITY_TOL))
     return TightCoherentReport(
         ok=bool(ok),
         completeness_residual=report.completeness_residual,

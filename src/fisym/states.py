@@ -62,14 +62,16 @@ class PureState:
 class DensityMatrix:
     """Unit-trace positive-semidefinite matrix.
 
-    Construction symmetrizes and validates: trace within 1e-10 of 1,
-    eigenvalues in [-1e-10, 1 + 1e-10].
+    Construction symmetrizes and validates: one square matrix, finite and
+    Hermitian, trace within 1e-10 of 1, eigenvalues in [-1e-10, 1 + 1e-10].
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = matcore.require_hermitian(self.matrix)
+        if m.ndim != 2:
+            raise ValueError(f"expected one matrix, got shape {m.shape}")
         tr = np.trace(m).real
         if abs(tr - 1.0) > _tol.TRACE_TOL:
             raise ValueError(f"trace {tr} is not 1")
@@ -247,11 +249,7 @@ class AffineMixed(Parametrization):
         self.dim = base.dim
         if basis is None:
             basis = gell_mann_basis(base.dim)
-        for e in basis:
-            e = matcore.require_hermitian(e)
-            if abs(np.trace(e)) > _tol.TRACE_TOL:
-                raise ValueError("basis operators must be traceless")
-        self.basis = [np.asarray(e, dtype=complex) for e in basis]
+        self.basis = list(_tangent_stack(basis))
         self.n_params = len(self.basis)
 
     def base(self) -> DensityMatrix:
@@ -288,27 +286,29 @@ class BlochQubit(Parametrization):
         return [0.5 * p for p in _PAULI]
 
 
-def tangent_ops(param: Parametrization) -> list[np.ndarray]:
-    """Tangent operators of a parametrization at its basepoint.
+def _tangent_stack(ops) -> np.ndarray:
+    """``ops`` as a stack of finite Hermitian matrices, checked traceless."""
+    ops = matcore.require_hermitian(ops)
+    if np.any(np.abs(np.trace(ops, axis1=-2, axis2=-1)) > _tol.TRACE_TOL):
+        raise ValueError("tangent operators must be traceless")
+    return ops
 
-    Each is Hermitian and traceless; both properties are checked.
+
+def tangent_ops(param: Parametrization) -> np.ndarray:
+    """Tangent operators of a parametrization at its basepoint, stacked.
+
+    They are checked Hermitian, finite and traceless here, once; the
+    kernels that take them from here do not check them again.
     """
-    out = []
-    for e in param.tangents():
-        e = matcore.require_hermitian(e)
-        if abs(np.trace(e)) > _tol.TRACE_TOL:
-            raise ValueError("tangent operator has nonzero trace")
-        out.append(e)
-    return out
+    return _tangent_stack(param.tangents())
 
 
 def _slds(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:
     """SLDs for a stack of Hermitian derivatives from one eigendecomposition
-    of rho; the derivatives are not re-validated here."""
-    dec = matcore.hermitian_eig(rho.matrix)
-    vals = dec.eigenvalues
+    of rho."""
+    vals, v = np.linalg.eigh(rho.matrix)
+    vals, v = vals[::-1], np.ascontiguousarray(v[:, ::-1])  # descending
     if vals.min() > _tol.RANK_TOL:
-        v = dec.eigenvectors
         vh = v.conj().T
         denom = vals[:, None] + vals[None, :]
         l = v @ (2.0 * (vh @ ops @ v) / denom) @ vh
@@ -338,22 +338,27 @@ def sld(rho: DensityMatrix, drho: np.ndarray) -> np.ndarray:
     all its tangents with one eigendecomposition of rho instead of
     calling this once per tangent.
     """
-    return _slds(rho, matcore.require_hermitian(drho)[None])[0]
+    # the reshape rejects a stack, and a matrix of another size than rho
+    ops = matcore.require_hermitian(drho).reshape(1, *rho.matrix.shape)
+    return _slds(rho, ops)[0]
+
+
+def _qfi(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:
+    """:func:`qfi_matrix` for a stack of validated tangents."""
+    slds = _slds(rho, ops)
+    j = np.einsum("aij,bji->ab", rho.matrix @ slds, slds).real
+    return 0.5 * (j + j.T)
 
 
 def qfi_matrix(rho: DensityMatrix, tangents) -> np.ndarray:
     """Quantum Fisher matrix J_ab = Re tr(rho L_a L_b).
 
-    Each tangent is checked to be Hermitian once.  All SLDs are solved as
-    in :func:`sld`, from a single eigendecomposition of rho, and each
-    keeps its residual check.  Pure states take the shortcut
-    L = 2 drho (with its tangency validation), where this reduces to
-    J_ab = 2 tr(drho_a drho_b).
+    All SLDs are solved as in :func:`sld`, from a single eigendecomposition
+    of rho, and each keeps its residual check.  Pure states take the
+    shortcut L = 2 drho (with its tangency validation), where this reduces
+    to J_ab = 2 tr(drho_a drho_b).
     """
-    slds = _slds(rho, np.array([matcore.require_hermitian(t)
-                                for t in tangents]))
-    j = np.einsum("aij,bji->ab", rho.matrix @ slds, slds).real
-    return 0.5 * (j + j.T)
+    return _qfi(rho, matcore.require_hermitian(tangents))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

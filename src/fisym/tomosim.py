@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _tol
-from .fisher import fisher_matrix, outcome_probs
+from .fisher import _accumulate, _probs_and_grads, outcome_probs
 from .povm import NAMED_POVMS, Povm, classify_coherent
 from .states import (
     _PAULI,
@@ -31,8 +31,8 @@ from .states import (
     BlochQubit,
     DensityMatrix,
     Parametrization,
+    _qfi,
     density_from_bloch,
-    qfi_matrix,
     qubit_fidelity,
     tangent_ops,
 )
@@ -240,7 +240,7 @@ def _linear_system(p: Povm) -> _LinearSystem:
             [np.outer(c.states[0], c.states[0].conj()) for _, c in sym])[:, 1:]
         offset = np.full(len(sym), 0.5)
         weights = np.array([c.weight for _, c in sym])
-    if np.linalg.matrix_rank(rows, tol=1e-10) < 3:
+    if np.linalg.matrix_rank(rows, tol=_tol.BLOCH_RANK_TOL) < 3:
         raise ValueError("POVM is not informationally complete for the "
                          "Bloch vector")
     return _LinearSystem(indices, offset, rows, weights)
@@ -441,21 +441,23 @@ def run_simulation(config: SimConfig, _setup: _Scheme | None = None) -> SimResul
         msb_stderr=stderr(bures2),
         scaled_infidelity=float(n * infid.mean()),
         infidelity_stderr=stderr(infid),
-        n_clipped=int(np.count_nonzero(radii >= clip - 1e-12)),
+        n_clipped=int(np.count_nonzero(radii >= clip - _tol.CLIP_MARGIN)),
         counts_total=counts.sum(axis=0),
     )
 
 
 def _asymptotic(param: Parametrization, p: Povm, weights) -> list[float]:
-    """t * tr(W I^{-1}) for each weight, from one Fisher matrix, one
-    inverse and one set of tangents."""
-    i_mat = fisher_matrix(param, p)
+    """t * tr(W I^{-1}) for each weight, from one set of tangents, one
+    Fisher matrix and one inverse."""
+    rho = param.base()
+    tangents = tangent_ops(param)
+    i_mat = _accumulate(*_probs_and_grads(rho, tangents, p),
+                        _tol.DROP_THRESHOLD)[0]
     vals = np.linalg.eigvalsh(i_mat)
-    if vals.min() <= 1e-12 * max(1.0, vals.max()):
+    if vals.min() <= _tol.SINGULAR_I_TOL * max(1.0, vals.max()):
         raise ValueError("classical Fisher matrix is singular; the scheme "
                          "does not identify all parameters here")
     i_inv = np.linalg.inv(i_mat)
-    tangents = tangent_ops(param)
     out = []
     for weight in weights:
         if not isinstance(weight, str):
@@ -463,7 +465,7 @@ def _asymptotic(param: Parametrization, p: Povm, weights) -> list[float]:
         elif weight == "hs":
             w = np.einsum("aij,bji->ab", tangents, tangents).real
         elif weight == "msb":
-            w = qfi_matrix(param.base(), tangents) / 4.0
+            w = _qfi(rho, tangents) / 4.0
         else:
             raise ValueError(f"unknown weight {weight!r}")
         out.append(float(p.copies * np.trace(w @ i_inv)))

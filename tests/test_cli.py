@@ -43,6 +43,15 @@ class TestBuildVerify:
         assert code == 0
         assert report["is_design"] is True
 
+    @pytest.mark.parametrize("dim", ["5", "1", "0", "-2"])
+    def test_unsupported_mub_dim_is_usage_error(self, capsys, tmp_path, dim):
+        path = tmp_path / "mub.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "mub", "--dim", dim, "--out", str(path)])
+        assert exc.value.code == 2
+        assert "--dim" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_collective_sic_chain(self, capsys, tmp_path):
         path = str(tmp_path / "coll.json")
         assert run(capsys, "build", "collective-sic", "--out", path)[0] == 0

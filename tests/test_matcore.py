@@ -27,6 +27,13 @@ class TestHermitianChecks:
         h = hermitian_part(a)
         assert np.allclose(h, h.conj().T)
 
+    def test_hermitian_part_is_its_own_hermitian_part_bit_for_bit(self):
+        # zero real parts with imaginary parts of either sign: halving by a
+        # complex product signs these zeros by the imaginary part
+        a = np.array([[1.0, complex(-0.0, 1.0)], [complex(-0.0, -1.0), 2.0]])
+        h = hermitian_part(a)
+        assert hermitian_part(h).tobytes() == h.tobytes()
+
     def test_require_hermitian_accepts_roundoff(self):
         a = np.array([[1.0, 0.5], [0.5 + 1e-15, 2.0]])
         require_hermitian(a)
@@ -39,6 +46,16 @@ class TestHermitianChecks:
     def test_require_hermitian_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             require_hermitian(np.ones((2, 3)))
+
+    def test_require_hermitian_stack_holds_each_matrix_to_its_norm(self, rng):
+        # a large matrix in the stack must not loosen the check of a small one
+        big = 1e6 * random_hermitian(rng, 2)
+        small = np.array([[1.0, 1e-9], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            require_hermitian([big, small])
+        stack = [big, random_hermitian(rng, 2)]
+        assert np.array_equal(require_hermitian(stack),
+                              [require_hermitian(m) for m in stack])
 
 
 class TestKronAndPartialTrace:

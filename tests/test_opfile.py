@@ -111,6 +111,14 @@ class TestStateSetFiles:
         with pytest.raises(ValueError):
             obj_to_state_set(obj)
 
+    def test_non_hermitian_rejected(self):
+        # its lower triangle is the projector onto |0>, all that eigh reads
+        obj = state_set_to_obj(sic_qubit())
+        obj["elements"][0]["matrix"] = matrix_to_json(
+            np.array([[1.0, 0.7], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            obj_to_state_set(obj)
+
     def test_missing_weight_rejected(self):
         obj = state_set_to_obj(sic_qubit())
         del obj["elements"][0]["weight"]
