@@ -270,6 +270,9 @@ def cmd_fisher(args) -> int:
         rho = _parse_state(args.state)
     except ValueError as exc:
         raise UsageError(f"bad state {args.state!r}: {exc}") from exc
+    if rho.dim != p.base_dim:
+        raise UsageError(f"state dimension {rho.dim} does not match POVM "
+                         f"base dimension {p.base_dim}")
     param = _choose_param(rho, args.param)
     mode = None if args.mode == "auto" else args.mode
     report = fisher.fisher_report(param, p, mode=mode,

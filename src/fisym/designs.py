@@ -66,13 +66,14 @@ class WeightedStateSet:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def projectors(self) -> list[np.ndarray]:
-        return [np.outer(v, v.conj()) for v in self.vectors]
+    def projectors(self) -> np.ndarray:
+        """The projectors |psi_xi><psi_xi| as one (size, dim, dim) stack."""
+        v = self.vectors
+        return v[:, :, None] * v.conj()[:, None, :]
 
     def weighted_sum(self) -> np.ndarray:
         """sum_xi w_xi |psi_xi><psi_xi|."""
-        return sum(w * np.outer(v, v.conj())
-                   for w, v in zip(self.weights, self.vectors))
+        return np.einsum("k,kij->ij", self.weights, self.projectors())
 
     def rescaled(self, total_weight: float) -> "WeightedStateSet":
         c = total_weight / self.weights.sum()
@@ -81,9 +82,14 @@ class WeightedStateSet:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Nonzero positive-semidefinite Hermitian operators on one space."""
+    """Nonzero positive-semidefinite Hermitian operators on one space.
 
-    elements: tuple
+    ``elements`` may be given as a sequence of n x n matrices or as one
+    (k, n, n) array; it is checked once, as a whole, and stored as the
+    validated (k, n, n) complex stack.
+    """
+
+    elements: np.ndarray
 
     def __post_init__(self):
         if len(self.elements) == 0:
@@ -98,15 +104,15 @@ class OperatorSet:
                              f"{vals.min():.3e})")
         if np.any(np.trace(elems, axis1=1, axis2=2).real <= _tol.PSD_TOL):
             raise ValueError("operator has (near) zero trace")
-        object.__setattr__(self, "elements", tuple(elems))
+        object.__setattr__(self, "elements", elems)
 
     def subset(self, keep) -> "OperatorSet | None":
         """The elements where ``keep`` is true, or None if there are none.
         They were validated with this set and are not checked again."""
         sub = object.__new__(OperatorSet)
-        elems = tuple(np.compress(keep, self.elements, axis=0))
+        elems = np.compress(keep, self.elements, axis=0)
         object.__setattr__(sub, "elements", elems)
-        return sub if elems else None
+        return sub if len(elems) else None
 
     @property
     def size(self) -> int:
@@ -117,10 +123,10 @@ class OperatorSet:
         return self.elements[0].shape[0]
 
     def traces(self) -> np.ndarray:
-        return np.array([np.trace(e).real for e in self.elements])
+        return np.trace(self.elements, axis1=1, axis2=2).real
 
     def total(self) -> np.ndarray:
-        return sum(self.elements)
+        return self.elements.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -260,15 +266,17 @@ def projective_2design_check(
     )
 
 
-def _normalized_ops(ops: OperatorSet) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """Rescale so the traces sum to the dimension; returns (ops, traces, purity)."""
+def _normalized_ops(ops: OperatorSet) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rescale so the traces sum to the dimension; returns (stack, traces,
+    purity)."""
     traces = ops.traces()
     scale = ops.dim / traces.sum()
-    elems = [scale * e for e in ops.elements]
+    elems = scale * ops.elements
     traces = scale * traces
-    purities = np.array([
-        np.sum(np.abs(e) ** 2).real / t ** 2 for e, t in zip(elems, traces)
-    ])
+    # float_power rounds t^2 as pow() does; the array ``** 2`` fast path
+    # (t * t) can differ in the last bit, which moves the reported purity
+    purities = (np.sum(np.abs(elems) ** 2, axis=(1, 2))
+                / np.float_power(traces, 2))
     avg_purity = float(traces @ purities / traces.sum())
     return elems, traces, avg_purity
 
@@ -284,10 +292,8 @@ def generalized_2design_check(
     generalized 2-designs.
     """
     elems, traces, purity = _normalized_ops(ops)
-    n = len(elems)
-    stack = np.array(elems)
     # gram[i, j] = tr(Pi_i Pi_j); real for Hermitian operators
-    gram = np.einsum("iab,jba->ij", stack, stack).real
+    gram = np.einsum("iab,jba->ij", elems, elems).real
     fp = float(np.sum(gram ** 2 / np.outer(traces, traces)))
     d = ops.dim
     bound = (d * d * (1.0 + purity ** 2) - 2.0 * d * purity) / (d * d - 1.0)
@@ -315,8 +321,7 @@ def generalized_sic_check(
         raise ValueError(f"a generalized SIC in dimension {d} needs exactly "
                          f"{d * d} elements, got {ops.size}")
     elems, traces, purity = _normalized_ops(ops)
-    stack = np.array(elems)
-    gram = np.einsum("iab,jba->ij", stack, stack).real
+    gram = np.einsum("iab,jba->ij", elems, elems).real
     n = ops.size
     off = gram[~np.eye(n, dtype=bool)]
     beta = float(off.mean())
@@ -324,8 +329,7 @@ def generalized_sic_check(
     fit = alpha * np.eye(n) + beta
     gram_residual = float(np.abs(gram - fit).max())
     trace_spread = float(np.abs(traces - 1.0 / d).max())
-    total = sum(elems)
-    completeness = float(np.linalg.norm(total - np.eye(d)))
+    completeness = float(np.linalg.norm(elems.sum(axis=0) - np.eye(d)))
     ok = (gram_residual <= tol and trace_spread <= tol
           and completeness <= tol * d and alpha > tol)
     return GsicReport(
@@ -361,7 +365,7 @@ def g2design_from_unitary_design(
         if np.linalg.norm(u @ u.conj().T - np.eye(d)) > _tol.UNITARY_TOL * d:
             raise ValueError("non-unitary matrix in the design")
         elems.append(w * u @ seed @ u.conj().T)
-    return OperatorSet(tuple(elems))
+    return OperatorSet(elems)
 
 
 def clifford_group_qubit() -> list[np.ndarray]:

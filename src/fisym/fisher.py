@@ -60,7 +60,7 @@ def _probs_and_grads(
         x = np.einsum("aij,kl->aikjl", ops, m)
         ops = (x + x.transpose(0, 2, 1, 4, 3)).reshape(len(ops), p.dim, p.dim)
         ops[0] *= 0.5
-    vals = np.einsum("aij,kji->ka", ops, np.array(p.elements)).real
+    vals = np.einsum("aij,kji->ka", ops, p.elements).real
     probs = vals[:, 0]
     if probs.min() < -_tol.NEG_PROB_TOL:
         raise ValueError(f"negative outcome probability {probs.min():.3e}")

@@ -33,9 +33,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
     The real and imaginary parts are halved apart: a complex product by
     1/2 would give some zeros a sign that depends on the imaginary part,
-    so the result would not be its own Hermitian part bit for bit.
+    so the result would not be its own Hermitian part bit for bit.  The
+    sum is made C-ordered, as reading complex entries as float pairs
+    needs a contiguous last axis.
     """
-    s = np.asarray(a + a.conj().swapaxes(-1, -2), dtype=complex)
+    s = np.ascontiguousarray(a + a.conj().swapaxes(-1, -2), dtype=complex)
     return (0.5 * s.view(float)).view(complex)
 
 
@@ -65,8 +67,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _split_dim(m: np.ndarray) -> int:
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    n = m.shape[-1]
+    if m.ndim < 2 or m.shape[-2] != n:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     d = int(round(np.sqrt(n)))
     if d * d != n:
@@ -75,27 +77,30 @@ def _split_dim(m: np.ndarray) -> int:
 
 
 def partial_trace(m: np.ndarray, subsystem: int) -> np.ndarray:
-    """Trace out one factor of an operator on H ⊗ H.
+    """Trace out one factor of an operator on H ⊗ H, or of each operator
+    in a stack.
 
     Parameters
     ----------
     m : ndarray
-        Operator on a d² dimensional product of two equal factors.
+        Operator on a d² dimensional product of two equal factors, or a
+        stack of them with shape (..., d², d²).
     subsystem : int
         0 traces out the first factor, 1 the second.
 
     Returns
     -------
     ndarray
-        d × d operator on the remaining factor.
+        d × d operator on the remaining factor, with the stack's leading
+        shape (..., d, d).
     """
     m = np.asarray(m, dtype=complex)
     d = _split_dim(m)
-    t = m.reshape(d, d, d, d)
+    t = m.reshape(*m.shape[:-2], d, d, d, d)
     if subsystem == 0:
-        return np.einsum("ikil->kl", t)
+        return np.einsum("...ikil->...kl", t)
     if subsystem == 1:
-        return np.einsum("kili->kl", t)
+        return np.einsum("...kili->...kl", t)
     raise ValueError("subsystem must be 0 or 1")
 
 

@@ -57,14 +57,17 @@ __all__ = [
 class Povm:
     """Measurement with Hermitian elements on (base_dim)^copies dimensions.
 
-    Construction checks shapes, finiteness and hermiticity only, in one
-    stacked check; positivity and completeness are inspected by
-    :func:`validate_povm` so that imperfect candidates can still be
-    examined.  ``subspace='symmetric'`` marks a two-copy measurement that
-    resolves the symmetric projector instead of the identity.
+    ``elements`` may be given as a sequence of matrices or as one
+    (k, dim, dim) array.  Construction checks shapes, finiteness and
+    hermiticity only, in one stacked check, and stores the validated
+    (k, dim, dim) complex stack; positivity and completeness are
+    inspected by :func:`validate_povm` so that imperfect candidates can
+    still be examined.  ``subspace='symmetric'`` marks a two-copy
+    measurement that resolves the symmetric projector instead of the
+    identity.
     """
 
-    elements: list
+    elements: np.ndarray
     copies: int
     base_dim: int
     subspace: str | None = None
@@ -79,12 +82,12 @@ class Povm:
             raise ValueError("subspace must be None or 'symmetric'")
         if self.subspace == "symmetric" and self.copies != 2:
             raise ValueError("a symmetric-subspace POVM must have copies=2")
-        if not self.elements:
+        if len(self.elements) == 0:
             raise ValueError("need at least one element")
         dim = self.base_dim ** self.copies
         if any(np.shape(e) != (dim, dim) for e in self.elements):
             raise ValueError(f"elements must be {dim} x {dim} matrices")
-        self.elements = list(matcore.require_hermitian(self.elements))
+        self.elements = matcore.require_hermitian(self.elements)
 
     @property
     def dim(self) -> int:
@@ -112,7 +115,8 @@ class PovmReport:
 def _povm_report(p: Povm, vals: np.ndarray, tol: float) -> PovmReport:
     """:func:`validate_povm` given the element eigenvalues ``vals``."""
     violation = max(0.0, -float(vals.min()))
-    resid = float(np.linalg.norm(sum(p.elements) - p.completeness_target()))
+    resid = float(np.linalg.norm(p.elements.sum(axis=0)
+                                 - p.completeness_target()))
     return PovmReport(
         psd_violation=violation,
         completeness_residual=resid,
@@ -122,10 +126,17 @@ def _povm_report(p: Povm, vals: np.ndarray, tol: float) -> PovmReport:
 
 def validate_povm(p: Povm, tol: float = _tol.POVM_TOL) -> PovmReport:
     """Largest negative-eigenvalue excursion and |sum - target|_F."""
-    return _povm_report(p, np.linalg.eigvalsh(np.array(p.elements)), tol)
+    return _povm_report(p, np.linalg.eigvalsh(p.elements), tol)
 
 
-def _design_elements(design, tol: float) -> tuple[list, WeightedStateSet]:
+def _kron_squares(ops: np.ndarray) -> np.ndarray:
+    """A ⊗ A for every A in a (k, n, n) stack, as a (k, n², n²) stack."""
+    k, n, _ = ops.shape
+    return (ops[:, :, None, :, None] * ops[:, None, :, None, :]).reshape(
+        k, n * n, n * n)
+
+
+def _design_elements(design, tol: float) -> tuple[np.ndarray, WeightedStateSet]:
     """Elements w_xi (psi psi)^(x2) of :func:`twocopy_design_povm` and the
     rescaled design they come from."""
     cert = projective_2design_check(design, tol)
@@ -134,8 +145,8 @@ def _design_elements(design, tol: float) -> tuple[list, WeightedStateSet]:
             f"state set is not a projective 2-design (slack {cert.slack:.3e})")
     d = design.dim
     scaled = design.rescaled(d * (d + 1) / 2.0)
-    return [w * matcore.kron(proj, proj) for w, proj in
-            zip(scaled.weights, scaled.projectors())], scaled
+    return (scaled.weights[:, None, None]
+            * _kron_squares(scaled.projectors())), scaled
 
 
 def twocopy_design_povm(
@@ -154,8 +165,7 @@ def twocopy_design_povm(
 
 def _rank_one_povm(states: WeightedStateSet) -> Povm:
     """Single-copy POVM {w_xi |psi_xi><psi_xi|} of a weighted state set."""
-    return Povm([w * np.outer(v, v.conj())
-                 for w, v in zip(states.weights, states.vectors)],
+    return Povm(states.weights[:, None, None] * states.projectors(),
                 copies=1, base_dim=states.dim)
 
 
@@ -174,7 +184,7 @@ def companion_povm(p: Povm) -> Povm:
         design.vectors, 2.0 * design.weights / (p.base_dim + 1)))
 
 
-def _singlet(d: int = 2) -> np.ndarray:
+def _singlet() -> np.ndarray:
     v = np.zeros(4, dtype=complex)
     v[1] = 1.0 / np.sqrt(2.0)
     v[2] = -1.0 / np.sqrt(2.0)
@@ -186,8 +196,8 @@ def collective_sic_qubit() -> Povm:
     information bound: four elements (3/4)(psi psi)^(x2) over the
     tetrahedral SIC plus the singlet projector."""
     elements, scaled = _design_elements(sic_qubit(), _tol.DESIGN_TOL)
-    return Povm(elements + [_singlet()], copies=2, base_dim=2,
-                source_design=scaled)
+    return Povm(np.concatenate([elements, _singlet()[None]]), copies=2,
+                base_dim=2, source_design=scaled)
 
 
 def great_circle_qubit() -> Povm:
@@ -229,11 +239,11 @@ class CoherenceReport:
     classes: tuple
 
 
-def _numerical_rank(vals: np.ndarray, tol: float) -> int:
-    top = max(float(vals.max()), 0.0)
-    if top <= 0.0:
-        return 0
-    return int(np.sum(vals > tol * top))
+def _numerical_ranks(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of ``vals``, the count of eigenvalues above ``tol`` times
+    the row's largest (0 for a row with no positive eigenvalue)."""
+    top = np.maximum(vals.max(axis=-1, keepdims=True), 0.0)
+    return np.sum(vals > tol * top, axis=-1)
 
 
 def classify_coherent(p: Povm, tol: float = _tol.RANK_TOL) -> CoherenceReport:
@@ -246,40 +256,37 @@ def classify_coherent(p: Povm, tol: float = _tol.RANK_TOL) -> CoherenceReport:
     """
     if p.copies != 2:
         raise ValueError("coherence structure applies to two-copy POVMs")
-    return _classify(p, np.linalg.eigvalsh(np.array(p.elements)), tol)
+    return _classify(p, np.linalg.eigvalsh(p.elements), tol)
 
 
 def _classify(p: Povm, vals: np.ndarray, tol: float) -> CoherenceReport:
     """:func:`classify_coherent` given the element eigenvalues ``vals``."""
-    d = p.base_dim
-    p_sym = matcore.sym_projector(d)
-    p_anti = matcore.antisym_projector(d)
+    e = p.elements
+    p_sym = matcore.sym_projector(p.base_dim)
+    p_anti = matcore.antisym_projector(p.base_dim)
+    scale = np.linalg.norm(e, axis=(1, 2))
+    weights = np.trace(e, axis1=1, axis2=2).real.tolist()
+    sym_resid = np.linalg.norm(e - p_sym @ e @ p_sym, axis=(1, 2))
+    anti_resid = np.linalg.norm(e - p_anti @ e @ p_anti, axis=(1, 2))
+    rank1 = (scale > _tol.POVM_TOL) & (_numerical_ranks(vals, tol) == 1)
+    # marginal eigenpairs, descending
+    mvals, mvecs = np.linalg.eigh(matcore.partial_trace(e, 0))
+    mvals, mvecs = mvals[:, ::-1], mvecs[:, :, ::-1]
+    mranks = _numerical_ranks(mvals, tol)
+    # a symmetric element is never tried as an antisymmetric one
+    sym = rank1 & (sym_resid <= tol * scale)
+    sym_power = sym & (mranks == 1)
+    slater = (rank1 & ~sym & (anti_resid <= tol * scale) & (mranks == 2)
+              & (np.abs(mvals[:, 0] - mvals[:, 1]) <= tol * mvals[:, 0]))
     classes = []
-    for e, evals in zip(p.elements, vals):
-        scale = float(np.linalg.norm(e))
-        weight = float(np.trace(e).real)
-        if scale <= _tol.POVM_TOL:
+    for k, weight in enumerate(weights):
+        if sym_power[k]:
+            classes.append(ElementClass("sym-power", weight, (mvecs[k, :, 0],)))
+        elif slater[k]:
+            classes.append(ElementClass(
+                "slater", weight, (mvecs[k, :, 0], mvecs[k, :, 1])))
+        else:
             classes.append(ElementClass("neither", weight))
-            continue
-        sym_resid = np.linalg.norm(e - p_sym @ e @ p_sym)
-        anti_resid = np.linalg.norm(e - p_anti @ e @ p_anti)
-        rank1 = _numerical_rank(evals, tol) == 1
-        marg = matcore.partial_trace(e, 0)
-        mvals, mvecs = np.linalg.eigh(marg)
-        order = np.argsort(mvals)[::-1]
-        mvals, mvecs = mvals[order], mvecs[:, order]
-        if sym_resid <= tol * scale and rank1:
-            if _numerical_rank(mvals, tol) == 1:
-                psi = mvecs[:, 0]
-                classes.append(ElementClass("sym-power", weight, (psi,)))
-                continue
-        elif anti_resid <= tol * scale and rank1:
-            if (_numerical_rank(mvals, tol) == 2
-                    and abs(mvals[0] - mvals[1]) <= tol * mvals[0]):
-                classes.append(ElementClass(
-                    "slater", weight, (mvecs[:, 0], mvecs[:, 1])))
-                continue
-        classes.append(ElementClass("neither", weight))
     return CoherenceReport(
         coherent=all(c.kind != "neither" for c in classes),
         classes=tuple(classes),
@@ -287,7 +294,8 @@ def _classify(p: Povm, vals: np.ndarray, tol: float) -> CoherenceReport:
 
 
 def marginal_Q(element: np.ndarray) -> np.ndarray:
-    """Q = tr_1(Pi) + tr_2(Pi), the symmetrized single-system marginal.
+    """Q = tr_1(Pi) + tr_2(Pi), the symmetrized single-system marginal of
+    a two-copy element, or of each element of a (k, d², d²) stack.
 
     Over a complete two-copy POVM these sum to 2d times the identity.
     """
@@ -295,15 +303,14 @@ def marginal_Q(element: np.ndarray) -> np.ndarray:
 
 
 def _check_rank_profile(ops: OperatorSet, rank: int, tol: float) -> None:
-    for e in ops.elements:
-        vals = np.linalg.eigvalsh(e)
-        if _numerical_rank(vals, tol) != rank:
-            raise ValueError(f"operator is not rank-{rank} as required")
-        if rank == 2:
-            top = np.sort(vals)[::-1][:2]
-            if abs(top[0] - top[1]) > tol * top[0]:
-                raise ValueError("rank-2 operator is not proportional to a "
-                                 "projector")
+    vals = np.linalg.eigvalsh(ops.elements)
+    if np.any(_numerical_ranks(vals, tol) != rank):
+        raise ValueError(f"operator is not rank-{rank} as required")
+    if rank == 2:
+        top, second = vals[:, -1], vals[:, -2]
+        if np.any(np.abs(top - second) > tol * top):
+            raise ValueError("rank-2 operator is not proportional to a "
+                             "projector")
 
 
 def tight_coherent_from_designs(
@@ -343,13 +350,10 @@ def tight_coherent_from_designs(
         raise ValueError("rank-two seed set is not a generalized 2-design "
                          f"(slack {anti_cert.slack:.3e})")
     p_anti = matcore.antisym_projector(d)
-    elements = []
-    for a in sym_ops.elements:
-        elements.append(matcore.kron(a, a) / np.trace(a).real)
-    for b in antisym_ops.elements:
-        bb = matcore.kron(b, b)
-        elements.append(p_anti @ bb @ p_anti / np.trace(b).real)
-    return Povm(elements, copies=2, base_dim=d)
+    sym = _kron_squares(sym_ops.elements) / sym_ops.traces()[:, None, None]
+    anti = (p_anti @ _kron_squares(antisym_ops.elements) @ p_anti
+            / antisym_ops.traces()[:, None, None])
+    return Povm(np.concatenate([sym, anti]), copies=2, base_dim=d)
 
 
 def minimal_tight_coherent_d3(
@@ -374,11 +378,8 @@ def minimal_tight_coherent_d3(
         if not cert.is_design:
             raise ValueError("input state set is not a 2-design "
                              f"(slack {cert.slack:.3e})")
-    sym_ops = OperatorSet(tuple(
-        (2.0 / 3.0) * np.outer(v, v.conj()) for v in sic_plus.vectors))
-    anti_ops = OperatorSet(tuple(
-        (2.0 / 3.0) * (np.eye(3) - np.outer(v, v.conj()))
-        for v in sic_minus.vectors))
+    sym_ops = OperatorSet((2.0 / 3.0) * sic_plus.projectors())
+    anti_ops = OperatorSet((2.0 / 3.0) * (np.eye(3) - sic_minus.projectors()))
     return tight_coherent_from_designs(sym_ops, anti_ops)
 
 
@@ -412,10 +413,10 @@ def tight_coherent_check(
         raise ValueError("tightness applies to complete two-copy POVMs")
     d = p.base_dim
     # one batched eigensolve serves the PSD check and the rank tests
-    vals = np.linalg.eigvalsh(np.array(p.elements))
+    vals = np.linalg.eigvalsh(p.elements)
     report = _povm_report(p, vals, _tol.POVM_TOL)
     classification = _classify(p, vals, _tol.RANK_TOL)
-    q_all = OperatorSet(tuple(marginal_Q(e) for e in p.elements))
+    q_all = OperatorSet(marginal_Q(p.elements))
     q_cert = generalized_2design_check(q_all, tol)
     target = (3.0 * d + 1.0) / (4.0 * d)
     purity_residual = abs(q_cert.purity - target)

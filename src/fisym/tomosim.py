@@ -236,8 +236,8 @@ def _linear_system(p: Povm) -> _LinearSystem:
                              "outcomes; linear inversion is unavailable")
         indices = np.array([xi for xi, _ in sym])
         # <psi|rho|psi> = (1 + s.u)/2 for the unit vector psi of each outcome
-        rows = _pauli_coeffs(
-            [np.outer(c.states[0], c.states[0].conj()) for _, c in sym])[:, 1:]
+        psi = np.array([c.states[0] for _, c in sym])
+        rows = _pauli_coeffs(psi[:, :, None] * psi.conj()[:, None, :])[:, 1:]
         offset = np.full(len(sym), 0.5)
         weights = np.array([c.weight for _, c in sym])
     if np.linalg.matrix_rank(rows, tol=_tol.BLOCH_RANK_TOL) < 3:

@@ -320,7 +320,7 @@ class TestFisherCommand:
 
     @pytest.mark.parametrize("spec", ["bloch:nan,0,0", "bloch:0,inf,0",
                                       "bloch:2,0,0", "pure:nan,1",
-                                      "pure:inf,1"])
+                                      "pure:inf,1", "pure:1,0,0", "pure:1"])
     def test_bad_state_is_usage_error(self, capsys, spec):
         code, _, err = run(capsys, "fisher", "--povm", "sic-single",
                            "--state", spec)
@@ -446,7 +446,8 @@ class TestSweepCommand:
         out = str(tmp_path / "rows.csv")
         code, _, err = run(capsys, "sweep", "--config", config, "--out", out)
         assert code == 0
-        lines = open(out, encoding="utf-8").read().splitlines()
+        with open(out, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         assert lines[0].startswith("#")
         assert lines[1].split(",")[0] == "s"
         assert len(lines) == 4

@@ -56,6 +56,9 @@ class TestHermitianChecks:
         stack = [big, random_hermitian(rng, 2)]
         assert np.array_equal(require_hermitian(stack),
                               [require_hermitian(m) for m in stack])
+        # a stack need not be C-ordered
+        assert np.array_equal(require_hermitian(np.asfortranarray(stack)),
+                              require_hermitian(stack))
 
 
 class TestKronAndPartialTrace:
@@ -71,6 +74,11 @@ class TestKronAndPartialTrace:
             m = kron(a, b)
             assert np.allclose(partial_trace(m, 1), a * np.trace(b))
             assert np.allclose(partial_trace(m, 0), b * np.trace(a))
+            stack = np.array([m, kron(b, a)])
+            assert np.allclose(partial_trace(stack, 1),
+                               [a * np.trace(b), b * np.trace(a)])
+            assert np.allclose(partial_trace(stack, 0),
+                               [b * np.trace(a), a * np.trace(b)])
 
     def test_partial_traces_preserve_full_trace(self, rng):
         m = random_hermitian(rng, 9)

@@ -48,6 +48,15 @@ class TestPovmType:
         with pytest.raises(ValueError):
             Povm([], copies=1, base_dim=2)
 
+    def test_list_tuple_and_stack_build_equal_povms(self):
+        elems = collective_sic_qubit().elements
+        built = [Povm(form, copies=2, base_dim=2)
+                 for form in (list(elems), tuple(elems), np.array(elems))]
+        for p in built:
+            assert isinstance(p.elements, np.ndarray)
+            assert p.elements.shape == (5, 4, 4)
+            assert np.array_equal(p.elements, built[0].elements)
+
     def test_subspace_needs_two_copies(self):
         with pytest.raises(ValueError):
             Povm([np.eye(2)], copies=1, base_dim=2, subspace="symmetric")
