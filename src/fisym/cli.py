@@ -52,10 +52,6 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _cert_dict(cert: designs.DesignCertificate) -> dict:
-    return dataclasses.asdict(cert)
-
-
 # ---------------------------------------------------------------- verify
 
 def _verify_povm(obj, tol) -> tuple[bool, dict]:
@@ -77,7 +73,7 @@ def _verify_sic(obj, tol) -> tuple[bool, dict]:
         "elements": n,
         "dim": d,
         "overlap_residual": residual,
-        "design": _cert_dict(cert),
+        "design": dataclasses.asdict(cert),
         "ok": bool(ok),
     }
 
@@ -85,13 +81,13 @@ def _verify_sic(obj, tol) -> tuple[bool, dict]:
 def _verify_design2(obj, tol) -> tuple[bool, dict]:
     s = opfile.obj_to_state_set(obj)
     cert = designs.projective_2design_check(s, tol)
-    return cert.is_design, _cert_dict(cert)
+    return cert.is_design, dataclasses.asdict(cert)
 
 
 def _verify_gdesign2(obj, tol) -> tuple[bool, dict]:
     s = opfile.obj_to_operator_set(obj)
     cert = designs.generalized_2design_check(s, tol)
-    return cert.is_design, _cert_dict(cert)
+    return cert.is_design, dataclasses.asdict(cert)
 
 
 def _verify_gsic(obj, tol) -> tuple[bool, dict]:
@@ -118,7 +114,7 @@ def _verify_tight_coherent(obj, tol) -> tuple[bool, dict]:
         "ok": report.ok,
         "completeness_residual": report.completeness_residual,
         "coherent": report.classification.coherent,
-        "q_certificate": _cert_dict(report.q_certificate),
+        "q_certificate": dataclasses.asdict(report.q_certificate),
         "purity_target": report.purity_target,
         "purity_residual": report.purity_residual,
     }
@@ -231,13 +227,15 @@ def _parse_state(spec: str) -> states.DensityMatrix:
     path = spec[len("file:"):] if spec.startswith("file:") else spec
     if os.path.exists(path):
         obj = _load(path)
-        try:
-            (element,) = obj["elements"]
-            matrix = element["matrix"]
-        except (TypeError, KeyError, ValueError) as exc:
-            raise UsageError("a state file must hold exactly one element, "
-                             "with a matrix") from exc
-        return states.DensityMatrix(opfile.json_to_matrix(matrix))
+        dim, copies, subspace = opfile._header(obj)
+        if copies != 1 or subspace is not None or len(obj["elements"]) != 1:
+            raise ValueError("a state file is an operator file with copies 1 "
+                             "and exactly one element")
+        m = opfile._field(obj["elements"][0], "matrix", opfile.json_to_matrix)
+        if len(m) != dim:
+            raise ValueError(f"header dim {dim} does not match the "
+                             f"{len(m)} x {len(m)} matrix")
+        return states.DensityMatrix(m)
     raise UsageError("state must be 'bloch:x,y,z', 'pure:a0,a1,...', or a "
                      "density-matrix file")
 

@@ -40,14 +40,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightedStateSet:
-    """Pure states (rows of ``vectors``) with positive weights."""
+    """Pure states (rows of ``vectors``) with positive weights, both kept
+    as read-only copies."""
 
     vectors: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        # copies, so that freezing them leaves the caller's arrays writable
+        v = np.array(self.vectors, dtype=complex)
+        w = np.array(self.weights, dtype=float).reshape(-1)
         if v.ndim != 2 or v.shape[0] != w.size:
             raise ValueError("need one weight per state vector")
         norms = np.linalg.norm(v, axis=1)
@@ -55,6 +57,7 @@ class WeightedStateSet:
             raise ValueError("state vectors must be normalized")
         if not np.all((w > 0) & np.isfinite(w)):
             raise ValueError("weights must be positive and finite")
+        v.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "weights", w)
 
@@ -86,7 +89,7 @@ class OperatorSet:
 
     ``elements`` may be given as a sequence of n x n matrices or as one
     (k, n, n) array; it is checked once, as a whole, and stored as the
-    validated (k, n, n) complex stack.
+    validated (k, n, n) complex stack, read-only.
     """
 
     elements: np.ndarray
@@ -104,6 +107,7 @@ class OperatorSet:
                              f"{vals.min():.3e})")
         if np.any(np.trace(elems, axis1=1, axis2=2).real <= _tol.PSD_TOL):
             raise ValueError("operator has (near) zero trace")
+        elems.flags.writeable = False
         object.__setattr__(self, "elements", elems)
 
     def subset(self, keep) -> "OperatorSet | None":
@@ -111,6 +115,7 @@ class OperatorSet:
         They were validated with this set and are not checked again."""
         sub = object.__new__(OperatorSet)
         elems = np.compress(keep, self.elements, axis=0)
+        elems.flags.writeable = False
         object.__setattr__(sub, "elements", elems)
         return sub if len(elems) else None
 
@@ -273,10 +278,7 @@ def _normalized_ops(ops: OperatorSet) -> tuple[np.ndarray, np.ndarray, float]:
     scale = ops.dim / traces.sum()
     elems = scale * ops.elements
     traces = scale * traces
-    # float_power rounds t^2 as pow() does; the array ``** 2`` fast path
-    # (t * t) can differ in the last bit, which moves the reported purity
-    purities = (np.sum(np.abs(elems) ** 2, axis=(1, 2))
-                / np.float_power(traces, 2))
+    purities = np.sum(np.abs(elems) ** 2, axis=(1, 2)) / (traces * traces)
     avg_purity = float(traces @ purities / traces.sum())
     return elems, traces, avg_purity
 

@@ -53,18 +53,18 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Povm:
     """Measurement with Hermitian elements on (base_dim)^copies dimensions.
 
     ``elements`` may be given as a sequence of matrices or as one
     (k, dim, dim) array.  Construction checks shapes, finiteness and
     hermiticity only, in one stacked check, and stores the validated
-    (k, dim, dim) complex stack; positivity and completeness are
-    inspected by :func:`validate_povm` so that imperfect candidates can
-    still be examined.  ``subspace='symmetric'`` marks a two-copy
-    measurement that resolves the symmetric projector instead of the
-    identity.
+    (k, dim, dim) complex stack as a read-only copy; positivity and
+    completeness are inspected by :func:`validate_povm` so that imperfect
+    candidates can still be examined.  ``subspace='symmetric'`` marks a
+    two-copy measurement that resolves the symmetric projector instead of
+    the identity.
     """
 
     elements: np.ndarray
@@ -87,7 +87,9 @@ class Povm:
         dim = self.base_dim ** self.copies
         if any(np.shape(e) != (dim, dim) for e in self.elements):
             raise ValueError(f"elements must be {dim} x {dim} matrices")
-        self.elements = matcore.require_hermitian(self.elements)
+        elements = matcore.require_hermitian(self.elements)
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
 
     @property
     def dim(self) -> int:
@@ -388,10 +390,10 @@ class TightCoherentReport:
     """Diagnostics for tightness of a coherent two-copy POVM.
 
     ``ok`` requires a complete coherent POVM whose marginal set {Q_xi} is
-    a generalized 2-design with purity (3d+1)/(4d).  The symmetric- and
-    antisymmetric-part certificates decompose the same condition by
-    support; the antisymmetric gsic report is present when that part has
-    exactly d^2 elements.
+    a generalized 2-design with purity (3d+1)/(4d); ``q_certificate`` is
+    that set's frame-potential certificate.  ``antisym_gsic``, the
+    generalized-SIC test of the marginals of the antisymmetric (slater)
+    elements, is present when there are exactly d^2 of them.
     """
 
     ok: bool
@@ -400,8 +402,6 @@ class TightCoherentReport:
     q_certificate: DesignCertificate
     purity_target: float
     purity_residual: float
-    sym_certificate: DesignCertificate | None
-    antisym_certificate: DesignCertificate | None
     antisym_gsic: GsicReport | None
 
 
@@ -421,11 +421,8 @@ def tight_coherent_check(
     target = (3.0 * d + 1.0) / (4.0 * d)
     purity_residual = abs(q_cert.purity - target)
 
-    kinds = [c.kind for c in classification.classes]
-    sym_q = q_all.subset([k == "sym-power" for k in kinds])
-    anti_q = q_all.subset([k == "slater" for k in kinds])
-    sym_cert = generalized_2design_check(sym_q, tol) if sym_q else None
-    anti_cert = generalized_2design_check(anti_q, tol) if anti_q else None
+    anti_q = q_all.subset([c.kind == "slater"
+                           for c in classification.classes])
     anti_gsic = None
     if anti_q and anti_q.size == d * d:
         anti_gsic = generalized_sic_check(anti_q, tol)
@@ -439,7 +436,5 @@ def tight_coherent_check(
         q_certificate=q_cert,
         purity_target=target,
         purity_residual=purity_residual,
-        sym_certificate=sym_cert,
-        antisym_certificate=anti_cert,
         antisym_gsic=anti_gsic,
     )

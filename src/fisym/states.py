@@ -64,6 +64,7 @@ class DensityMatrix:
 
     Construction symmetrizes and validates: one square matrix, finite and
     Hermitian, trace within 1e-10 of 1, eigenvalues in [-1e-10, 1 + 1e-10].
+    The checked matrix is a read-only copy.
     """
 
     matrix: np.ndarray
@@ -78,6 +79,7 @@ class DensityMatrix:
         vals = np.linalg.eigvalsh(m)
         if vals.min() < -_tol.PSD_TOL or vals.max() > 1.0 + _tol.PSD_TOL:
             raise ValueError(f"spectrum {vals} is outside [0, 1]")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -266,24 +268,18 @@ class AffineMixed(Parametrization):
         return [e.copy() for e in self.basis]
 
 
-class BlochQubit(Parametrization):
-    """Qubit chart rho(theta) = (1 + (s0 + theta)·σ)/2."""
+class BlochQubit(AffineMixed):
+    """Qubit chart rho(theta) = (1 + (s0 + theta)·σ)/2.
+
+    It is the affine chart at ``density_from_bloch(s0)`` with the tangents
+    σ/2, so rho(theta) is the affine sum; ``s0`` keeps the Bloch vector of
+    the base state.
+    """
 
     def __init__(self, s0):
         self.s0 = np.asarray(s0, dtype=float).reshape(3)
-        self._base = density_from_bloch(self.s0)
-        self.dim = 2
-        self.n_params = 3
-
-    def base(self) -> DensityMatrix:
-        return self._base
-
-    def density(self, theta: np.ndarray) -> DensityMatrix:
-        theta = np.asarray(theta, dtype=float).reshape(3)
-        return density_from_bloch(self.s0 + theta)
-
-    def tangents(self) -> list[np.ndarray]:
-        return [0.5 * p for p in _PAULI]
+        super().__init__(density_from_bloch(self.s0),
+                         [0.5 * p for p in _PAULI])
 
 
 def _tangent_stack(ops) -> np.ndarray:

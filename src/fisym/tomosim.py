@@ -394,25 +394,24 @@ def estimate_mle_qubit(
         counts[None], _scheme_setup(p, "mle"), interior_clip)[0])
 
 
-def run_simulation(config: SimConfig, _setup: _Scheme | None = None) -> SimResult:
-    """Run the configured Monte Carlo experiment.
+def _simulate(setup: _Scheme, config, s_true: np.ndarray,
+              rho: DensityMatrix, seed: int) -> dict:
+    """One Monte Carlo run at the state rho, whose Bloch vector is s_true.
 
-    Deterministic in the seed: trial i uses the RNG stream keyed by
-    (seed, i) regardless of how many trials run.  ``_setup`` lets
-    :func:`sweep` share one scheme set-up across its grid points.
+    Trial i draws its counts from the RNG stream keyed by (seed, i); the
+    estimates are scored against s_true.  ``config`` (a :class:`SimConfig`
+    or :class:`SweepConfig`) gives the copies, trials and clip.  Returns
+    the fields of :class:`SimResult` other than ``config``.
     """
-    setup = _setup or _scheme_setup(scheme_povm(config.scheme, config.povm),
-                                     config.estimator)
     p = setup.povm
     t = p.copies
     if config.n_copies < t or config.n_copies % t != 0:
         raise ValueError(f"n_copies must be a positive multiple of {t}")
     n_meas = config.n_copies // t
-    s_true = np.asarray(config.bloch)
-    probs = _sampling_probs(density_from_bloch(s_true), p)
+    probs = _sampling_probs(rho, p)
 
     nt = config.n_trials
-    counts = np.array([np.random.default_rng((config.seed, i))
+    counts = np.array([np.random.default_rng((seed, i))
                        .multinomial(n_meas, probs) for i in range(nt)])
     clip = config.interior_clip
     s_hat = _estimate(counts.astype(float), setup, clip)
@@ -433,17 +432,29 @@ def run_simulation(config: SimConfig, _setup: _Scheme | None = None) -> SimResul
             return 0.0
         return float(n * np.std(x, ddof=1) / np.sqrt(nt))
 
-    return SimResult(
-        config=config,
-        scaled_mse=float(n * hs2.mean()),
-        mse_stderr=stderr(hs2),
-        scaled_msb=float(n * bures2.mean()),
-        msb_stderr=stderr(bures2),
-        scaled_infidelity=float(n * infid.mean()),
-        infidelity_stderr=stderr(infid),
-        n_clipped=int(np.count_nonzero(radii >= clip - _tol.CLIP_MARGIN)),
-        counts_total=counts.sum(axis=0),
-    )
+    return {
+        "scaled_mse": float(n * hs2.mean()),
+        "mse_stderr": stderr(hs2),
+        "scaled_msb": float(n * bures2.mean()),
+        "msb_stderr": stderr(bures2),
+        "scaled_infidelity": float(n * infid.mean()),
+        "infidelity_stderr": stderr(infid),
+        "n_clipped": int(np.count_nonzero(radii >= clip - _tol.CLIP_MARGIN)),
+        "counts_total": counts.sum(axis=0),
+    }
+
+
+def run_simulation(config: SimConfig) -> SimResult:
+    """Run the configured Monte Carlo experiment.
+
+    Deterministic in the seed: trial i uses the RNG stream keyed by
+    (seed, i) regardless of how many trials run.
+    """
+    setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
+                          config.estimator)
+    s_true = np.asarray(config.bloch)
+    return SimResult(config=config, **_simulate(
+        setup, config, s_true, density_from_bloch(s_true), config.seed))
 
 
 def _asymptotic(param: Parametrization, p: Povm, weights) -> list[float]:
@@ -519,31 +530,26 @@ def sweep(config: SweepConfig) -> list[dict]:
 
     Each grid point runs with its own derived seed; rows carry the scaled
     Monte Carlo errors next to the asymptotic values t * tr(W I^{-1}).
-    The scheme is set up once for the whole grid.
+    The scheme is set up once for the whole grid.  Each point builds its
+    Bloch chart once: the chart's base state is the state sampled, through
+    the same code as :func:`run_simulation`, and the chart gives the
+    analytic columns.
     """
     setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
                           config.estimator)
     rows = []
     for idx, s in enumerate(config.radii):
-        bloch = tuple(s * np.asarray(config.direction))
-        sim = run_simulation(SimConfig(
-            scheme=config.scheme,
-            bloch=bloch,
-            n_copies=config.n_copies,
-            n_trials=config.n_trials,
-            seed=config.seed + 99991 * idx,
-            estimator=config.estimator,
-            povm=config.povm,
-            interior_clip=config.interior_clip,
-        ), setup)
-        mse, msb = _asymptotic(BlochQubit(bloch), setup.povm, ["hs", "msb"])
+        par = BlochQubit(s * np.asarray(config.direction))
+        sim = _simulate(setup, config, par.s0, par.base(),
+                        config.seed + 99991 * idx)
+        mse, msb = _asymptotic(par, setup.povm, ["hs", "msb"])
         rows.append({
             "s": s,
             "scheme": config.scheme,
-            "scaled_mse": sim.scaled_mse,
-            "mse_stderr": sim.mse_stderr,
-            "scaled_msb": sim.scaled_msb,
-            "msb_stderr": sim.msb_stderr,
+            "scaled_mse": sim["scaled_mse"],
+            "mse_stderr": sim["mse_stderr"],
+            "scaled_msb": sim["scaled_msb"],
+            "msb_stderr": sim["msb_stderr"],
             "analytic_mse": mse,
             "analytic_msb": msb,
         })

@@ -5,8 +5,11 @@ Every public function that takes a matrix validates it once, through
 has NaN or an infinity in the real or imaginary part of any entry, raises
 ``ValueError`` with a message of its own (not a LAPACK failure further
 in).  Each case below first accepts a valid matrix in its slot, so the
-corruption is the only reason it can raise.
+corruption is the only reason it can raise.  The arrays that the
+validated types keep are read-only, so no later write can undo the check.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fisym.designs import OperatorSet, g2design_from_unitary_design
+from fisym.designs import (OperatorSet, WeightedStateSet,
+                           g2design_from_unitary_design, sic_qubit)
 from fisym.fisher import gm_value, optimal_fisher, wmse_bound
 from fisym.matcore import hermitian_eig, mat_power, require_hermitian
-from fisym.povm import Povm
-from fisym.states import AffineMixed, DensityMatrix, qfi_matrix, sld
+from fisym.povm import NAMED_POVMS, Povm
+from fisym.states import (AffineMixed, DensityMatrix, density_from_bloch,
+                          qfi_matrix, sld)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -97,3 +102,45 @@ def test_public_matrix_functions_reject_bad_matrices(name, rho, how):
     with pytest.raises(ValueError) as exc:
         call(corrupt(m, *how))
     assert exc.type is ValueError
+
+
+def _sic_ops():
+    return OperatorSet(sic_qubit().projectors())
+
+
+# name -> array a validated type keeps after its check
+CHECKED = {
+    "DensityMatrix.matrix": lambda: density_from_bloch([0.1, 0, 0]).matrix,
+    "Povm.elements": lambda: NAMED_POVMS["sic-single"]().elements,
+    "OperatorSet.elements": lambda: _sic_ops().elements,
+    "OperatorSet.subset": lambda: _sic_ops().subset([True, False] * 2).elements,
+    "WeightedStateSet.vectors": lambda: sic_qubit().vectors,
+    "WeightedStateSet.weights": lambda: sic_qubit().weights,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_checked_arrays_are_read_only(name):
+    # a write after the check would reach kernels that trust the check
+    with pytest.raises(ValueError, match="read-only"):
+        CHECKED[name]().flat[0] = np.nan
+
+
+def test_povm_is_frozen():
+    p = NAMED_POVMS["sic-single"]()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.elements = np.zeros_like(p.elements)
+
+
+def test_callers_arrays_stay_writable():
+    # the checked copies are frozen, never the arrays passed in
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    stack = np.array([rho, rho])
+    vectors = sic_qubit().vectors.copy()
+    weights = np.full(4, 0.5)
+    DensityMatrix(rho)
+    Povm(stack, copies=1, base_dim=2)
+    OperatorSet(stack)
+    WeightedStateSet(vectors, weights)
+    for a in (rho, stack, vectors, weights):
+        a.flat[0] = a.flat[0]

@@ -10,6 +10,10 @@ from fisym.opfile import (load_json, operator_set_to_obj, save_json,
 from fisym.povm import NAMED_POVMS
 
 
+# the maximally mixed qubit state as a file matrix
+_HALF = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -62,6 +66,11 @@ class TestBuildVerify:
         code, report, _ = run(capsys, "verify", "tight-coherent", path)
         assert code == 0
         assert report["purity_target"] == pytest.approx(7 / 8)
+        # the marginals' purity is 7/8 exactly, and the frame potential
+        # meets its bound exactly
+        cert = report["q_certificate"]
+        assert (cert["purity"], cert["bound"], cert["slack"]) == (
+            0.875, 1.1875, 0.0)
 
     def test_twocopy_design_and_companion(self, capsys, tmp_path):
         sic = str(tmp_path / "sic.json")
@@ -332,6 +341,10 @@ class TestFisherCommand:
         {"elements": [{"weight": 1.0}]},
         {"elements": [{"matrix": [[[0.5, 0.0], [0.0, 0.0]],
                                   [[0.0, 0.0], [float("nan"), 0.0]]]}]},
+        # a valid matrix under a header that does not match it, or none
+        {"dim": 3, "copies": 1, "elements": [{"matrix": _HALF}]},
+        {"dim": 2, "copies": 2, "elements": [{"matrix": _HALF}]},
+        {"elements": [{"matrix": _HALF}]},
     ])
     def test_malformed_state_file_is_usage_error(self, capsys, tmp_path,
                                                  content):

@@ -155,6 +155,15 @@ class TestParametrizations:
         assert np.allclose(tans[0], sx / 2)
         assert np.allclose(par.base().matrix,
                            density_from_bloch([0.1, 0.2, 0.3]).matrix)
+        # away from theta = 0 the chart is (1 + (s0 + theta).sigma)/2
+        for s0, theta in [([0.1, 0.2, 0.3], [0.05, -0.1, 0.2]),
+                          ([0.0, 0.0, 0.0], [0.3, 0.4, -0.5]),
+                          ([-0.6, 0.1, 0.2], [0.6, -0.1, 0.7])]:
+            got = BlochQubit(s0).density(theta).matrix
+            want = density_from_bloch(np.add(s0, theta)).matrix
+            assert np.max(np.abs(got - want)) <= 1e-15
+        with pytest.raises(ValueError):
+            BlochQubit([0.5, 0.0, 0.0]).density([0.6, 0.0, 0.0])  # radius 1.1
 
     def test_base_state_is_kept(self, rng):
         # base() returns the state validated at construction, and it equals
