@@ -6,6 +6,11 @@ Every module pulls its defaults from here so a tolerance is defined once.
 # Hermiticity rejection threshold, scaled by Frobenius norm (absolute floor).
 HERM_TOL = 1e-12
 
+# Largest real or imaginary part a checked matrix entry may have.  The
+# checks square entries in Frobenius norms, and a square above about
+# 1.8e308 overflows a double.
+MAX_ENTRY = 1e150
+
 # Trace-one check for density matrices.
 TRACE_TOL = 1e-10
 

@@ -43,7 +43,8 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def require_hermitian(a) -> np.ndarray:
     """Symmetrize a matrix, or a stack of shape (..., n, n), and reject it
-    if an entry is not finite or a matrix is too far from Hermitian.
+    if an entry is not finite or larger than ``_tol.MAX_ENTRY``, or if a
+    matrix is too far from Hermitian.
 
     Each matrix is held to ``_tol.HERM_TOL`` times its own Frobenius norm,
     with ``HERM_TOL`` itself as an absolute floor for near-zero matrices.
@@ -51,8 +52,12 @@ def require_hermitian(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    size = np.maximum(np.abs(a.real), np.abs(a.imag))
+    if not np.all(size <= _tol.MAX_ENTRY):  # NaN compares false
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
+        raise ValueError(f"matrix entries must be at most {_tol.MAX_ENTRY:g} "
+                         "in size")
     asym = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
     limit = _tol.HERM_TOL * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
     if np.any(asym > limit):

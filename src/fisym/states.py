@@ -243,7 +243,8 @@ class AffineMixed(Parametrization):
     """Affine chart rho(theta) = rho0 + sum_a theta_a E_a.
 
     The default operator basis is the orthonormal traceless basis from
-    :func:`gell_mann_basis`, giving d^2 - 1 parameters.
+    :func:`gell_mann_basis`, giving d^2 - 1 parameters.  ``basis`` holds
+    the checked operators as a read-only (n_params, d, d) stack.
     """
 
     def __init__(self, base: DensityMatrix, basis: list[np.ndarray] | None = None):
@@ -251,7 +252,8 @@ class AffineMixed(Parametrization):
         self.dim = base.dim
         if basis is None:
             basis = gell_mann_basis(base.dim)
-        self.basis = list(_tangent_stack(basis))
+        self.basis = _tangent_stack(basis)
+        self.basis.flags.writeable = False
         self.n_params = len(self.basis)
 
     def base(self) -> DensityMatrix:
@@ -293,9 +295,12 @@ def _tangent_stack(ops) -> np.ndarray:
 def tangent_ops(param: Parametrization) -> np.ndarray:
     """Tangent operators of a parametrization at its basepoint, stacked.
 
-    They are checked Hermitian, finite and traceless here, once; the
-    kernels that take them from here do not check them again.
+    They are checked Hermitian, finite and traceless once: an affine
+    chart's basis when the chart is built, any other chart's tangents here.
+    The kernels that take them from here do not check them again.
     """
+    if type(param).tangents is AffineMixed.tangents:
+        return param.basis  # checked by AffineMixed.__init__
     return _tangent_stack(param.tangents())
 
 

@@ -394,21 +394,21 @@ def estimate_mle_qubit(
         counts[None], _scheme_setup(p, "mle"), interior_clip)[0])
 
 
-def _simulate(setup: _Scheme, config, s_true: np.ndarray,
-              rho: DensityMatrix, seed: int) -> dict:
-    """One Monte Carlo run at the state rho, whose Bloch vector is s_true.
+def _simulate(setup: _Scheme, config, par: BlochQubit, seed: int) -> dict:
+    """One Monte Carlo run at the base state of the Bloch chart ``par``.
 
     Trial i draws its counts from the RNG stream keyed by (seed, i); the
-    estimates are scored against s_true.  ``config`` (a :class:`SimConfig`
-    or :class:`SweepConfig`) gives the copies, trials and clip.  Returns
-    the fields of :class:`SimResult` other than ``config``.
+    estimates are scored against the chart's Bloch vector ``par.s0``.
+    ``config`` (a :class:`SimConfig` or :class:`SweepConfig`) gives the
+    copies, trials and clip.  Returns the fields of :class:`SimResult`
+    other than ``config``.
     """
     p = setup.povm
     t = p.copies
     if config.n_copies < t or config.n_copies % t != 0:
         raise ValueError(f"n_copies must be a positive multiple of {t}")
     n_meas = config.n_copies // t
-    probs = _sampling_probs(rho, p)
+    probs = _sampling_probs(par.base(), p)
 
     nt = config.n_trials
     counts = np.array([np.random.default_rng((seed, i))
@@ -421,8 +421,8 @@ def _simulate(setup: _Scheme, config, s_true: np.ndarray,
         raise ValueError("an estimate is not a finite Bloch vector in the "
                          "unit ball")
 
-    hs2 = 0.5 * np.sum((s_hat - s_true) ** 2, axis=1)
-    fid = qubit_fidelity(s_true, s_hat)
+    hs2 = 0.5 * np.sum((s_hat - par.s0) ** 2, axis=1)
+    fid = qubit_fidelity(par.s0, s_hat)
     bures2 = np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0)
     infid = 1.0 - fid
     n = config.n_copies
@@ -452,9 +452,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     """
     setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
                           config.estimator)
-    s_true = np.asarray(config.bloch)
     return SimResult(config=config, **_simulate(
-        setup, config, s_true, density_from_bloch(s_true), config.seed))
+        setup, config, BlochQubit(config.bloch), config.seed))
 
 
 def _asymptotic(param: Parametrization, p: Povm, weights) -> list[float]:
@@ -540,8 +539,7 @@ def sweep(config: SweepConfig) -> list[dict]:
     rows = []
     for idx, s in enumerate(config.radii):
         par = BlochQubit(s * np.asarray(config.direction))
-        sim = _simulate(setup, config, par.s0, par.base(),
-                        config.seed + 99991 * idx)
+        sim = _simulate(setup, config, par, config.seed + 99991 * idx)
         mse, msb = _asymptotic(par, setup.povm, ["hs", "msb"])
         rows.append({
             "s": s,

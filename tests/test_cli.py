@@ -336,23 +336,31 @@ class TestFisherCommand:
         assert code == 2
         assert "numerical failure" not in err
 
+    # each content pairs a state file with a part of the error it must give
     @pytest.mark.parametrize("content", [
-        [1, 2, 3],
-        {"elements": [{"weight": 1.0}]},
-        {"elements": [{"matrix": [[[0.5, 0.0], [0.0, 0.0]],
-                                  [[0.0, 0.0], [float("nan"), 0.0]]]}]},
+        ([1, 2, 3], "JSON object"),
+        ({"dim": 2, "copies": 1, "elements": [{"weight": 1.0}]},
+         "'matrix' field"),
+        ({"dim": 2, "copies": 1,
+          "elements": [{"matrix": [[[0.5, 0.0], [0.0, 0.0]],
+                                   [[0.0, 0.0], [float("nan"), 0.0]]]}]},
+         "finite"),
         # a valid matrix under a header that does not match it, or none
-        {"dim": 3, "copies": 1, "elements": [{"matrix": _HALF}]},
-        {"dim": 2, "copies": 2, "elements": [{"matrix": _HALF}]},
-        {"elements": [{"matrix": _HALF}]},
+        ({"dim": 3, "copies": 1, "elements": [{"matrix": _HALF}]},
+         "header dim 3"),
+        ({"dim": 2, "copies": 2, "elements": [{"matrix": _HALF}]},
+         "copies 1"),
+        ({"elements": [{"matrix": _HALF}]}, "'dim' field"),
     ])
     def test_malformed_state_file_is_usage_error(self, capsys, tmp_path,
                                                  content):
+        obj, reason = content
         path = tmp_path / "rho.json"
-        path.write_text(json.dumps(content))
+        path.write_text(json.dumps(obj))
         code, _, err = run(capsys, "fisher", "--povm", "sic-single",
                            "--state", str(path))
         assert code == 2
+        assert reason in err
 
     def test_malformed_povm_file_is_usage_error(self, capsys, tmp_path):
         path = str(tmp_path / "coll.json")

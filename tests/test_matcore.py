@@ -47,6 +47,16 @@ class TestHermitianChecks:
         with pytest.raises(ValueError):
             require_hermitian(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("a", [
+        [[1e200, 2e200], [0.0, 1e200]],  # its norms overflow to inf
+        [[1.7976931348623157e308, 0.0], [0.0, 1.0]],
+        [[1.3407807929942596e154j, 0.0], [0.0, 0.0]],
+    ])
+    def test_require_hermitian_rejects_entries_whose_norms_overflow(self, a):
+        # a ValueError, not an overflow warning or a wrong acceptance
+        with pytest.raises(ValueError, match="at most"):
+            require_hermitian(a)
+
     def test_require_hermitian_stack_holds_each_matrix_to_its_norm(self, rng):
         # a large matrix in the stack must not loosen the check of a small one
         big = 1e6 * random_hermitian(rng, 2)
