@@ -36,15 +36,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector."""
+    """Normalized state vector: finite entries and unit norm, kept as a
+    read-only copy."""
 
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
+        v = np.array(self.vector, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("state vector entries must be finite")
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > _tol.NORM_TOL:
             raise ValueError(f"state vector norm {norm} is not 1")
+        v.flags.writeable = False
         object.__setattr__(self, "vector", v)
 
     @property

@@ -11,9 +11,14 @@ Asymptotically these approach t * tr(W I^{-1}) with W the matching weight
 matrix, which is what :func:`asymptotic_metrics` evaluates.
 
 Trial RNG streams are keyed by (seed, trial index), so results are
-reproducible and independent of execution order.  The trials of one run
-are processed as arrays: one count matrix, one least-squares solve for
-the linear estimates, and error metrics in closed form from Bloch vectors.
+reproducible and independent of execution order: trial i draws from the
+stream of ``np.random.default_rng((seed, i))``.  The seeds of every
+stream in a run are hashed together as arrays by ``_streams``, a
+reimplementation of NumPy's SeedSequence mixing, and each trial's PCG64
+is seeded from its hashed words.  A run, and a whole sweep, is
+processed as arrays: one count matrix over every grid point and trial,
+one least-squares solve for all linear estimates, and error metrics in
+closed form from Bloch vectors, reduced along the trial axis.
 """
 
 from __future__ import annotations
@@ -394,54 +399,70 @@ def estimate_mle_qubit(
         counts[None], _scheme_setup(p, "mle"), interior_clip)[0])
 
 
-def _simulate(setup: _Scheme, config, par: BlochQubit, seed: int) -> dict:
-    """One Monte Carlo run at the base state of the Bloch chart ``par``.
+def _simulate(setup: _Scheme, config, points) -> list[dict]:
+    """Monte Carlo runs at the base states of the Bloch charts in
+    ``points``, a list of (chart, seed) pairs, as one batch.
 
-    Trial i draws its counts from the RNG stream keyed by (seed, i); the
-    estimates are scored against the chart's Bloch vector ``par.s0``.
-    ``config`` (a :class:`SimConfig` or :class:`SweepConfig`) gives the
-    copies, trials and clip.  Returns the fields of :class:`SimResult`
-    other than ``config``.
+    Trial i at a point draws its counts from the RNG stream keyed by that
+    point's (seed, i), seeded from :func:`_streams.stream_states`, which
+    hashes the seeds of every stream of the batch in one pass.  The
+    counts fill one (points, trials, outcomes) matrix, which one
+    :func:`_estimate` call inverts (one least-squares solve; the MLE runs
+    per trial), and the metrics are reduced along the trial axis of
+    (points, trials) arrays.  Each point's sampling probabilities come
+    from its chart's base state, and its estimates are scored against the
+    chart's Bloch vector ``par.s0``.  ``config`` (a :class:`SimConfig` or
+    :class:`SweepConfig`) gives the copies, trials and clip.  Returns, per
+    point, the fields of :class:`SimResult` other than ``config``.
     """
     p = setup.povm
     t = p.copies
     if config.n_copies < t or config.n_copies % t != 0:
         raise ValueError(f"n_copies must be a positive multiple of {t}")
     n_meas = config.n_copies // t
-    probs = _sampling_probs(par.base(), p)
+    probs = [_sampling_probs(par.base(), p) for par, _ in points]
+
+    # numpy.random is imported on the first draw, not with fisym
+    from ._streams import seeded_rng, stream_states
 
     nt = config.n_trials
-    counts = np.array([np.random.default_rng((seed, i))
-                       .multinomial(n_meas, probs) for i in range(nt)])
+    words = stream_states([seed for _, seed in points], np.arange(nt))
+    counts = np.array([[seeded_rng(w).multinomial(n_meas, pr) for w in ws]
+                       for ws, pr in zip(words, probs)])
     clip = config.interior_clip
-    s_hat = _estimate(counts.astype(float), setup, clip)
-    radii = np.linalg.norm(s_hat, axis=1)
+    s_hat = _estimate(counts.reshape(-1, p.size).astype(float), setup,
+                      clip).reshape(len(points), nt, 3)
+    radii = np.linalg.norm(s_hat, axis=-1)
     if not (np.all(np.isfinite(s_hat))
             and np.all(radii <= 1.0 + _tol.NORM_TOL)):
         raise ValueError("an estimate is not a finite Bloch vector in the "
                          "unit ball")
 
-    hs2 = 0.5 * np.sum((s_hat - par.s0) ** 2, axis=1)
-    fid = qubit_fidelity(par.s0, s_hat)
+    s0 = np.array([par.s0 for par, _ in points])[:, None, :]
+    hs2 = 0.5 * np.sum((s_hat - s0) ** 2, axis=-1)
+    fid = qubit_fidelity(s0, s_hat)
     bures2 = np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0)
     infid = 1.0 - fid
     n = config.n_copies
 
     def stderr(x):
         if nt < 2:
-            return 0.0
-        return float(n * np.std(x, ddof=1) / np.sqrt(nt))
+            return np.zeros(len(x))
+        return n * np.std(x, axis=1, ddof=1) / np.sqrt(nt)
 
-    return {
-        "scaled_mse": float(n * hs2.mean()),
+    metrics = {
+        "scaled_mse": n * hs2.mean(axis=1),
         "mse_stderr": stderr(hs2),
-        "scaled_msb": float(n * bures2.mean()),
+        "scaled_msb": n * bures2.mean(axis=1),
         "msb_stderr": stderr(bures2),
-        "scaled_infidelity": float(n * infid.mean()),
+        "scaled_infidelity": n * infid.mean(axis=1),
         "infidelity_stderr": stderr(infid),
-        "n_clipped": int(np.count_nonzero(radii >= clip - _tol.CLIP_MARGIN)),
-        "counts_total": counts.sum(axis=0),
     }
+    n_clipped = np.count_nonzero(radii >= clip - _tol.CLIP_MARGIN, axis=1)
+    totals = counts.sum(axis=1)
+    return [{**{k: float(v[a]) for k, v in metrics.items()},
+             "n_clipped": int(n_clipped[a]), "counts_total": totals[a]}
+            for a in range(len(points))]
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -452,8 +473,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     """
     setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
                           config.estimator)
-    return SimResult(config=config, **_simulate(
-        setup, config, BlochQubit(config.bloch), config.seed))
+    point = (BlochQubit(config.bloch), config.seed)
+    return SimResult(config=config, **_simulate(setup, config, [point])[0])
 
 
 def _asymptotic(param: Parametrization, p: Povm, weights) -> list[float]:
@@ -527,19 +548,27 @@ SWEEP_COLUMNS = ("s", "scheme", "scaled_mse", "mse_stderr",
 def sweep(config: SweepConfig) -> list[dict]:
     """Monte Carlo plus asymptotic errors along a Bloch-radius grid.
 
-    Each grid point runs with its own derived seed; rows carry the scaled
-    Monte Carlo errors next to the asymptotic values t * tr(W I^{-1}).
-    The scheme is set up once for the whole grid.  Each point builds its
-    Bloch chart once: the chart's base state is the state sampled, through
-    the same code as :func:`run_simulation`, and the chart gives the
-    analytic columns.
+    Grid point idx runs with the derived seed ``seed + 99991 * idx``, so
+    its trials draw from the streams keyed by (that seed, i) and each row
+    equals an independent :func:`run_simulation` there.  Rows carry the
+    scaled Monte Carlo errors next to the asymptotic values
+    t * tr(W I^{-1}).  The scheme is set up once for the whole grid, and
+    the whole grid is one Monte Carlo batch (:func:`_simulate`): one
+    count matrix for every point and trial and one estimate pass.  Each
+    point builds its Bloch chart once: the chart's base state is the
+    state sampled and the chart gives the analytic columns.  With the
+    sampling batched, the per-point chart set-up and :func:`_asymptotic`
+    take more of a linear sweep's time than the batch, and
+    :func:`write_sweep_csv` a further share.
     """
     setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
                           config.estimator)
+    charts = [BlochQubit(s * np.asarray(config.direction))
+              for s in config.radii]
+    sims = _simulate(setup, config, [(par, config.seed + 99991 * idx)
+                                     for idx, par in enumerate(charts)])
     rows = []
-    for idx, s in enumerate(config.radii):
-        par = BlochQubit(s * np.asarray(config.direction))
-        sim = _simulate(setup, config, par, config.seed + 99991 * idx)
+    for s, par, sim in zip(config.radii, charts, sims):
         mse, msb = _asymptotic(par, setup.povm, ["hs", "msb"])
         rows.append({
             "s": s,

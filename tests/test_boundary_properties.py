@@ -4,9 +4,12 @@ Every public function that takes a matrix validates it once, through
 ``matcore.require_hermitian``: a matrix that is not Hermitian, or that
 has NaN or an infinity in the real or imaginary part of any entry, raises
 ``ValueError`` with a message of its own (not a LAPACK failure further
-in).  Each case below first accepts a valid matrix in its slot, so the
-corruption is the only reason it can raise.  The arrays that the
-validated types keep are read-only, so no later write can undo the check.
+in).  ``PureState`` holds state vectors to the same rule: a NaN or an
+infinity in any entry raises ``ValueError``, also where the vector goes
+on to ``PureCanonical``.  Each case below first accepts a valid matrix
+or vector in its slot, so the corruption is the only reason it can
+raise.  The arrays that the validated types keep are read-only copies,
+so no later write can undo the check.
 """
 
 import dataclasses
@@ -22,8 +25,8 @@ from fisym.designs import (OperatorSet, WeightedStateSet,
 from fisym.fisher import gm_value, optimal_fisher, wmse_bound
 from fisym.matcore import hermitian_eig, mat_power, require_hermitian
 from fisym.povm import NAMED_POVMS, Povm
-from fisym.states import (AffineMixed, DensityMatrix, density_from_bloch,
-                          qfi_matrix, sld)
+from fisym.states import (AffineMixed, DensityMatrix, PureCanonical,
+                          PureState, density_from_bloch, qfi_matrix, sld)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -104,6 +107,36 @@ def test_public_matrix_functions_reject_bad_matrices(name, rho, how):
     assert exc.type is ValueError
 
 
+# name -> call on a unit state vector
+VECTOR_CASES = {
+    "PureState": PureState,
+    "PureCanonical": lambda v: PureCanonical(PureState(v)),
+}
+
+
+@st.composite
+def unit_vectors(draw):
+    d = draw(st.integers(2, 3))
+    v = draw(hnp.arrays(float, d, elements=unit)) + 1j * draw(
+        hnp.arrays(float, d, elements=unit))
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 1e-3 else np.eye(d, dtype=complex)[0]
+
+
+@settings(max_examples=100)
+@given(name=st.sampled_from(sorted(VECTOR_CASES)), v=unit_vectors(),
+       kind=st.sampled_from(["nan", "inf", "-inf"]),
+       part=st.sampled_from(["real", "imag"]), index=st.integers(0, 1))
+def test_state_vectors_reject_non_finite_entries(name, v, kind, part, index):
+    call = VECTOR_CASES[name]
+    call(v)  # the valid vector passes
+    bad = v.copy()
+    (bad.real if part == "real" else bad.imag)[index] = float(kind)
+    with pytest.raises(ValueError, match="finite") as exc:
+        call(bad)
+    assert exc.type is ValueError
+
+
 def _sic_ops():
     return OperatorSet(sic_qubit().projectors())
 
@@ -116,6 +149,7 @@ CHECKED = {
     "OperatorSet.subset": lambda: _sic_ops().subset([True, False] * 2).elements,
     "WeightedStateSet.vectors": lambda: sic_qubit().vectors,
     "WeightedStateSet.weights": lambda: sic_qubit().weights,
+    "PureState.vector": lambda: PureState([1.0, 0.0]).vector,
 }
 
 
@@ -138,9 +172,14 @@ def test_callers_arrays_stay_writable():
     stack = np.array([rho, rho])
     vectors = sic_qubit().vectors.copy()
     weights = np.full(4, 0.5)
+    vector = np.array([1.0, 0.0], dtype=complex)
     DensityMatrix(rho)
     Povm(stack, copies=1, base_dim=2)
     OperatorSet(stack)
     WeightedStateSet(vectors, weights)
-    for a in (rho, stack, vectors, weights):
+    psi = PureState(vector)
+    for a in (rho, stack, vectors, weights, vector):
         a.flat[0] = a.flat[0]
+    # and writing to them leaves the checked copy alone
+    vector[0] = np.nan
+    assert np.all(np.isfinite(psi.vector))

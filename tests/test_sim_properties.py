@@ -10,6 +10,12 @@ two-copy POVM, swap-symmetric or not.
 closed form of Hubner (Phys. Lett. A 163, 239 (1992)), instead of the
 eigendecomposition in ``states.fidelity``.  The two must agree on any pair
 of qubit states: interior, the maximally mixed centre and pure states.
+
+The trials draw their counts from the streams of
+``np.random.default_rng((seed, i))``, seeded in bulk by
+``_streams.stream_states``, a reimplementation of NumPy's SeedSequence
+hash.  It must give NumPy's words and NumPy's draws for any key, whatever
+mix of entropy lengths one batch holds.
 """
 
 import numpy as np
@@ -17,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fisym._streams import seeded_rng, stream_states
 from fisym.fisher import _probs_and_grads, outcome_probs
 from fisym.matcore import mat_power
 from fisym.povm import Povm
@@ -55,6 +62,38 @@ def test_batch_matches_pairwise(s, t):
     for f, ti in zip(batch, t):
         assert f == qubit_fidelity(s, ti)
         assert 0.0 <= f <= 1.0
+
+
+# one to six 32-bit words: seeds up to 2**160, both sides of each word
+# boundary, and the 4-word pool size where the extra mixing loop starts
+seeds = st.one_of(
+    st.integers(0, 2**160 - 1), st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1,
+                     2**96, 2**128, 2**160 - 1]))
+trial_indices = st.one_of(st.integers(0, 2**33 - 1), st.integers(0, 99),
+                          st.integers(2**32 - 2, 2**32 + 2))
+
+
+@settings(max_examples=100)
+@given(seed_list=st.lists(seeds, min_size=1, max_size=4),
+       trials=st.lists(trial_indices, min_size=1, max_size=6),
+       probs=hnp.arrays(float, 4, elements=st.floats(0.01, 1.0)))
+def test_streams_match_numpy(seed_list, trials, probs):
+    # a small and a large key in every batch, so entropy lengths mix
+    seed_list = [5, *seed_list, 2**96 + 1]
+    trials = [3, *trials, 2**32 + 7]
+    probs = probs / probs.sum()
+    states = stream_states(seed_list, trials)
+    assert states.shape == (len(seed_list), len(trials), 4)
+    for seed, row in zip(seed_list, states):
+        for i, state in zip(trials, row):
+            expected = np.random.SeedSequence((seed, i)).generate_state(
+                4, np.uint64)
+            assert state.dtype == np.uint64
+            assert np.array_equal(state, expected)
+            assert np.array_equal(
+                seeded_rng(state).multinomial(1000, probs),
+                np.random.default_rng((seed, i)).multinomial(1000, probs))
 
 
 def complex_array(shape):

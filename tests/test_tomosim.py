@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import random_povm
 
 from fisym.povm import (NAMED_POVMS, Povm, collective_sic_qubit,
                         twocopy_design_povm)
@@ -297,20 +298,38 @@ class TestSweep:
         assert len(parsed) == 2
         assert float(parsed[1]["s"]) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("scheme,estimator", [
-        ("collective-sic", "linear"), ("sic-single", "linear"),
-        ("collective-sic", "mle")])
-    def test_rows_match_independent_runs(self, scheme, estimator):
-        # one set-up per sweep must not change any grid point
+    @pytest.mark.parametrize("scheme,estimator,seed,n_trials", [
+        pytest.param("collective-sic", "linear", 9, 4,
+                     id="collective-sic-linear"),
+        pytest.param("sic-single", "linear", 9, 4, id="sic-single-linear"),
+        pytest.param("collective-sic", "mle", 9, 4, id="collective-sic-mle"),
+        # the grid seeds 2**32 - 99991, 2**32, 2**32 + 99991 take one, two
+        # and two 32-bit words, so one batch hashes keys of two lengths
+        pytest.param("sic-single", "linear", 2**32 - 99991, 4,
+                     id="sic-single-linear-seeds-cross-word"),
+        pytest.param("collective-sic", "mle", 2**32 - 99991, 4,
+                     id="collective-sic-mle-seeds-cross-word"),
+        pytest.param("mub-single", "linear", 9, 1,
+                     id="mub-single-linear-one-trial"),
+        pytest.param("custom", "linear", 9, 4, id="custom-linear"),
+        pytest.param("custom", "mle", 2**32 - 99991, 1,
+                     id="custom-mle-one-trial-seeds-cross-word")])
+    def test_rows_match_independent_runs(self, scheme, estimator, seed,
+                                         n_trials):
+        # one batch per sweep must not change any grid point
+        custom = random_povm(np.random.default_rng(7), 2, 5)
         config = SweepConfig(scheme=scheme, radii=(0.0, 0.4, 0.8),
-                             n_copies=300, n_trials=4, seed=9,
-                             direction=(1.0, -1.0, 0.5), estimator=estimator)
-        p = scheme_povm(scheme)
+                             n_copies=300, n_trials=n_trials, seed=seed,
+                             direction=(1.0, -1.0, 0.5), estimator=estimator,
+                             povm=custom)
+        p = scheme_povm(scheme, custom)
         for idx, row in enumerate(sweep(config)):
             bloch = tuple(row["s"] * np.asarray(config.direction))
             sim = run_simulation(SimConfig(
-                scheme=scheme, bloch=bloch, n_copies=300, n_trials=4,
-                seed=9 + 99991 * idx, estimator=estimator))
+                scheme=scheme, bloch=bloch, n_copies=300, n_trials=n_trials,
+                seed=seed + 99991 * idx, estimator=estimator, povm=custom))
+            if n_trials == 1:
+                assert sim.mse_stderr == sim.msb_stderr == 0.0
             par = BlochQubit(bloch)
             assert row == {
                 "s": row["s"], "scheme": scheme,
