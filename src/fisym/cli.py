@@ -32,7 +32,9 @@ def _emit(obj) -> None:
 
 
 def _load(path) -> dict:
-    if not os.path.exists(path):
+    # a config's "povm" may be any JSON value; an int would name a file
+    # descriptor, which open() would read and then close
+    if not isinstance(path, str) or not os.path.exists(path):
         raise UsageError(f"no such file: {path}")
     try:
         return opfile.load_json(path)
@@ -166,7 +168,7 @@ def _povm_from_files(construct, *paths) -> dict:
 def cmd_build(args) -> int:
     name = args.name
     if name in povm.NAMED_POVMS:
-        obj = opfile.povm_to_obj(povm.NAMED_POVMS[name]())
+        obj = opfile.povm_to_obj(povm.NAMED_POVMS[name])
     elif name == "sic-qubit":
         obj = opfile.state_set_to_obj(designs.sic_qubit())
     elif name == "sic-d3":
@@ -195,7 +197,7 @@ def cmd_build(args) -> int:
 
 def _resolve_povm(spec: str) -> povm.Povm:
     if spec in povm.NAMED_POVMS:
-        return povm.NAMED_POVMS[spec]()
+        return povm.NAMED_POVMS[spec]
     if os.path.exists(spec):
         try:
             return opfile.obj_to_povm(_load(spec))
@@ -226,16 +228,7 @@ def _parse_state(spec: str) -> states.DensityMatrix:
         return states.DensityMatrix.from_pure(states.PureState(v / norm))
     path = spec[len("file:"):] if spec.startswith("file:") else spec
     if os.path.exists(path):
-        obj = _load(path)
-        dim, copies, subspace = opfile._header(obj)
-        if copies != 1 or subspace is not None or len(obj["elements"]) != 1:
-            raise ValueError("a state file is an operator file with copies 1 "
-                             "and exactly one element")
-        m = opfile._field(obj["elements"][0], "matrix", opfile.json_to_matrix)
-        if len(m) != dim:
-            raise ValueError(f"header dim {dim} does not match the "
-                             f"{len(m)} x {len(m)} matrix")
-        return states.DensityMatrix(m)
+        return opfile.obj_to_density(_load(path))
     raise UsageError("state must be 'bloch:x,y,z', 'pure:a0,a1,...', or a "
                      "density-matrix file")
 
@@ -281,40 +274,26 @@ def cmd_fisher(args) -> int:
 
 # -------------------------------------------------------------- simulate
 
-def _sim_config(obj, for_sweep: bool) -> dict:
-    if not isinstance(obj, dict):
-        raise UsageError("config must be a JSON object")
-    required = ["scheme", "n_copies", "n_trials", "seed"]
-    required.append("radii" if for_sweep else "bloch")
-    for key in required:
-        if key not in obj:
-            raise UsageError(f"config is missing the required {key!r} field")
-    kwargs = {
-        "scheme": obj["scheme"],
-        "n_copies": opfile._integer(obj["n_copies"]),
-        "n_trials": opfile._integer(obj["n_trials"]),
-        "seed": opfile._integer(obj["seed"]),
-        "estimator": obj.get("estimator", "mle"),
-    }
-    if "interior_clip" in obj:
-        kwargs["interior_clip"] = float(obj["interior_clip"])
-    if obj.get("povm"):
-        kwargs["povm"] = opfile.obj_to_povm(_load(obj["povm"]))
-    if for_sweep:
-        kwargs["radii"] = tuple(float(x) for x in obj["radii"])
-        if "direction" in obj:
-            kwargs["direction"] = tuple(float(x) for x in obj["direction"])
-    else:
-        kwargs["bloch"] = tuple(float(x) for x in obj["bloch"])
-    return kwargs
+def _run_config(cls, path, what: str):
+    """``cls(**obj)`` for the JSON object in the config file ``path``, its
+    ``povm`` operator-file path replaced by the POVM it holds.  A config
+    that the dataclass or the operator file rejects is a usage error."""
+    obj = _load(path)
+    try:
+        if not isinstance(obj, dict):
+            raise TypeError("config must be a JSON object")
+        if "povm" in obj:
+            if obj.get("scheme") != "custom":
+                raise ValueError('a "povm" file is read only with "scheme": '
+                                 '"custom"')
+            obj = {**obj, "povm": opfile.obj_to_povm(_load(obj["povm"]))}
+        return cls(**obj)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"bad {what} config: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
-    obj = _load(args.config)
-    try:
-        config = tomosim.SimConfig(**_sim_config(obj, for_sweep=False))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bad simulation config: {exc}") from exc
+    config = _run_config(tomosim.SimConfig, args.config, "simulation")
     out = tomosim.run_simulation(config).to_dict()
     if args.out:
         opfile.save_json(out, args.out)
@@ -323,11 +302,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    obj = _load(args.config)
-    try:
-        config = tomosim.SweepConfig(**_sim_config(obj, for_sweep=True))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bad sweep config: {exc}") from exc
+    config = _run_config(tomosim.SweepConfig, args.config, "sweep")
     rows = tomosim.sweep(config)
     tomosim.write_sweep_csv(rows, args.out)
     sys.stderr.write(f"wrote {len(rows)} rows to {args.out}\n")
@@ -406,6 +381,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, np.linalg.LinAlgError, FloatingPointError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
+        return 3
+    except MemoryError as exc:
+        sys.stderr.write(f"out of memory: {exc}\n")
         return 3
 
 

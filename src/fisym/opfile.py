@@ -1,6 +1,6 @@
 """JSON operator files.
 
-One format stores POVMs, weighted state sets, and operator sets:
+One format stores POVMs, weighted state sets, operator sets and states:
 
     {
       "dim": 2,                 base dimension d
@@ -18,6 +18,10 @@ operators.  Floats are serialized with ``repr``, so export -> import ->
 export is byte identical for POVMs and operator sets.  A state set is
 read back as the eigenvectors of its projectors, so its second export
 has the same weights and matrices equal to rounding.
+
+A state file holds one density matrix: copies 1, no subspace, and
+exactly one element.  :func:`obj_to_density` reads it; this module is
+the only reader of the format.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 from . import _tol, matcore
 from .designs import OperatorSet, WeightedStateSet
 from .povm import Povm
+from .states import DensityMatrix
 
 __all__ = [
     "matrix_to_json",
@@ -39,6 +44,7 @@ __all__ = [
     "obj_to_state_set",
     "operator_set_to_obj",
     "obj_to_operator_set",
+    "obj_to_density",
     "save_json",
     "load_json",
 ]
@@ -77,9 +83,11 @@ def _field(entry, key: str, convert):
 
 
 def _integer(x) -> int:
-    """int(x), except that a number with a fractional part (or NaN or an
-    infinity) raises ValueError instead of being truncated."""
-    if isinstance(x, float) and not x.is_integer():
+    """A JSON integer as an int: an int that is not a bool, or a float
+    with no fractional part.  Anything else (a bool, a string, a
+    fraction, NaN or an infinity) raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or (
+            isinstance(x, float) and not x.is_integer()):
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
 
@@ -168,6 +176,18 @@ def obj_to_operator_set(obj) -> OperatorSet:
         raise ValueError(f"header dim {dim} and copies {copies} do not match "
                          f"{ops.dim}-dimensional operators")
     return ops
+
+
+def obj_to_density(obj) -> DensityMatrix:
+    dim, copies, subspace = _header(obj)
+    if copies != 1 or subspace is not None or len(obj["elements"]) != 1:
+        raise ValueError("a state file is an operator file with copies 1 "
+                         "and exactly one element")
+    m = _field(obj["elements"][0], "matrix", json_to_matrix)
+    if len(m) != dim:
+        raise ValueError(f"header dim {dim} does not match the "
+                         f"{len(m)} x {len(m)} matrix")
+    return DensityMatrix(m)
 
 
 def save_json(obj: dict, path) -> None:

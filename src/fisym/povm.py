@@ -211,12 +211,13 @@ def great_circle_qubit() -> Povm:
 
 
 # The paper's named measurements; ``fisym build``, ``fisym fisher --povm``
-# and the tomography schemes all resolve these names here.
+# and the tomography schemes all resolve these names here.  Each is built
+# once: a Povm is frozen and its elements are read-only, so callers share it.
 NAMED_POVMS = {
-    "collective-sic": collective_sic_qubit,
-    "sic-single": lambda: _rank_one_povm(sic_qubit()),
-    "mub-single": lambda: _rank_one_povm(mub_state_set(2)),
-    "great-circle": great_circle_qubit,
+    "collective-sic": collective_sic_qubit(),
+    "sic-single": _rank_one_povm(sic_qubit()),
+    "mub-single": _rank_one_povm(mub_state_set(2)),
+    "great-circle": great_circle_qubit(),
 }
 
 

@@ -93,8 +93,8 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
-    def is_pure(self, tol: float = _tol.RANK_TOL) -> bool:
-        return self.purity() >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity() >= 1.0 - _tol.RANK_TOL
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix).min())

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import _tol
 from .fisher import _accumulate, _probs_and_grads, outcome_probs
+from .opfile import _integer
 from .povm import NAMED_POVMS, Povm, classify_coherent
 from .states import (
     _PAULI,
@@ -66,7 +67,12 @@ _MLE_GRAD_TOL = 1e-10
 
 
 def _validate_run(config) -> None:
-    """Checks shared by :class:`SimConfig` and :class:`SweepConfig`."""
+    """Checks shared by :class:`SimConfig` and :class:`SweepConfig`.
+    ``n_copies``, ``n_trials`` and ``seed`` become ints; a value that is
+    not a JSON integer (a bool, a string, a fraction) raises ValueError."""
+    config.n_copies = _integer(config.n_copies)
+    config.n_trials = _integer(config.n_trials)
+    config.seed = _integer(config.seed)
     if config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}; choose from "
                          f"{SCHEMES}")
@@ -86,7 +92,8 @@ def _validate_run(config) -> None:
 
 @dataclass
 class SimConfig:
-    """One Monte Carlo experiment.
+    """One Monte Carlo experiment; its fields are the keys of a
+    ``fisym simulate`` config file.
 
     ``n_copies`` is the total number of input copies per trial; it must be
     divisible by the POVM's copy count.  ``interior_clip`` bounds estimate
@@ -148,7 +155,7 @@ def scheme_povm(scheme: str, custom: Povm | None = None) -> Povm:
         return custom
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return NAMED_POVMS[scheme]()
+    return NAMED_POVMS[scheme]
 
 
 # B_m = (1, sigma_x, sigma_y, sigma_z)/2, so rho(s) = sum_m shat_m B_m with
@@ -514,7 +521,8 @@ def asymptotic_metrics(param: Parametrization, p: Povm, weight="hs") -> float:
 
 @dataclass
 class SweepConfig:
-    """Bloch-radius sweep of one scheme at fixed direction."""
+    """Bloch-radius sweep of one scheme at fixed direction; its fields
+    are the keys of a ``fisym sweep`` config file."""
 
     scheme: str
     radii: tuple

@@ -207,6 +207,7 @@ def test_criterion_06_minimal_tight_coherent_d3():
     budget(6, start, 5.0)
 
 
+@pytest.mark.slow
 def test_criterion_07_monte_carlo_efficiencies():
     start = time.monotonic()
     checks = []

@@ -144,7 +144,7 @@ def _sic_ops():
 # name -> array a validated type keeps after its check
 CHECKED = {
     "DensityMatrix.matrix": lambda: density_from_bloch([0.1, 0, 0]).matrix,
-    "Povm.elements": lambda: NAMED_POVMS["sic-single"]().elements,
+    "Povm.elements": lambda: NAMED_POVMS["sic-single"].elements,
     "OperatorSet.elements": lambda: _sic_ops().elements,
     "OperatorSet.subset": lambda: _sic_ops().subset([True, False] * 2).elements,
     "WeightedStateSet.vectors": lambda: sic_qubit().vectors,
@@ -161,7 +161,7 @@ def test_checked_arrays_are_read_only(name):
 
 
 def test_povm_is_frozen():
-    p = NAMED_POVMS["sic-single"]()
+    p = NAMED_POVMS["sic-single"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.elements = np.zeros_like(p.elements)
 

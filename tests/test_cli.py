@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fisym
 from fisym.cli import main
 from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
 from fisym.opfile import (load_json, operator_set_to_obj, save_json,
@@ -437,7 +441,11 @@ class TestSimulateCommand:
                                      {"bloch": [float("nan"), 0.0, 0.0]},
                                      {"bloch": [2.0, 0.0, 0.0]},
                                      {"n_copies": 300.7}, {"seed": 1.5},
-                                     {"n_trials": 5.5}])
+                                     {"n_trials": 5.5}, {"seed": True},
+                                     {"n_trials": "3"},
+                                     {"estimater": "linear"},
+                                     {"radii": [0.5]},
+                                     {"interior_clip": "0.5"}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         config = self.write_config(tmp_path, **bad)
         code, _, err = run(capsys, "simulate", "--config", config)
@@ -456,6 +464,60 @@ class TestSimulateCommand:
                                    n_copies=301)
         code, _, err = run(capsys, "simulate", "--config", config)
         assert code == 3
+
+    def test_oversized_run_is_numerical_failure(self, capsys, tmp_path):
+        # 10**15 trials ask for petabytes, so the first allocation fails
+        config = self.write_config(tmp_path, n_trials=10 ** 15,
+                                   estimator="linear")
+        code, out, err = run(capsys, "simulate", "--config", config)
+        assert code == 3
+        assert out is None
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("estimator", ["linear", "mle"])
+    def test_custom_povm_file_gives_the_named_run(self, capsys, tmp_path,
+                                                  estimator):
+        path = str(tmp_path / "sic.json")
+        run(capsys, "build", "sic-single", "--out", path)
+        named = run(capsys, "simulate", "--config", self.write_config(
+            tmp_path, estimator=estimator))[1]
+        custom = run(capsys, "simulate", "--config", self.write_config(
+            tmp_path, estimator=estimator, scheme="custom", povm=path))[1]
+        assert (named.pop("scheme"), custom.pop("scheme")) == (
+            "sic-single", "custom")
+        assert custom == named
+
+    def test_povm_must_be_a_path(self, tmp_path):
+        # an int names a file descriptor; reading fd 2 would close the
+        # run's stderr, so this runs in its own process
+        config = self.write_config(tmp_path, scheme="custom", povm=2)
+        src = os.path.dirname(os.path.dirname(fisym.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fisym.cli", "simulate", "--config",
+             config], stdin=subprocess.DEVNULL, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 2
+        assert "no such file: 2" in proc.stderr
+
+    def test_povm_file_needs_custom_scheme(self, capsys, tmp_path):
+        path = str(tmp_path / "sic.json")
+        run(capsys, "build", "sic-single", "--out", path)
+        config = self.write_config(tmp_path, povm=path)
+        code, _, err = run(capsys, "simulate", "--config", config)
+        assert code == 2
+        assert "bad simulation config" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("content", ['"povm"', '["povm"]', "null"])
+def test_config_must_be_an_object(capsys, tmp_path, command, content):
+    # a JSON string may hold "povm", but it is no config
+    config = tmp_path / "config.json"
+    config.write_text(content)
+    code, _, err = run(capsys, command, "--config", str(config), "--out",
+                       str(tmp_path / "out"))
+    assert code == 2
+    assert "JSON object" in err
 
 
 class TestSweepCommand:
@@ -480,7 +542,9 @@ class TestSweepCommand:
                                      {"seed": -1},
                                      {"radii": [float("nan")]},
                                      {"n_copies": 200.5}, {"seed": 5.5},
-                                     {"n_trials": 3.5}])
+                                     {"n_trials": 3.5}, {"n_copies": True},
+                                     {"seed": "5"},
+                                     {"bloch": [0.5, 0.0, 0.0]}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         obj = {"scheme": "collective-sic", "radii": [0.0, 0.5],
                "n_copies": 200, "n_trials": 3, "seed": 5}
@@ -488,6 +552,19 @@ class TestSweepCommand:
         config = str(tmp_path / "sweep.json")
         with open(config, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
+        code, _, err = run(capsys, "sweep", "--config", config, "--out",
+                           str(tmp_path / "rows.csv"))
+        assert code == 2
+        assert "bad sweep config" in err
+
+    def test_povm_file_needs_custom_scheme(self, capsys, tmp_path):
+        path = str(tmp_path / "coll.json")
+        run(capsys, "build", "collective-sic", "--out", path)
+        config = str(tmp_path / "sweep.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"scheme": "collective-sic", "radii": [0.0, 0.5],
+                       "n_copies": 200, "n_trials": 3, "seed": 5,
+                       "povm": path}, fh)
         code, _, err = run(capsys, "sweep", "--config", config, "--out",
                            str(tmp_path / "rows.csv"))
         assert code == 2

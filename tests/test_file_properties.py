@@ -2,7 +2,8 @@
 
 The loaders read JSON from outside the program.  Whatever a file holds,
 they return an object or raise ``ValueError``, which ``fisym verify``
-reports as a failed check; no other exception may escape.  Files are
+reports as a failed check and ``fisym fisher --state`` as a usage error;
+no other exception may escape.  Files are
 fuzzed by replacing or deleting nodes of valid files.
 
 Writing a file, loading it and writing the result again reproduces the
@@ -25,6 +26,8 @@ from fisym.designs import OperatorSet, WeightedStateSet, sic_d3, sic_qubit
 from fisym.matcore import mat_power
 from fisym.opfile import (
     load_json,
+    matrix_to_json,
+    obj_to_density,
     obj_to_operator_set,
     obj_to_povm,
     obj_to_state_set,
@@ -40,8 +43,11 @@ VALID = (
     povm_to_obj(twocopy_design_povm(sic_qubit())),
     state_set_to_obj(sic_d3(0.1)),
     operator_set_to_obj(OperatorSet(tuple(sic_qubit().projectors()))),
+    {"dim": 2, "copies": 1,
+     "elements": [{"matrix": matrix_to_json(np.diag([0.75, 0.25]))}]},
 )
-LOADERS = (obj_to_povm, obj_to_state_set, obj_to_operator_set)
+LOADERS = (obj_to_povm, obj_to_state_set, obj_to_operator_set,
+           obj_to_density)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()

@@ -55,13 +55,19 @@ class TestPovmFiles:
             obj_to_povm(obj)
 
     @pytest.mark.parametrize("field", ["dim", "copies"])
-    @pytest.mark.parametrize("value", [None, [2], "two", float("inf"), 2.5])
+    @pytest.mark.parametrize("value", [None, [2], "two", float("inf"), 2.5,
+                                       "2", True])
     def test_bad_header_value_rejected(self, field, value):
-        obj = povm_to_obj(collective_sic_qubit())
-        obj[field] = value
-        for load in (obj_to_povm, obj_to_operator_set):
-            with pytest.raises(ValueError):
-                load(obj)
+        # a two-copy POVM file and a single-copy state-set file
+        for obj, loaders in [
+                (povm_to_obj(collective_sic_qubit()),
+                 (obj_to_povm, obj_to_operator_set)),
+                (state_set_to_obj(sic_qubit()),
+                 (obj_to_state_set, obj_to_operator_set))]:
+            obj[field] = value
+            for load in loaders:
+                with pytest.raises(ValueError):
+                    load(obj)
 
     def test_integral_float_header_accepted(self):
         p = collective_sic_qubit()
