@@ -5,7 +5,8 @@ constructions to operator files), fisher (information report for a
 state/POVM pair), simulate (Monte Carlo run), sweep (radius grid to CSV).
 
 Exit codes: 0 success / check passed, 1 check failed, 2 usage or parse
-error, 3 numerical failure.
+error, 3 numerical failure, 141 standard output closed by its reader
+(128 + SIGPIPE, as a shell reports a process that a closed pipe ended).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ class UsageError(Exception):
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=1)
     sys.stdout.write("\n")
+    # a reader that closed the pipe shows here, inside main, not at exit
+    sys.stdout.flush()
 
 
 def _load(path) -> dict:
@@ -249,7 +252,7 @@ def _choose_param(rho: states.DensityMatrix, choice: str) -> states.Parametrizat
     if choice == "bloch":
         if rho.dim != 2:
             raise UsageError("the Bloch chart is for qubits")
-        return states.BlochQubit(states.bloch_from_density(rho))
+        return states.BlochQubit.from_density(rho)
     if choice == "affine":
         return states.AffineMixed(rho)
     raise UsageError(f"unknown parametrization {choice!r}")
@@ -385,6 +388,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         sys.stderr.write(f"out of memory: {exc}\n")
         return 3
+    except BrokenPipeError:
+        # the reader of stdout is gone; send what is left to devnull, so
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -61,10 +61,15 @@ def _probs_and_grads(
         ops = (x + x.transpose(0, 2, 1, 4, 3)).reshape(len(ops), p.dim, p.dim)
         ops[0] *= 0.5
     vals = np.einsum("aij,kji->ka", ops, p.elements).real
-    probs = vals[:, 0]
+    return _nonnegative(vals[:, 0]), vals[:, 1:]
+
+
+def _nonnegative(probs: np.ndarray) -> np.ndarray:
+    """Outcome probabilities, of any shape, clipped at zero.  One below
+    -``_tol.NEG_PROB_TOL`` signals an invalid POVM/state pair and raises."""
     if probs.min() < -_tol.NEG_PROB_TOL:
         raise ValueError(f"negative outcome probability {probs.min():.3e}")
-    return np.clip(probs, 0.0, None), vals[:, 1:]
+    return np.clip(probs, 0.0, None)
 
 
 def outcome_probs(rho: DensityMatrix, p: Povm) -> np.ndarray:

@@ -92,6 +92,14 @@ def _integer(x) -> int:
     return int(x)
 
 
+def _number(x) -> float:
+    """A JSON number as a float: an int or a float that is not a bool.
+    Anything else (a bool, a string, null, a list) raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{x!r} is not a number")
+    return float(x)
+
+
 def _header(obj) -> tuple[int, int, str | None]:
     if not isinstance(obj, dict):
         raise ValueError("operator file must contain a JSON object")

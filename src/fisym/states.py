@@ -243,6 +243,19 @@ class PureCanonical(Parametrization):
         return out
 
 
+def _tangent_stack(ops) -> np.ndarray:
+    """``ops`` as a stack of finite Hermitian matrices, checked traceless."""
+    ops = matcore.require_hermitian(ops)
+    if np.any(np.abs(np.trace(ops, axis1=-2, axis2=-1)) > _tol.TRACE_TOL):
+        raise ValueError("tangent operators must be traceless")
+    return ops
+
+
+# the tangents σ/2 of every BlochQubit, checked once
+_HALF_PAULI = _tangent_stack(0.5 * np.array(_PAULI))
+_HALF_PAULI.flags.writeable = False
+
+
 class AffineMixed(Parametrization):
     """Affine chart rho(theta) = rho0 + sum_a theta_a E_a.
 
@@ -278,22 +291,23 @@ class BlochQubit(AffineMixed):
     """Qubit chart rho(theta) = (1 + (s0 + theta)·σ)/2.
 
     It is the affine chart at ``density_from_bloch(s0)`` with the tangents
-    σ/2, so rho(theta) is the affine sum; ``s0`` keeps the Bloch vector of
-    the base state.
+    σ/2, so rho(theta) is the affine sum.  Every chart shares one
+    read-only σ/2 stack, checked once when the module loads.
     """
 
+    dim, n_params, basis = 2, 3, _HALF_PAULI
+
     def __init__(self, s0):
-        self.s0 = np.asarray(s0, dtype=float).reshape(3)
-        super().__init__(density_from_bloch(self.s0),
-                         [0.5 * p for p in _PAULI])
+        self.base_state = density_from_bloch(s0)
 
-
-def _tangent_stack(ops) -> np.ndarray:
-    """``ops`` as a stack of finite Hermitian matrices, checked traceless."""
-    ops = matcore.require_hermitian(ops)
-    if np.any(np.abs(np.trace(ops, axis1=-2, axis2=-1)) > _tol.TRACE_TOL):
-        raise ValueError("tangent operators must be traceless")
-    return ops
+    @classmethod
+    def from_density(cls, rho: DensityMatrix) -> "BlochQubit":
+        """The chart at the qubit state rho, which is used as it is."""
+        if rho.dim != 2:
+            raise ValueError("the Bloch chart is for qubits")
+        chart = cls.__new__(cls)
+        chart.base_state = rho
+        return chart
 
 
 def tangent_ops(param: Parametrization) -> np.ndarray:

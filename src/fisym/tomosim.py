@@ -8,7 +8,9 @@ estimates the state per trial, and reports scaled error metrics
 
 where N counts input copies (a two-copy scheme performs N/2 measurements).
 Asymptotically these approach t * tr(W I^{-1}) with W the matching weight
-matrix, which is what :func:`asymptotic_metrics` evaluates.
+matrix, which is what :func:`asymptotic_metrics` evaluates for any chart.
+A sweep evaluates it for its whole grid at once, from the POVM's
+Pauli-basis model and the closed-form Bures weight of the Bloch chart.
 
 Trial RNG streams are keyed by (seed, trial index), so results are
 reproducible and independent of execution order: trial i draws from the
@@ -28,13 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _tol
-from .fisher import _accumulate, _probs_and_grads, outcome_probs
-from .opfile import _integer
+from .fisher import _accumulate, _nonnegative, _probs_and_grads, outcome_probs
+from .opfile import _integer, _number
 from .povm import NAMED_POVMS, Povm, classify_coherent
 from .states import (
     _PAULI,
     _bloch_vector,
-    BlochQubit,
     DensityMatrix,
     Parametrization,
     _qfi,
@@ -68,11 +69,14 @@ _MLE_GRAD_TOL = 1e-10
 
 def _validate_run(config) -> None:
     """Checks shared by :class:`SimConfig` and :class:`SweepConfig`.
-    ``n_copies``, ``n_trials`` and ``seed`` become ints; a value that is
-    not a JSON integer (a bool, a string, a fraction) raises ValueError."""
+    ``n_copies``, ``n_trials`` and ``seed`` become ints and
+    ``interior_clip`` a float; a value that is not a JSON integer (a
+    bool, a string, a fraction), or for the clip a JSON number, raises
+    ValueError."""
     config.n_copies = _integer(config.n_copies)
     config.n_trials = _integer(config.n_trials)
     config.seed = _integer(config.seed)
+    config.interior_clip = _number(config.interior_clip)
     if config.scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {config.scheme!r}; choose from "
                          f"{SCHEMES}")
@@ -111,7 +115,8 @@ class SimConfig:
 
     def __post_init__(self):
         _validate_run(self)
-        self.bloch = tuple(float(x) for x in _bloch_vector(self.bloch))
+        self.bloch = tuple(float(x) for x in _bloch_vector(
+            [_number(x) for x in self.bloch]))
 
 
 @dataclass
@@ -407,8 +412,8 @@ def estimate_mle_qubit(
 
 
 def _simulate(setup: _Scheme, config, points) -> list[dict]:
-    """Monte Carlo runs at the base states of the Bloch charts in
-    ``points``, a list of (chart, seed) pairs, as one batch.
+    """Monte Carlo runs at the states of ``points``, a list of
+    (Bloch vector, seed) pairs, as one batch.
 
     Trial i at a point draws its counts from the RNG stream keyed by that
     point's (seed, i), seeded from :func:`_streams.stream_states`, which
@@ -417,8 +422,8 @@ def _simulate(setup: _Scheme, config, points) -> list[dict]:
     :func:`_estimate` call inverts (one least-squares solve; the MLE runs
     per trial), and the metrics are reduced along the trial axis of
     (points, trials) arrays.  Each point's sampling probabilities come
-    from its chart's base state, and its estimates are scored against the
-    chart's Bloch vector ``par.s0``.  ``config`` (a :class:`SimConfig` or
+    from ``density_from_bloch`` of its vector, and its estimates are
+    scored against that vector.  ``config`` (a :class:`SimConfig` or
     :class:`SweepConfig`) gives the copies, trials and clip.  Returns, per
     point, the fields of :class:`SimResult` other than ``config``.
     """
@@ -427,7 +432,7 @@ def _simulate(setup: _Scheme, config, points) -> list[dict]:
     if config.n_copies < t or config.n_copies % t != 0:
         raise ValueError(f"n_copies must be a positive multiple of {t}")
     n_meas = config.n_copies // t
-    probs = [_sampling_probs(par.base(), p) for par, _ in points]
+    probs = [_sampling_probs(density_from_bloch(s), p) for s, _ in points]
 
     # numpy.random is imported on the first draw, not with fisym
     from ._streams import seeded_rng, stream_states
@@ -445,7 +450,7 @@ def _simulate(setup: _Scheme, config, points) -> list[dict]:
         raise ValueError("an estimate is not a finite Bloch vector in the "
                          "unit ball")
 
-    s0 = np.array([par.s0 for par, _ in points])[:, None, :]
+    s0 = np.array([s for s, _ in points])[:, None, :]
     hs2 = 0.5 * np.sum((s_hat - s0) ** 2, axis=-1)
     fid = qubit_fidelity(s0, s_hat)
     bures2 = np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0)
@@ -480,43 +485,74 @@ def run_simulation(config: SimConfig) -> SimResult:
     """
     setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
                           config.estimator)
-    point = (BlochQubit(config.bloch), config.seed)
+    point = (np.array(config.bloch), config.seed)
     return SimResult(config=config, **_simulate(setup, config, [point])[0])
 
 
-def _asymptotic(param: Parametrization, p: Povm, weights) -> list[float]:
-    """t * tr(W I^{-1}) for each weight, from one set of tangents, one
-    Fisher matrix and one inverse."""
+def _inverse_fisher(i_mats: np.ndarray) -> np.ndarray:
+    """Inverses of a (g, n, n) stack of classical Fisher matrices, each
+    checked nonsingular relative to its largest eigenvalue."""
+    vals = np.linalg.eigvalsh(i_mats)
+    if np.any(vals[:, 0] <= _tol.SINGULAR_I_TOL
+              * np.maximum(1.0, vals[:, -1])):
+        raise ValueError("classical Fisher matrix is singular; the scheme "
+                         "does not identify all parameters here")
+    return np.linalg.inv(i_mats)
+
+
+def asymptotic_metrics(param: Parametrization, p: Povm, weight="hs") -> float:
+    """Asymptotic scaled error t * tr(W I^{-1}) at the basepoint of any
+    chart.
+
+    ``weight`` selects the Hilbert-Schmidt matrix W_ab = tr(t_a t_b)
+    ('hs'), the Bures matrix J/4 ('msb'), or any explicit matrix; only
+    the selected one is computed.  :func:`sweep` evaluates the same
+    quantities for the Bloch chart in closed form.
+    """
     rho = param.base()
     tangents = tangent_ops(param)
     i_mat = _accumulate(*_probs_and_grads(rho, tangents, p),
                         _tol.DROP_THRESHOLD)[0]
-    vals = np.linalg.eigvalsh(i_mat)
-    if vals.min() <= _tol.SINGULAR_I_TOL * max(1.0, vals.max()):
-        raise ValueError("classical Fisher matrix is singular; the scheme "
-                         "does not identify all parameters here")
-    i_inv = np.linalg.inv(i_mat)
-    out = []
-    for weight in weights:
-        if not isinstance(weight, str):
-            w = np.asarray(weight, dtype=float)
-        elif weight == "hs":
-            w = np.einsum("aij,bji->ab", tangents, tangents).real
-        elif weight == "msb":
-            w = _qfi(rho, tangents) / 4.0
-        else:
-            raise ValueError(f"unknown weight {weight!r}")
-        out.append(float(p.copies * np.trace(w @ i_inv)))
-    return out
+    i_inv = _inverse_fisher(i_mat[None])[0]
+    if not isinstance(weight, str):
+        w = np.asarray(weight, dtype=float)
+    elif weight == "hs":
+        w = np.einsum("aij,bji->ab", tangents, tangents).real
+    elif weight == "msb":
+        w = _qfi(rho, tangents) / 4.0
+    else:
+        raise ValueError(f"unknown weight {weight!r}")
+    return float(p.copies * np.trace(w @ i_inv))
 
 
-def asymptotic_metrics(param: Parametrization, p: Povm, weight="hs") -> float:
-    """Asymptotic scaled error t * tr(W I^{-1}).
+def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
+                      copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`asymptotic_metrics` of the Bloch chart with the weights
+    'hs' and 'msb', at every row of a (g, 3) array of Bloch vectors.
 
-    ``weight`` selects the Hilbert-Schmidt matrix W_ab = tr(t_a t_b)
-    ('hs'), the Bures matrix J/4 ('msb'), or any explicit matrix.
+    The chart's tangents are σ/2, along which the model's gradient is
+    L + 2 M s, so each point's I follows from the model alone, by the
+    rule of ``fisher._accumulate``.  The weights are 1/2 and J/4 with
+    J = 1 + s s^T / (1 - |s|^2) (Braunstein and Caves, PRL 72, 3439
+    (1994)).  A state with (1 - |s|)/2 at or below ``_tol.RANK_TOL``
+    counts as pure, where J is undefined, and raises as the SLD solve of
+    the general path does.
     """
-    return _asymptotic(param, p, [weight])[0]
+    probs = _nonnegative(model.c + bloch @ model.lin.T + np.einsum(
+        "kab,ga,gb->gk", model.quad, bloch, bloch))
+    grads = model.lin + 2.0 * np.einsum("kab,gb->gka", model.quad, bloch)
+    i_inv = _inverse_fisher(np.array([
+        _accumulate(pr, gr, _tol.DROP_THRESHOLD)[0]
+        for pr, gr in zip(probs, grads)]))
+    r = np.linalg.norm(bloch, axis=1)
+    if np.any((1.0 - r) / 2.0 <= _tol.RANK_TOL):
+        raise ValueError(f"Bloch radius {r.max()!r} is pure to within "
+                         "the rank tolerance; the Bures weight J/4 is "
+                         "undefined there")
+    tr_inv = np.trace(i_inv, axis1=1, axis2=2)
+    radial = np.einsum("ga,gab,gb->g", bloch, i_inv, bloch)
+    return (copies * tr_inv / 2.0,
+            copies * (tr_inv + radial / (1.0 - r * r)) / 4.0)
 
 
 @dataclass
@@ -536,12 +572,12 @@ class SweepConfig:
 
     def __post_init__(self):
         _validate_run(self)
-        d = np.asarray(self.direction, dtype=float).reshape(3)
+        d = np.array([_number(x) for x in self.direction]).reshape(3)
         r = np.linalg.norm(d)
         if not 0.0 < r < np.inf:
             raise ValueError("direction must be a finite nonzero vector")
         self.direction = tuple(d / r)
-        radii = tuple(float(s) for s in self.radii)
+        radii = tuple(_number(s) for s in self.radii)
         if not radii:
             raise ValueError("need at least one radius")
         if not all(0.0 <= s < 1.0 for s in radii):
@@ -562,33 +598,30 @@ def sweep(config: SweepConfig) -> list[dict]:
     scaled Monte Carlo errors next to the asymptotic values
     t * tr(W I^{-1}).  The scheme is set up once for the whole grid, and
     the whole grid is one Monte Carlo batch (:func:`_simulate`): one
-    count matrix for every point and trial and one estimate pass.  Each
-    point builds its Bloch chart once: the chart's base state is the
-    state sampled and the chart gives the analytic columns.  With the
-    sampling batched, the per-point chart set-up and :func:`_asymptotic`
-    take more of a linear sweep's time than the batch, and
-    :func:`write_sweep_csv` a further share.
+    count matrix for every point and trial and one estimate pass.  The
+    analytic columns come from the scheme's Pauli model for the whole
+    grid at once (:func:`_analytic_columns`), with one batched
+    singular-I check and one batched inverse; they equal
+    :func:`asymptotic_metrics` of the point's :class:`BlochQubit` chart
+    to rounding.
     """
     setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
                           config.estimator)
-    charts = [BlochQubit(s * np.asarray(config.direction))
-              for s in config.radii]
-    sims = _simulate(setup, config, [(par, config.seed + 99991 * idx)
-                                     for idx, par in enumerate(charts)])
-    rows = []
-    for s, par, sim in zip(config.radii, charts, sims):
-        mse, msb = _asymptotic(par, setup.povm, ["hs", "msb"])
-        rows.append({
-            "s": s,
-            "scheme": config.scheme,
-            "scaled_mse": sim["scaled_mse"],
-            "mse_stderr": sim["mse_stderr"],
-            "scaled_msb": sim["scaled_msb"],
-            "msb_stderr": sim["msb_stderr"],
-            "analytic_mse": mse,
-            "analytic_msb": msb,
-        })
-    return rows
+    bloch = np.outer(config.radii, config.direction)
+    sims = _simulate(setup, config, [(s, config.seed + 99991 * idx)
+                                     for idx, s in enumerate(bloch)])
+    mse, msb = _analytic_columns(setup.model or _quad_model(setup.povm),
+                                 bloch, setup.povm.copies)
+    return [{
+        "s": s,
+        "scheme": config.scheme,
+        "scaled_mse": sim["scaled_mse"],
+        "mse_stderr": sim["mse_stderr"],
+        "scaled_msb": sim["scaled_msb"],
+        "msb_stderr": sim["msb_stderr"],
+        "analytic_mse": float(m),
+        "analytic_msb": float(b),
+    } for s, sim, m, b in zip(config.radii, sims, mse, msb)]
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fisym
+from fisym import states
 from fisym.cli import main
 from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
 from fisym.opfile import (load_json, operator_set_to_obj, save_json,
@@ -282,6 +283,18 @@ class TestFisherCommand:
         assert report["gm"]["verdict"] == "equality"
         assert report["symmetry"]["verdict"] == "fisher-symmetric"
 
+    @pytest.mark.parametrize("param", ["auto", "bloch"])
+    def test_bloch_state_built_once(self, capsys, monkeypatch, param):
+        built = []
+        monkeypatch.setattr(states, "density_from_bloch",
+                            lambda s, make=states.density_from_bloch:
+                            built.append(s) or make(s))
+        code, report, _ = run(capsys, "fisher", "--povm", "collective-sic",
+                              "--state", "bloch:0.5,0.1,0", "--param", param)
+        assert code == 0
+        assert len(built) == 1
+        assert report["gm"]["verdict"] == "equality"
+
     def test_pure_state_spec(self, capsys):
         code, report, _ = run(capsys, "fisher", "--povm", "great-circle",
                               "--state", "pure:1,1")
@@ -445,7 +458,9 @@ class TestSimulateCommand:
                                      {"n_trials": "3"},
                                      {"estimater": "linear"},
                                      {"radii": [0.5]},
-                                     {"interior_clip": "0.5"}])
+                                     {"interior_clip": "0.5"},
+                                     {"bloch": ["0.5", 0, 0]},
+                                     {"bloch": [True, 0, 0]}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         config = self.write_config(tmp_path, **bad)
         code, _, err = run(capsys, "simulate", "--config", config)
@@ -499,6 +514,20 @@ class TestSimulateCommand:
         assert proc.returncode == 2
         assert "no such file: 2" in proc.stderr
 
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the reader closes the pipe before the result is written, as
+        # `fisym simulate ... | head -2` does on a longer output
+        config = self.write_config(tmp_path, estimator="linear")
+        src = os.path.dirname(os.path.dirname(fisym.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fisym.cli", "simulate", "--config",
+             config], stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_povm_file_needs_custom_scheme(self, capsys, tmp_path):
         path = str(tmp_path / "sic.json")
         run(capsys, "build", "sic-single", "--out", path)
@@ -544,7 +573,11 @@ class TestSweepCommand:
                                      {"n_copies": 200.5}, {"seed": 5.5},
                                      {"n_trials": 3.5}, {"n_copies": True},
                                      {"seed": "5"},
-                                     {"bloch": [0.5, 0.0, 0.0]}])
+                                     {"bloch": [0.5, 0.0, 0.0]},
+                                     {"radii": ["0.5"]},
+                                     {"radii": [False, 0.5]},
+                                     {"direction": ["1", 0, "0"]},
+                                     {"direction": [True, 0, 0]}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         obj = {"scheme": "collective-sic", "radii": [0.0, 0.5],
                "n_copies": 200, "n_trials": 3, "seed": 5}
@@ -556,6 +589,17 @@ class TestSweepCommand:
                            str(tmp_path / "rows.csv"))
         assert code == 2
         assert "bad sweep config" in err
+
+    def test_near_pure_radius_is_numerical_failure(self, capsys, tmp_path):
+        config = str(tmp_path / "sweep.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"scheme": "sic-single", "radii": [0.5, 1.0 - 1e-10],
+                       "n_copies": 200, "n_trials": 3, "seed": 5,
+                       "estimator": "linear"}, fh)
+        code, _, err = run(capsys, "sweep", "--config", config, "--out",
+                           str(tmp_path / "rows.csv"))
+        assert code == 3
+        assert err.startswith("numerical failure")
 
     def test_povm_file_needs_custom_scheme(self, capsys, tmp_path):
         path = str(tmp_path / "coll.json")

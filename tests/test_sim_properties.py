@@ -16,20 +16,27 @@ The trials draw their counts from the streams of
 ``_streams.stream_states``, a reimplementation of NumPy's SeedSequence
 hash.  It must give NumPy's words and NumPy's draws for any key, whatever
 mix of entropy lengths one batch holds.
+
+A sweep's analytic columns come from the same model for the whole grid
+at once, with the Bures weight in closed form.  They must agree with
+``asymptotic_metrics`` of each point's Bloch chart, or fail as it does.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fisym import _tol
 from fisym._streams import seeded_rng, stream_states
-from fisym.fisher import _probs_and_grads, outcome_probs
+from fisym.fisher import _probs_and_grads, fisher_matrix, outcome_probs
 from fisym.matcore import mat_power
-from fisym.povm import Povm
+from fisym.povm import NAMED_POVMS, Povm
 from fisym.states import (BlochQubit, density_from_bloch, fidelity,
                           qubit_fidelity, tangent_ops)
-from fisym.tomosim import _quad_model
+from fisym.tomosim import (SCHEMES, _analytic_columns, _quad_model,
+                           asymptotic_metrics)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -131,3 +138,66 @@ def test_quad_model_matches_born_rule(p, s):
     _, grads = _probs_and_grads(par.base(), tangent_ops(par), p)
     assert np.max(np.abs(model.probs(s) - outcome_probs(par.base(), p))) <= 1e-12
     assert np.max(np.abs(model.grads(s) - grads)) <= 1e-12
+
+
+@st.composite
+def bloch_grids(draw):
+    """One to four Bloch vectors along one direction, a random one or an
+    axis (where some outcomes of mub-single vanish).  Radii cover the
+    ball and approach the sphere to within 1e-13, through the rank
+    tolerance."""
+    axes = [sign * e for e in np.eye(3) for sign in (1.0, -1.0)]
+    v = draw(st.one_of(hnp.arrays(float, 3, elements=unit),
+                       st.sampled_from(axes)))
+    norm = float(np.linalg.norm(v))
+    direction = np.array([1.0, 0.0, 0.0]) if norm < 1e-3 else v / norm
+    radii = draw(st.lists(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.0, 13.0).map(lambda k: 1.0 - 10.0 ** -k)),
+        min_size=1, max_size=4))
+    return np.outer(radii, direction)
+
+
+def _outcome(f):
+    """f() or the exception it raised; warnings are errors here."""
+    try:
+        return f()
+    except (ValueError, UserWarning) as exc:
+        return exc
+
+
+@settings(max_examples=200)
+@given(p=st.one_of(qubit_povms(),
+                   st.sampled_from([NAMED_POVMS[s] for s in SCHEMES[:-1]])),
+       bloch=bloch_grids())
+# an outcome of probability 6.7e-14 with gradient 1/6: dropped with a
+# regularity warning before the rank check
+@example(p=NAMED_POVMS["mub-single"],
+         bloch=np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -(1.0 - 4e-13)]]))
+def test_analytic_columns_match_asymptotic_metrics(p, bloch):
+    refs = [[_outcome(lambda: asymptotic_metrics(BlochQubit(s), p, w))
+             for w in ("hs", "msb")] for s in bloch]
+    got = _outcome(lambda: _analytic_columns(_quad_model(p), bloch,
+                                             p.copies))
+    if isinstance(got, Exception):
+        raised = {type(r) for row in refs for r in row
+                  if isinstance(r, Exception)}
+        assert type(got) in raised
+        return
+    for s, row, *cols in zip(bloch, refs, *got):
+        # 1 - |s|^2 cancels near the sphere, and J carries its inverse;
+        # the inverse of I turns rounding of I into cond(I) times as much
+        cond = np.linalg.cond(fisher_matrix(BlochQubit(s), p))
+        tol = max(1e-12, 1e-14 / (1.0 - s @ s), 1e-15 * cond)
+        for ref, val in zip(row, cols):
+            if isinstance(ref, Exception):
+                # the general path checks the SLD residual against an
+                # absolute limit, which a full-rank state within about
+                # 2e-7 of the sphere exceeds by rounding; only its Bures
+                # column may fail there, and the batch, whose J is in
+                # closed form, has a value
+                assert ref is row[1] and "sld residual" in str(ref)
+                assert (1.0 - np.linalg.norm(s)) / 2.0 > _tol.RANK_TOL
+                assert 0.0 < val < np.inf
+            else:
+                assert val == pytest.approx(ref, rel=tol)

@@ -165,6 +165,25 @@ class TestParametrizations:
         with pytest.raises(ValueError):
             BlochQubit([0.5, 0.0, 0.0]).density([0.6, 0.0, 0.0])  # radius 1.1
 
+    def test_bloch_charts_share_one_checked_stack(self):
+        a, b = BlochQubit([0.1, 0.2, 0.3]), BlochQubit([0.0, 0.0, 0.0])
+        assert a.basis is b.basis
+        assert not a.basis.flags.writeable
+        assert np.array_equal(a.basis, tangent_ops(b))
+
+    def test_bloch_chart_from_density(self):
+        # the chart at a given state keeps it, and it is the chart at the
+        # state's Bloch vector
+        rho = density_from_bloch([0.1, 0.2, 0.3])
+        chart = BlochQubit.from_density(rho)
+        assert chart.base() is rho
+        assert chart.basis is BlochQubit([0.0, 0.0, 0.0]).basis
+        theta = [0.05, -0.1, 0.2]
+        assert np.array_equal(chart.density(theta).matrix,
+                              BlochQubit([0.1, 0.2, 0.3]).density(theta).matrix)
+        with pytest.raises(ValueError):
+            BlochQubit.from_density(DensityMatrix.maximally_mixed(3))
+
     def test_base_state_is_kept(self, rng):
         # base() returns the state validated at construction, and it equals
         # the chart at theta = 0

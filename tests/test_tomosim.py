@@ -331,13 +331,28 @@ class TestSweep:
             if n_trials == 1:
                 assert sim.mse_stderr == sim.msb_stderr == 0.0
             par = BlochQubit(bloch)
+            # the analytic columns come from the scheme's Pauli model,
+            # the reference from the chart's density matrix: equal to
+            # rounding, not to the bit
             assert row == {
                 "s": row["s"], "scheme": scheme,
                 "scaled_mse": sim.scaled_mse, "mse_stderr": sim.mse_stderr,
                 "scaled_msb": sim.scaled_msb, "msb_stderr": sim.msb_stderr,
-                "analytic_mse": asymptotic_metrics(par, p, "hs"),
-                "analytic_msb": asymptotic_metrics(par, p, "msb"),
+                "analytic_mse": pytest.approx(
+                    asymptotic_metrics(par, p, "hs"), rel=1e-12),
+                "analytic_msb": pytest.approx(
+                    asymptotic_metrics(par, p, "msb"), rel=1e-12),
             }
+
+    @pytest.mark.parametrize("scheme", ["sic-single", "collective-sic"])
+    def test_near_pure_radius_is_numerical_failure(self, scheme):
+        # (1 - r)/2 = 5e-11 is below the rank tolerance: the Bures weight
+        # J/4 of the analytic column is undefined there
+        config = SweepConfig(scheme=scheme, radii=(0.3, 1.0 - 1e-10),
+                             n_copies=100, n_trials=2, seed=1,
+                             estimator="linear")
+        with pytest.raises(ValueError):
+            sweep(config)
 
     def test_direction_normalized(self):
         config = SweepConfig(scheme="sic-single", radii=(0.1,),
