@@ -238,17 +238,12 @@ def _parse_state(spec: str) -> states.DensityMatrix:
 
 def _choose_param(rho: states.DensityMatrix, choice: str) -> states.Parametrization:
     if choice == "auto":
-        if rho.is_pure():
-            choice = "pure"
-        elif rho.dim == 2:
-            choice = "bloch"
-        else:
-            choice = "affine"
+        choice = ("pure" if rho.is_pure() else
+                  "bloch" if rho.dim == 2 else "affine")
     if choice == "pure":
         if not rho.is_pure():
             raise UsageError("the pure-state chart needs a pure state")
-        dec = np.linalg.eigh(rho.matrix)
-        return states.PureCanonical(states.PureState(dec.eigenvectors[:, -1]))
+        return states.PureCanonical(states.PureState(rho.eigenvectors[:, 0]))
     if choice == "bloch":
         if rho.dim != 2:
             raise UsageError("the Bloch chart is for qubits")

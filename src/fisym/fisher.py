@@ -214,9 +214,10 @@ def gm_check(
 ) -> GmVerdict:
     """Evaluate tr(J^{-1} I) and compare with the applicable bound.
 
-    Without an explicit mode, pure basepoints check the N-copy pure-state
-    bound and mixed basepoints the single- or two-copy bound matching the
-    POVM.  Equality holds within ``tol`` times max(1, bound).
+    Without an explicit mode, pure basepoints (by the rank rule of
+    ``DensityMatrix.is_pure``) check the N-copy pure-state bound and mixed
+    basepoints the single- or two-copy bound matching the POVM.  Equality
+    holds within ``tol`` times max(1, bound).
     """
     return fisher_report(param, p, mode=mode, tol=tol).gm
 

@@ -14,10 +14,12 @@ One format stores POVMs, weighted state sets, operator sets and states:
 
 Matrices are nested rows of [re, im] pairs.  ``weight`` appears for state
 sets (whose matrices are the rank-one projectors) and is omitted for raw
-operators.  Floats are serialized with ``repr``, so export -> import ->
-export is byte identical for POVMs and operator sets.  A state set is
-read back as the eigenvectors of its projectors, so its second export
-has the same weights and matrices equal to rounding.
+operators.  Entries and weights are JSON numbers; a string or a boolean
+in their place raises ValueError.  Floats are serialized with ``repr``,
+so export -> import -> export is byte identical for POVMs and operator
+sets.  A state set is read back as the eigenvectors of its projectors,
+so its second export has the same weights and matrices equal to
+rounding.
 
 A state file holds one density matrix: copies 1, no subspace, and
 exactly one element.  :func:`obj_to_density` reads it; this module is
@@ -27,6 +29,7 @@ the only reader of the format.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -56,16 +59,25 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def json_to_matrix(obj) -> np.ndarray:
+    """Complex matrix from nested rows of [re, im] pairs.
+
+    Each part must be a JSON number: an int or a float, not a bool or a
+    string.  The parts are flattened, then checked and converted in one
+    pass, which costs less than converting them pair by pair.
+    """
     try:
-        rows = []
-        for row in obj:
-            rows.append([complex(float(x[0]), float(x[1])) for x in row])
-        m = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError, KeyError,
-            OverflowError) as exc:
+        pairs = list(chain.from_iterable(obj))
+        parts = list(chain.from_iterable(pairs))
+        bad = set(map(type, parts)) - {int, float}
+        if bad:
+            raise ValueError(f"{bad.pop().__name__} is not a number")
+        values = np.array(parts, dtype=float)
+        n = len(obj)
+        if set(map(len, obj)) != {n} or set(map(len, pairs)) != {2}:
+            raise ValueError("the matrix is not n rows of n [re, im] pairs")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix is not square: shape {m.shape}")
+    m = values.view(complex).reshape(n, n)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -158,7 +170,7 @@ def obj_to_state_set(obj) -> WeightedStateSet:
         raise ValueError("a state set is a single-copy object")
     vectors, weights = [], []
     for e in obj["elements"]:
-        weights.append(_field(e, "weight", float))
+        weights.append(_field(e, "weight", _number))
         vectors.append(_vector_from_projector(
             _field(e, "matrix", json_to_matrix)))
     s = WeightedStateSet(np.array(vectors), np.array(weights))

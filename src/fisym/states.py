@@ -8,7 +8,7 @@ matrices in :mod:`fisym.fisher`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,14 +64,21 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Unit-trace positive-semidefinite matrix.
+    """Unit-trace positive-semidefinite matrix and its spectrum.
 
     Construction symmetrizes and validates: one square matrix, finite and
     Hermitian, trace within 1e-10 of 1, eigenvalues in [-1e-10, 1 + 1e-10].
-    The checked matrix is a read-only copy.
+    It decomposes the matrix once and keeps a read-only copy of it with
+    its ``eigenvalues``, in descending order, and the matching columns of
+    ``eigenvectors``.  Every rank decision reads that spectrum and applies
+    one rule, with ``_tol.RANK_TOL``: the state is pure when its largest
+    eigenvalue is at least 1 - RANK_TOL, full rank when its smallest
+    eigenvalue exceeds RANK_TOL, and otherwise rank deficient and mixed.
     """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = matcore.require_hermitian(self.matrix)
@@ -80,11 +87,13 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > _tol.TRACE_TOL:
             raise ValueError(f"trace {tr} is not 1")
-        vals = np.linalg.eigvalsh(m)
-        if vals.min() < -_tol.PSD_TOL or vals.max() > 1.0 + _tol.PSD_TOL:
+        vals, vecs = np.linalg.eigh(m)
+        vals, vecs = vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
+        if vals[-1] < -_tol.PSD_TOL or vals[0] > 1.0 + _tol.PSD_TOL:
             raise ValueError(f"spectrum {vals} is outside [0, 1]")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        for f, a in zip(fields(self), (m, vals, vecs)):
+            a.flags.writeable = False
+            object.__setattr__(self, f.name, a)
 
     @property
     def dim(self) -> int:
@@ -94,10 +103,12 @@ class DensityMatrix:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
     def is_pure(self) -> bool:
-        return self.purity() >= 1.0 - _tol.RANK_TOL
+        """Whether the largest eigenvalue is at least 1 - ``_tol.RANK_TOL``,
+        the pure case of the rank rule."""
+        return bool(self.eigenvalues[0] >= 1.0 - _tol.RANK_TOL)
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix).min())
+        return float(self.eigenvalues[-1])
 
     @staticmethod
     def from_pure(psi: PureState) -> "DensityMatrix":
@@ -323,23 +334,23 @@ def tangent_ops(param: Parametrization) -> np.ndarray:
 
 
 def _slds(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:
-    """SLDs for a stack of Hermitian derivatives from one eigendecomposition
-    of rho."""
-    vals, v = np.linalg.eigh(rho.matrix)
-    vals, v = vals[::-1], np.ascontiguousarray(v[:, ::-1])  # descending
-    if vals.min() > _tol.RANK_TOL:
+    """SLDs for a stack of Hermitian derivatives from the spectrum of rho,
+    by the rank rule of :class:`DensityMatrix`."""
+    vals, v = rho.eigenvalues, rho.eigenvectors
+    if rho.is_pure():
+        l = 2.0 * ops
+    elif vals[-1] > _tol.RANK_TOL:
         vh = v.conj().T
         denom = vals[:, None] + vals[None, :]
         l = v @ (2.0 * (vh @ ops @ v) / denom) @ vh
-    elif vals[0] >= 1.0 - _tol.RANK_TOL:
-        l = 2.0 * ops
     else:
         raise ValueError("state is rank deficient but not pure; "
                          "sld supports full-rank and pure states only")
     m = rho.matrix
     resid = np.linalg.norm(0.5 * (m @ l + l @ m) - ops, axis=(1, 2))
-    limit = _tol.SLD_RESIDUAL_TOL * np.maximum(
-        1.0, np.linalg.norm(ops, axis=(1, 2)))
+    # the eigenbasis solve rounds in proportion to |L| ~ |drho| / lambda_min
+    limit = _tol.SLD_RESIDUAL_TOL * np.linalg.norm(
+        [ops, l], axis=(2, 3)).max(axis=0, initial=1.0)
     if np.any(resid > limit):
         raise ValueError(f"sld residual {resid.max():.3e}; for a pure state "
                          "the derivative must lie in the tangent space")
@@ -349,13 +360,14 @@ def _slds(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:
 def sld(rho: DensityMatrix, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative L with (rho L + L rho)/2 = drho.
 
-    Supported ranks: full rank (solved in the eigenbasis) and pure states
-    (L = 2 drho, valid when drho is tangent to the pure manifold).  Other
+    The rank rule of :class:`DensityMatrix` picks the solve: pure states
+    take L = 2 drho, valid when drho is tangent to the pure manifold;
+    full-rank states are solved in the eigenbasis that rho keeps.  Other
     rank-deficient states raise; depolarize slightly first if needed.
-    The residual of the defining equation is checked, which rejects
-    non-tangent derivatives at pure states.  :func:`qfi_matrix` solves
-    all its tangents with one eigendecomposition of rho instead of
-    calling this once per tangent.
+    The residual of the defining equation is checked against
+    ``_tol.SLD_RESIDUAL_TOL`` times max(1, |drho|, |L|), since the solve
+    rounds in proportion to |L|; this rejects non-tangent derivatives at
+    pure states.  No call decomposes rho again.
     """
     # the reshape rejects a stack, and a matrix of another size than rho
     ops = matcore.require_hermitian(drho).reshape(1, *rho.matrix.shape)
@@ -372,10 +384,10 @@ def _qfi(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:
 def qfi_matrix(rho: DensityMatrix, tangents) -> np.ndarray:
     """Quantum Fisher matrix J_ab = Re tr(rho L_a L_b).
 
-    All SLDs are solved as in :func:`sld`, from a single eigendecomposition
-    of rho, and each keeps its residual check.  Pure states take the
-    shortcut L = 2 drho (with its tangency validation), where this reduces
-    to J_ab = 2 tr(drho_a drho_b).
+    All SLDs are solved as in :func:`sld`, from the spectrum that rho
+    keeps, and each keeps its residual check.  States that the rank rule
+    calls pure take the shortcut L = 2 drho (with its tangency
+    validation), where this reduces to J_ab = 2 tr(drho_a drho_b).
     """
     return _qfi(rho, matcore.require_hermitian(tangents))
 
@@ -383,12 +395,16 @@ def qfi_matrix(rho: DensityMatrix, tangents) -> np.ndarray:
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].
 
+    sqrt(rho) comes from the spectrum that rho keeps, its negative
+    eigenvalues (at most ``_tol.PSD_TOL`` in size) taken as zero, so any
+    state that :class:`DensityMatrix` accepts is accepted here.
     Eigenvalues of sqrt(rho) sigma sqrt(rho) at or below
     d * ``_tol.ROUNDOFF_TOL`` are rounding noise and count as zero, so a
     rank-deficient product (a pure rho or sigma) does not pick up the
     square root of that noise.
     """
-    root = matcore.mat_power(rho.matrix, 0.5)
+    v = rho.eigenvectors
+    root = (v * np.sqrt(np.clip(rho.eigenvalues, 0.0, None))) @ v.conj().T
     inner = root @ sigma.matrix @ root
     vals = np.linalg.eigvalsh(matcore.hermitian_part(inner))
     vals = np.where(vals > rho.dim * _tol.ROUNDOFF_TOL, vals, 0.0)

@@ -171,12 +171,14 @@ _BASIS = 0.5 * np.array([np.eye(2), *_PAULI])
 def _pauli_coeffs(elements, copies: int = 1) -> np.ndarray:
     """tr((B_m1 x ... x B_mt) E) for stacked qubit operators E on t copies,
     shape (k, 4) or (k, 4, 4), so that tr(rho(s)^(xt) E) contracts the
-    result with shat once per copy."""
+    result with shat once per copy.  Two copies contract the first basis
+    with E, then the second, on a fixed path: searching for it costs more
+    than the contraction."""
     e = np.asarray(elements).reshape(-1, *(2,) * (2 * copies))
     if copies == 1:
         return np.einsum("mab,kba->km", _BASIS, e).real
     return np.einsum("mab,ncd,kbdac->kmn", _BASIS, _BASIS, e,
-                     optimize=True).real
+                     optimize=["einsum_path", (0, 2), (0, 1)]).real
 
 
 @dataclass

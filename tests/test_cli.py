@@ -8,7 +8,7 @@ import pytest
 
 import fisym
 from fisym import states
-from fisym.cli import main
+from fisym.cli import _choose_param, _parse_state, main
 from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
 from fisym.opfile import (load_json, operator_set_to_obj, save_json,
                           state_set_to_obj)
@@ -212,8 +212,13 @@ class TestVerifyFailures:
         lambda obj: obj.update(copies=[1]),
         lambda obj: obj.update(dim=2.7),
         lambda obj: obj.update(copies=1.5),
+        # the same entries as a string and as a boolean are not numbers
+        lambda obj: obj["elements"][0]["matrix"][0][0].__setitem__(
+            0, repr(obj["elements"][0]["matrix"][0][0][0])),
+        lambda obj: obj["elements"][0]["matrix"][0][0].__setitem__(1, False),
     ], ids=["no-matrix", "list-element", "null-dim", "list-copies",
-            "fractional-dim", "fractional-copies"])
+            "fractional-dim", "fractional-copies", "string-entry",
+            "bool-entry"])
     def test_malformed_file_fails_the_check(self, capsys, tmp_path, kind,
                                             spoil):
         # a key that is missing or of the wrong type is content that cannot
@@ -227,6 +232,21 @@ class TestVerifyFailures:
         assert code == 1
         assert report["ok"] is False
         assert "error" in report
+
+    @pytest.mark.parametrize("kind", ["sic", "design2"])
+    @pytest.mark.parametrize("weight", ["0.5", True])
+    def test_non_numeric_weight_fails_the_check(self, capsys, tmp_path, kind,
+                                                weight):
+        # state-set readers take weights as JSON numbers only
+        path = str(tmp_path / "bad.json")
+        run(capsys, "build", "sic-qubit", "--out", path)
+        obj = load_json(path)
+        obj["elements"][0]["weight"] = weight
+        save_json(obj, path)
+        code, report, _ = run(capsys, "verify", kind, path)
+        assert code == 1
+        assert report["ok"] is False
+        assert "not a number" in report["error"]
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "povm",
@@ -301,6 +321,14 @@ class TestFisherCommand:
         assert code == 0
         assert report["gm"]["mode"] == "pure-n"
 
+    @pytest.mark.parametrize("spec", ["pure:0.6,0.8j", "pure:1,2j,-2",
+                                      "bloch:0.9999999986,0,0"])
+    def test_pure_chart_is_based_at_the_state(self, spec):
+        rho = _parse_state(spec)
+        par = _choose_param(rho, "auto")
+        assert isinstance(par, states.PureCanonical)
+        assert np.allclose(par.base().matrix, rho.matrix, atol=1e-9)
+
     def test_state_from_file(self, capsys, tmp_path):
         path = str(tmp_path / "rho.json")
         rho = np.diag([0.75, 0.25]).astype(complex)
@@ -368,6 +396,12 @@ class TestFisherCommand:
         ({"dim": 2, "copies": 2, "elements": [{"matrix": _HALF}]},
          "copies 1"),
         ({"elements": [{"matrix": _HALF}]}, "'dim' field"),
+        # entries that are strings or booleans, not numbers
+        ({"dim": 2, "copies": 1, "elements": [{"matrix": [
+            [["0.5", 0], [0, 0]], [[0, 0], ["0.5", 0]]]}]}, "not a number"),
+        ({"dim": 2, "copies": 1, "elements": [{"matrix": [
+            [[0.5, False], [0, 0]], [[0, 0], [0.5, False]]]}]},
+         "not a number"),
     ])
     def test_malformed_state_file_is_usage_error(self, capsys, tmp_path,
                                                  content):
@@ -400,6 +434,27 @@ class TestFisherCommand:
         code, _, err = run(capsys, "fisher", "--povm", "sic-single",
                            "--state", "bloch:0.5,0,0", "--param", "pure")
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["sic-single", "collective-sic"])
+    def test_near_pure_full_rank_state(self, capsys, name):
+        # lambda_min = 5e-9 is above the rank tolerance, so the SLD is
+        # solved in the eigenbasis, where it grows like 1/lambda_min and
+        # so does the rounding of its residual
+        r = 0.99999999
+        code, report, err = run(capsys, "fisher", "--povm", name,
+                                "--state", f"bloch:{r},0,0")
+        assert code == 0, err
+        assert report["j_matrix"][0][0] == pytest.approx(1.0 / (1.0 - r * r),
+                                                         rel=1e-6)
+
+    def test_state_at_the_rank_tolerance_is_pure(self, capsys):
+        # lambda_min = 7e-10 <= RANK_TOL: pure for the chart, the mode and
+        # the SLD solve alike
+        code, report, err = run(capsys, "fisher", "--povm", "collective-sic",
+                                "--state", "bloch:0.9999999986,0,0")
+        assert code == 0, err
+        assert report["gm"]["mode"] == "pure-n"
+        assert report["n_params"] == 2
 
     @pytest.mark.filterwarnings("ignore:outcome 4 dropped")
     def test_boundary_state_numerical_failure(self, capsys):

@@ -6,6 +6,13 @@ that the report agrees with the stand-alone functions, with verdicts
 recomputed from the matrices it returns, and with the finite-difference
 oracle; and that no single-copy POVM beats tr(J^-1 I) <= d - 1
 (Gill & Massar, PRA 61, 042312, 2000).
+
+A density matrix makes the one rank decision, from the spectrum it keeps:
+pure when its largest eigenvalue is at least 1 - RANK_TOL, full rank when
+its smallest exceeds RANK_TOL.  Near-pure states straddle both
+thresholds; the chart, the bound's mode and the SLD solve must follow the
+same decision there, and the fidelity must accept whatever state
+``DensityMatrix`` accepts.
 """
 
 import numpy as np
@@ -14,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fisym.cli import _choose_param
 from fisym.designs import sic_d3
 from fisym.fisher import (
     fisher_fd_oracle,
@@ -30,6 +38,9 @@ from fisym.states import (
     DensityMatrix,
     PureCanonical,
     PureState,
+    bures_distance,
+    density_from_bloch,
+    fidelity,
     qfi_matrix,
     tangent_ops,
 )
@@ -203,3 +214,80 @@ def test_single_copy_never_beats_gill_massar(data, d):
     assert v.bound == d - 1
     assert v.value <= v.bound + 1e-9 * v.bound
     assert v.verdict != "violated"
+
+
+RANK_TOL = 1e-9
+
+
+def _direction(v):
+    norm = float(np.linalg.norm(v))
+    return np.array([1.0, 0.0, 0.0]) if norm < 1e-3 else v / norm
+
+
+@st.composite
+def near_pure_qubits(draw):
+    """Qubit states at radius 1 - 10^-k, k in [0, 13], along a random
+    direction."""
+    k = draw(st.floats(0.0, 13.0))
+    v = draw(hnp.arrays(float, 3, elements=unit))
+    return density_from_bloch((1.0 - 10.0 ** -k) * _direction(v))
+
+
+@st.composite
+def near_pure_d3(draw):
+    """(1 - eps)|psi><psi| + eps 1/3 with eps = 10^-k, k in [0, 13]."""
+    eps = 10.0 ** -draw(st.floats(0.0, 13.0))
+    psi = draw(pure_d3())
+    return DensityMatrix((1.0 - eps) * psi.projector() + eps * np.eye(3) / 3)
+
+
+# a state near a zero of an outcome may drop it; that is no rank decision
+@pytest.mark.filterwarnings("ignore:outcome .* dropped")
+@settings(max_examples=100)
+@given(case=st.one_of(
+    st.tuples(st.sampled_from(sorted(QUBIT_POVMS)), near_pure_qubits()),
+    st.tuples(st.just("tight-coherent-d3"), near_pure_d3())))
+# lambda_min = 7e-10, between the old purity test and the rank tolerance
+@example(case=("collective-sic", density_from_bloch([1.0 - 1.4e-9, 0, 0])))
+# lambda_min = 5e-9: full rank, with an SLD of size 1e8
+@example(case=("sic-single", density_from_bloch([1.0 - 1e-8, 0, 0])))
+# eps = 2e-9 in d = 3: lambda_min = 6.7e-10 and lambda_max = 1 - 1.3e-9
+@example(case=("tight-coherent-d3", DensityMatrix(
+    (1.0 - 2e-9) * np.full((3, 3), 1.0 / 3.0) + 2e-9 * np.eye(3) / 3.0)))
+def test_rank_rule_is_one_decision(case):
+    name, rho = case
+    vals = np.linalg.eigvalsh(rho.matrix)
+    assert rho.is_pure() == (vals[-1] >= 1.0 - RANK_TOL)
+    par = _choose_param(rho, "auto")
+    if rho.is_pure() or vals[0] > RANK_TOL:
+        rep = fisher_report(par, povm_named(name))
+        assert (rep.gm.mode == "pure-n") == rho.is_pure()
+    else:
+        # rank deficient and mixed, which only d = 3 can be: outside the
+        # ranks that the SLD solve supports
+        assert rho.dim == 3
+        with pytest.raises(ValueError, match="rank deficient"):
+            fisher_report(par, povm_named(name))
+
+
+@st.composite
+def accepted_states(draw, d):
+    """Density matrices whose smallest eigenvalue is as low as -5e-11,
+    which ``DensityMatrix`` accepts as rounding."""
+    w = draw(hnp.arrays(float, d, elements=st.floats(0.0, 1.0)))
+    w = np.eye(d)[0] if w.sum() < 1e-3 else w / w.sum()
+    shift = draw(st.floats(0.0, 5e-11))
+    w = np.sort(w)
+    w[0] -= shift
+    w[-1] += shift
+    q, _ = np.linalg.qr(draw(complex_array((d, d))) + 3.0 * np.eye(d))
+    return DensityMatrix((q * w) @ q.conj().T)
+
+
+@SETTINGS
+@given(data=st.data(), d=st.sampled_from([2, 3]))
+def test_fidelity_accepts_every_density_matrix(data, d):
+    rho, sigma = data.draw(accepted_states(d)), data.draw(accepted_states(d))
+    f = fidelity(rho, sigma)
+    assert 0.0 <= f <= 1.0
+    assert 0.0 <= bures_distance(rho, sigma) <= np.sqrt(2.0)

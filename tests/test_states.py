@@ -52,6 +52,22 @@ class TestStateTypes:
         assert not mixed.is_pure()
 
 
+    def test_spectrum_is_kept_descending_and_read_only(self, rng):
+        rho = random_full_rank(rng, 3)
+        vals, v = rho.eigenvalues, rho.eigenvectors
+        assert np.all(np.diff(vals) <= 0)
+        assert np.allclose((v * vals) @ v.conj().T, rho.matrix, atol=1e-14)
+        assert rho.min_eigenvalue() == vals[-1]
+        for a in (rho.matrix, vals, v):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_is_pure_reads_the_largest_eigenvalue(self):
+        # purity 1 - 1.4e-9 is below 1 - RANK_TOL; lambda_max is not
+        assert DensityMatrix(np.diag([1.0 - 7e-10, 7e-10])).is_pure()
+        assert not DensityMatrix(np.diag([1.0 - 2e-9, 2e-9])).is_pure()
+
+
 class TestBlochMaps:
     def test_roundtrip(self, rng):
         s = np.array([0.3, -0.2, 0.5])
@@ -318,6 +334,14 @@ class TestDistances:
         b = density_from_bloch([0.0, 0.5, 0.0])
         # squared HS distance is half the squared Bloch displacement
         assert hs_distance(a, b) ** 2 == pytest.approx(0.25, abs=1e-12)
+
+    def test_rounding_negative_eigenvalue_is_accepted(self):
+        # DensityMatrix accepts eigenvalues down to -1e-10 as rounding
+        rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
+        mixed = DensityMatrix.maximally_mixed(2)
+        assert fidelity(rho, mixed) == pytest.approx(0.5, abs=1e-10)
+        assert bures_distance(rho, mixed) == pytest.approx(
+            np.sqrt(2.0 - np.sqrt(2.0)), abs=1e-10)
 
     def test_orthogonal_pure_states(self):
         a = DensityMatrix(np.diag([1.0, 0.0]))
