@@ -7,7 +7,11 @@ trial.  :func:`stream_states` reimplements its mixing (NEP 19;
 ``numpy/random/bit_generator.pyx``) in uint32 array arithmetic, so the
 seeds of every trial of a run are hashed in one pass, and
 :func:`seeded_rng` hands a key's hashed words to PCG64, whose own code
-still turns them into the 128-bit state.
+still turns them into the 128-bit state.  The pass works on the four
+pool words of every key as one (4, keys) array: the hash constants
+follow a fixed sequence, so the mixes that do not depend on each other
+(the three of one pool word into the others, the four of each word past
+the pool, the eight output words) are each one array operation.
 
 Importing this module imports ``numpy.random``; the simulation imports it
 when it first runs, so the commands that draw nothing do not pay for it.
@@ -37,48 +41,59 @@ def _int_words(n: int) -> list[int]:
     return words
 
 
+def _constants(init: int, mult: int, n: int) -> tuple:
+    """The xor and multiply constants of n successive hashmix calls of a
+    sequence that starts at ``init``, as two (n, 1) uint32 arrays."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> 16)
+
+
 def _hash_entropy(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` for every row e of
-    a (keys, length) uint32 entropy array, shape (keys, 4)."""
-    hash_const = _INIT_A
+    a (keys, length) uint32 entropy array, shape (keys, 4).
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return r ^ (r >> 16)
+    The pool is a (4, keys) array, one row per pool word.  Every hashmix
+    call advances one sequence of constants, so the constants of all
+    calls are known up front, and the calls that do not depend on each
+    other run as one array operation: the first hash of the pool, the
+    three mixes of one pool word into the others, the four mixes of each
+    word past the pool, and the eight output words.
+    """
+    n_keys, length = entropy.shape
+    words = np.zeros((max(length, _POOL_SIZE), n_keys), dtype=np.uint32)
+    words[:length] = entropy.T
+    xor, mult = _constants(_INIT_A, _MULT_A, _POOL_SIZE * len(words))
 
     # mix_entropy: hash the first words into the pool (zeros past the end
     # of short entropy), mix every pool word into every other, then mix
     # each word past the pool into every pool word
-    n_keys, length = entropy.shape
-    zero = np.zeros(n_keys, dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zero)
-            for i in range(_POOL_SIZE)]
+    pool = _hashmix(words[:_POOL_SIZE], xor[:4], mult[:4])
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        at = slice(4 + 3 * src, 7 + 3 * src)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[at], mult[at]))
     for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+        at = slice(4 * src, 4 * src + 4)
+        pool = _mix(pool, _hashmix(words[src], xor[at], mult[at]))
 
     # generate_state: 8 words drawn cyclically from the pool, paired
     # little-endian into 4 uint64
-    hash_const = _INIT_B
-    words = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append((value ^ (value >> 16)).astype(np.uint64))
-    return np.stack([words[2 * j] | (words[2 * j + 1] << np.uint64(32))
-                     for j in range(_POOL_SIZE)], axis=1)
+    out = _hashmix(np.concatenate([pool, pool]), *_constants(
+        _INIT_B, _MULT_B, 2 * _POOL_SIZE)).astype(np.uint64)
+    return (out[0::2] | (out[1::2] << np.uint64(32))).T
 
 
 def stream_states(seeds, trials) -> np.ndarray:
@@ -88,31 +103,27 @@ def stream_states(seeds, trials) -> np.ndarray:
 
     A key's entropy is the words of its seed and then those of its index,
     and the hash depends on its length, so the keys are hashed in one
-    group per entropy length.
+    group per pair of word counts: one group when every seed and index
+    fits in one word.
     """
     trials = np.asarray(trials, dtype=np.uint64).reshape(-1)
-    high = trials >> np.uint64(32)
-    tails = np.stack([trials & np.uint64(_MASK32), high],
+    tails = np.stack([trials & np.uint64(_MASK32), trials >> np.uint64(32)],
                      axis=1).astype(np.uint32)
-    two_words = high > 0
-    shape = (len(seeds), trials.size)
-    keys = np.arange(np.prod(shape)).reshape(shape)
-    groups = {}  # entropy length -> [(key indices, entropy rows)]
-    for a, seed in enumerate(seeds):
-        head = _int_words(int(seed))
-        for sel, width in ((~two_words, 1), (two_words, 2)):
-            if not sel.any():
-                continue
-            rows = np.empty((np.count_nonzero(sel), len(head) + width),
-                            dtype=np.uint32)
-            rows[:, :len(head)] = head
-            rows[:, len(head):] = tails[sel, :width]
-            groups.setdefault(rows.shape[1], []).append((keys[a, sel], rows))
-    out = np.empty((keys.size, _POOL_SIZE), dtype=np.uint64)
-    for parts in groups.values():
-        out[np.concatenate([k for k, _ in parts])] = _hash_entropy(
-            np.concatenate([e for _, e in parts]))
-    return out.reshape(*shape, _POOL_SIZE)
+    widths = np.where(tails[:, 1] > 0, 2, 1)
+    heads = [_int_words(int(seed)) for seed in seeds]
+    out = np.empty((len(heads), trials.size, _POOL_SIZE), dtype=np.uint64)
+    for h in set(map(len, heads)):
+        a = [k for k, head in enumerate(heads) if len(head) == h]
+        head = np.array([heads[k] for k in a], dtype=np.uint32)
+        for w in (1, 2):
+            i = np.nonzero(widths == w)[0]
+            if i.size:
+                rows = np.empty((len(a), i.size, h + w), dtype=np.uint32)
+                rows[:, :, :h] = head[:, None, :]
+                rows[:, :, h:] = tails[i, :w]
+                out[np.ix_(a, i)] = _hash_entropy(
+                    rows.reshape(-1, h + w)).reshape(rows.shape[:2] + (-1,))
+    return out
 
 
 class _HashedSeed(ISeedSequence):

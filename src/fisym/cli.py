@@ -28,8 +28,7 @@ class UsageError(Exception):
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=1) + "\n")
     # a reader that closed the pipe shows here, inside main, not at exit
     sys.stdout.flush()
 
@@ -243,7 +242,9 @@ def _choose_param(rho: states.DensityMatrix, choice: str) -> states.Parametrizat
     if choice == "pure":
         if not rho.is_pure():
             raise UsageError("the pure-state chart needs a pure state")
-        return states.PureCanonical(states.PureState(rho.eigenvectors[:, 0]))
+        # based at rho itself, which is not built again
+        return states.PureCanonical(states.PureState(rho.eigenvectors[:, 0]),
+                                    rho)
     if choice == "bloch":
         if rho.dim != 2:
             raise UsageError("the Bloch chart is for qubits")

@@ -82,19 +82,29 @@ def outcome_probs(rho: DensityMatrix, p: Povm) -> np.ndarray:
     return _probs_and_grads(rho, (), p)[0]
 
 
+def _kept(probs: np.ndarray, grads: np.ndarray, drop_threshold: float):
+    """The mask of outcomes above ``drop_threshold`` for (..., k)
+    probabilities with (..., k, n) gradients, one point or a grid of
+    them, and (outcome, probability, largest |derivative|) of each
+    dropped one, in order.  A dropped outcome whose derivative exceeds
+    ``_tol.REGULARITY_DERIV_TOL`` warns that I may be ill defined."""
+    kept = probs > drop_threshold
+    dropped = []
+    for at in zip(*np.nonzero(~kept)):
+        xi, dp_max = at[-1], float(np.abs(grads[at]).max())
+        dropped.append((int(xi), float(probs[at]), dp_max))
+        if dp_max > _tol.REGULARITY_DERIV_TOL:
+            warnings.warn(
+                f"outcome {xi} dropped at probability {probs[at]:.3e} but has "
+                f"derivative {dp_max:.3e}; the Fisher information may be "
+                "ill defined here", stacklevel=4)
+    return kept, dropped
+
+
 def _accumulate(
     probs: np.ndarray, grads: np.ndarray, drop_threshold: float
 ) -> tuple[np.ndarray, list]:
-    kept = probs > drop_threshold
-    dropped = []
-    for xi in np.nonzero(~kept)[0]:
-        dp_max = float(np.abs(grads[xi]).max())
-        dropped.append((int(xi), float(probs[xi]), dp_max))
-        if dp_max > _tol.REGULARITY_DERIV_TOL:
-            warnings.warn(
-                f"outcome {xi} dropped at probability {probs[xi]:.3e} but has "
-                f"derivative {dp_max:.3e}; the Fisher information may be "
-                "ill defined here", stacklevel=3)
+    kept, dropped = _kept(probs, grads, drop_threshold)
     g = grads[kept]
     pk = probs[kept]
     i_mat = (g / pk[:, None]).T @ g

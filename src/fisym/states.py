@@ -62,6 +62,19 @@ class PureState:
         return complex(np.vdot(self.vector, other.vector))
 
 
+def _check_density(m: np.ndarray, vals: np.ndarray) -> None:
+    """The rule of :class:`DensityMatrix` for a Hermitian matrix, or a
+    stack of them, with descending eigenvalues ``vals``: a trace within
+    ``_tol.TRACE_TOL`` of 1 and a spectrum within ``_tol.PSD_TOL`` of
+    [0, 1]."""
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if np.any(np.abs(tr - 1.0) > _tol.TRACE_TOL):
+        raise ValueError(f"trace {tr} is not 1")
+    if np.any((vals[..., -1] < -_tol.PSD_TOL)
+              | (vals[..., 0] > 1.0 + _tol.PSD_TOL)):
+        raise ValueError(f"spectrum {vals} is outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace positive-semidefinite matrix and its spectrum.
@@ -84,13 +97,9 @@ class DensityMatrix:
         m = matcore.require_hermitian(self.matrix)
         if m.ndim != 2:
             raise ValueError(f"expected one matrix, got shape {m.shape}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > _tol.TRACE_TOL:
-            raise ValueError(f"trace {tr} is not 1")
         vals, vecs = np.linalg.eigh(m)
         vals, vecs = vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
-        if vals[-1] < -_tol.PSD_TOL or vals[0] > 1.0 + _tol.PSD_TOL:
-            raise ValueError(f"spectrum {vals} is outside [0, 1]")
+        _check_density(m, vals)
         for f, a in zip(fields(self), (m, vals, vecs)):
             a.flags.writeable = False
             object.__setattr__(self, f.name, a)
@@ -137,12 +146,28 @@ def _bloch_vector(s) -> np.ndarray:
     return s
 
 
+def _bloch_matrices(bloch: np.ndarray) -> np.ndarray:
+    """(1 + s·σ)/2 for a Bloch vector s, or for each row of a (g, 3)
+    array of them, unchecked."""
+    s = bloch[..., None, None]
+    return 0.5 * (np.eye(2, dtype=complex) + s[..., 0, :, :] * _PAULI[0]
+                  + s[..., 1, :, :] * _PAULI[1] + s[..., 2, :, :] * _PAULI[2])
+
+
 def density_from_bloch(s) -> DensityMatrix:
     """Qubit state (1 + s·σ)/2 from a finite Bloch vector with |s| <= 1."""
-    s = _bloch_vector(s)
-    m = 0.5 * (np.eye(2, dtype=complex)
-               + s[0] * _PAULI[0] + s[1] * _PAULI[1] + s[2] * _PAULI[2])
-    return DensityMatrix(m)
+    return DensityMatrix(_bloch_matrices(_bloch_vector(s)))
+
+
+def _bloch_states(bloch: np.ndarray) -> np.ndarray:
+    """The states (1 + s·σ)/2 of a (g, 3) array of Bloch vectors as one
+    checked (g, 2, 2) stack, the matrices :func:`density_from_bloch` would
+    hold, held to the rule of :class:`DensityMatrix` in one pass.  A
+    qubit's spectrum is (1 ± |s|)/2, so none is decomposed."""
+    m = matcore.require_hermitian(_bloch_matrices(bloch))
+    _check_density(m, 0.5 * (1.0 + np.multiply.outer(
+        np.linalg.norm(bloch, axis=-1), [1.0, -1.0])))
+    return m
 
 
 def bloch_from_density(rho: DensityMatrix) -> np.ndarray:
@@ -221,14 +246,21 @@ class PureCanonical(Parametrization):
     so there are 2d - 2 real parameters.  The tangents at theta = 0 are
     |j'><0'| + |0'><j'| and i(|j'><0'| - |0'><j'|), the canonical
     parametrization in which the quantum Fisher matrix is 4 times the
-    identity.
+    identity.  ``base``, when given, is what :meth:`base` returns in
+    place of a new projector onto the basepoint: a pure DensityMatrix the
+    caller already holds, whose top eigenvector is the basepoint.
     """
 
-    def __init__(self, basepoint: PureState):
+    def __init__(self, basepoint: PureState,
+                 base: DensityMatrix | None = None):
         self.basepoint = basepoint
         self.dim = basepoint.dim
         self.n_params = 2 * self.dim - 2
         self._basis = _adapted_basis(basepoint.vector)
+        self._base = base
+
+    def base(self) -> DensityMatrix:
+        return super().base() if self._base is None else self._base
 
     def state_vector(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(self.n_params)

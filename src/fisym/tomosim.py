@@ -17,10 +17,16 @@ reproducible and independent of execution order: trial i draws from the
 stream of ``np.random.default_rng((seed, i))``.  The seeds of every
 stream in a run are hashed together as arrays by ``_streams``, a
 reimplementation of NumPy's SeedSequence mixing, and each trial's PCG64
-is seeded from its hashed words.  A run, and a whole sweep, is
-processed as arrays: one count matrix over every grid point and trial,
-one least-squares solve for all linear estimates, and error metrics in
-closed form from Bloch vectors, reduced along the trial axis.
+is seeded from its hashed words.
+
+A run, and a whole sweep, is processed as arrays, each stage once per
+batch and none per grid point: one checked stack of states, one
+Born-rule contraction for their sampling probabilities, one count
+matrix over every grid point and trial, one least-squares solve for all
+linear estimates, and the error metrics in closed form from Bloch
+vectors, stacked and reduced along the trial axis in one pass.  The
+scheme is set up once: its Pauli-basis model serves the MLE, the
+single-copy linear rows and a sweep's analytic columns.
 """
 
 from __future__ import annotations
@@ -30,11 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _tol
-from .fisher import _accumulate, _nonnegative, _probs_and_grads, outcome_probs
+from .fisher import _accumulate, _kept, _nonnegative, _probs_and_grads
 from .opfile import _integer, _number
-from .povm import NAMED_POVMS, Povm, classify_coherent
+from .povm import NAMED_POVMS, Povm, _sym_powers
 from .states import (
     _PAULI,
+    _bloch_states,
     _bloch_vector,
     DensityMatrix,
     Parametrization,
@@ -208,13 +215,30 @@ def _quad_model(p: Povm) -> _QuadModel:
     return _QuadModel(*map(np.ascontiguousarray, parts))
 
 
-def _sampling_probs(rho: DensityMatrix, p: Povm) -> np.ndarray:
-    """Outcome probabilities of rho, checked complete and renormalized."""
-    probs = outcome_probs(rho, p)
-    total = probs.sum()
-    if abs(total - 1.0) > _tol.POVM_TOL:
-        raise ValueError(f"outcome probabilities sum to {total}, POVM is not "
-                         "complete for this state")
+def _sampling_probs(rhos: np.ndarray, p: Povm) -> np.ndarray:
+    """Outcome probabilities tr(rho^(xt) E) of every state of a checked
+    (g, d, d) stack, shape (g, k), clipped at zero, checked complete and
+    renormalized.
+
+    One contraction over every (state, element) pair gives them.  It
+    sums each pair in the order in which ``fisher.outcome_probs`` sums
+    one state's, so the probabilities, and the multinomial draws, which
+    change with their last bit, are those of each state on its own.  A
+    (g, n, n) by (k, n, n) contraction would not be: its order of
+    summation depends on g.
+    """
+    if p.copies == 2:
+        x = np.einsum("gij,gkl->gikjl", rhos, rhos)
+        rhos = 0.5 * (x + x.transpose(0, 2, 1, 4, 3)).reshape(-1, p.dim, p.dim)
+    g, k = len(rhos), p.size
+    probs = _nonnegative(np.einsum(
+        "xij,xji->x", np.repeat(rhos, k, axis=0),
+        np.tile(p.elements, (g, 1, 1))).real.reshape(g, k))
+    total = probs.sum(axis=1, keepdims=True)
+    incomplete = np.abs(total - 1.0) > _tol.POVM_TOL
+    if np.any(incomplete):
+        raise ValueError(f"outcome probabilities sum to {total[incomplete][0]}"
+                         ", POVM is not complete for this state")
     return probs / total
 
 
@@ -222,7 +246,7 @@ def sample_outcomes(
     rho: DensityMatrix, p: Povm, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Multinomial counts for n measurements of rho with a complete POVM."""
-    return rng.multinomial(n, _sampling_probs(rho, p))
+    return rng.multinomial(n, _sampling_probs(rho.matrix[None], p)[0])
 
 
 @dataclass
@@ -241,24 +265,27 @@ class _LinearSystem:
     sym_weights: np.ndarray | None  # two-copy only
 
 
-def _linear_system(p: Povm) -> _LinearSystem:
+def _linear_system(p: Povm, model: _QuadModel) -> _LinearSystem:
+    """The linear model of a qubit POVM: a single-copy POVM's rows are
+    those of its Pauli ``model``; a two-copy POVM's outcomes are picked by
+    the sym-power test of ``povm.classify_coherent``, with psi the
+    marginal's first eigenvector and the weight the element's trace."""
     if p.copies == 1:
         indices = np.arange(p.size)
-        q = _pauli_coeffs(p.elements)
-        offset, rows = q[:, 0], q[:, 1:]
+        offset, rows = model.c, model.lin
         weights = None
     else:
-        sym = [(xi, c) for xi, c in enumerate(classify_coherent(p).classes)
-               if c.kind == "sym-power"]
-        if not sym:
+        *_, sym_power, _, mvecs = _sym_powers(
+            p, np.linalg.eigvalsh(p.elements), _tol.RANK_TOL)
+        indices = np.nonzero(sym_power)[0]
+        if not indices.size:
             raise ValueError("two-copy POVM has no symmetric rank-one-power "
                              "outcomes; linear inversion is unavailable")
-        indices = np.array([xi for xi, _ in sym])
         # <psi|rho|psi> = (1 + s.u)/2 for the unit vector psi of each outcome
-        psi = np.array([c.states[0] for _, c in sym])
+        psi = mvecs[indices, :, 0]
         rows = _pauli_coeffs(psi[:, :, None] * psi.conj()[:, None, :])[:, 1:]
-        offset = np.full(len(sym), 0.5)
-        weights = np.array([c.weight for _, c in sym])
+        offset = np.full(len(indices), 0.5)
+        weights = np.trace(p.elements[indices], axis1=1, axis2=2).real
     if np.linalg.matrix_rank(rows, tol=_tol.BLOCH_RANK_TOL) < 3:
         raise ValueError("POVM is not informationally complete for the "
                          "Bloch vector")
@@ -355,24 +382,27 @@ def _mle_multistart(counts: np.ndarray, model: _QuadModel, s0: np.ndarray,
 
 @dataclass
 class _Scheme:
-    """What estimation needs from a POVM, built once per run or sweep."""
+    """What estimation needs from a POVM, built once per run or sweep:
+    its Pauli model, which the MLE, the single-copy linear rows and a
+    sweep's analytic columns all read, and its linear system."""
 
     povm: Povm
+    model: _QuadModel
     linsys: _LinearSystem | None  # None: MLE starts from the centre
-    model: _QuadModel | None  # None: linear inversion
+    mle: bool
 
 
 def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
     if p.base_dim != 2:
         raise ValueError("simulation estimators are implemented for qubits")
-    model = _quad_model(p) if estimator == "mle" else None
+    model = _quad_model(p)
     try:
-        linsys = _linear_system(p)
+        linsys = _linear_system(p, model)
     except ValueError:
-        if model is None:
+        if estimator != "mle":
             raise
         linsys = None
-    return _Scheme(p, linsys, model)
+    return _Scheme(p, model, linsys, estimator == "mle")
 
 
 def _estimate(counts: np.ndarray, setup: _Scheme,
@@ -382,7 +412,7 @@ def _estimate(counts: np.ndarray, setup: _Scheme,
     it over the ball clipped at ``clip``."""
     s_lin = (np.zeros((len(counts), 3)) if setup.linsys is None
              else _linear_bloch(counts, setup.linsys))
-    if setup.model is None:
+    if not setup.mle:
         return _to_ball(s_lin)
     return np.array([_mle_multistart(c, setup.model, s0, clip)
                      for c, s0 in zip(counts, s_lin)])
@@ -413,70 +443,67 @@ def estimate_mle_qubit(
         counts[None], _scheme_setup(p, "mle"), interior_clip)[0])
 
 
-def _simulate(setup: _Scheme, config, points) -> list[dict]:
-    """Monte Carlo runs at the states of ``points``, a list of
-    (Bloch vector, seed) pairs, as one batch.
+_ERROR_FIELDS = ("scaled_mse", "scaled_msb", "scaled_infidelity",
+                 "mse_stderr", "msb_stderr", "infidelity_stderr")
 
+
+def _simulate(setup: _Scheme, config, bloch: np.ndarray, seeds) -> list[dict]:
+    """Monte Carlo runs at the states of a (g, 3) array of Bloch vectors,
+    point a with seed ``seeds[a]``, as one batch.
+
+    Every stage runs once for the batch.  The states are one checked
+    (g, 2, 2) stack (``states._bloch_states``), whose Born probabilities
+    tr(rho^(xt) E) come from one contraction (:func:`_sampling_probs`).
     Trial i at a point draws its counts from the RNG stream keyed by that
     point's (seed, i), seeded from :func:`_streams.stream_states`, which
     hashes the seeds of every stream of the batch in one pass.  The
     counts fill one (points, trials, outcomes) matrix, which one
     :func:`_estimate` call inverts (one least-squares solve; the MLE runs
-    per trial), and the metrics are reduced along the trial axis of
-    (points, trials) arrays.  Each point's sampling probabilities come
-    from ``density_from_bloch`` of its vector, and its estimates are
-    scored against that vector.  ``config`` (a :class:`SimConfig` or
-    :class:`SweepConfig`) gives the copies, trials and clip.  Returns, per
-    point, the fields of :class:`SimResult` other than ``config``.
+    per trial).  The squared Hilbert-Schmidt and Bures distances and the
+    infidelities of every estimate from its point's vector are stacked,
+    and one mean and one standard deviation along the trial axis reduce
+    them.  ``config`` (a :class:`SimConfig` or :class:`SweepConfig`) gives
+    the copies, trials and clip.  Returns, per point, the fields of
+    :class:`SimResult` other than ``config``.
     """
     p = setup.povm
     t = p.copies
     if config.n_copies < t or config.n_copies % t != 0:
         raise ValueError(f"n_copies must be a positive multiple of {t}")
     n_meas = config.n_copies // t
-    probs = [_sampling_probs(density_from_bloch(s), p) for s, _ in points]
+    probs = _sampling_probs(_bloch_states(bloch), p)
 
     # numpy.random is imported on the first draw, not with fisym
     from ._streams import seeded_rng, stream_states
 
     nt = config.n_trials
-    words = stream_states([seed for _, seed in points], np.arange(nt))
+    words = stream_states(seeds, np.arange(nt))
     counts = np.array([[seeded_rng(w).multinomial(n_meas, pr) for w in ws]
                        for ws, pr in zip(words, probs)])
     clip = config.interior_clip
     s_hat = _estimate(counts.reshape(-1, p.size).astype(float), setup,
-                      clip).reshape(len(points), nt, 3)
+                      clip).reshape(len(bloch), nt, 3)
     radii = np.linalg.norm(s_hat, axis=-1)
     if not (np.all(np.isfinite(s_hat))
             and np.all(radii <= 1.0 + _tol.NORM_TOL)):
         raise ValueError("an estimate is not a finite Bloch vector in the "
                          "unit ball")
 
-    s0 = np.array([s for s, _ in points])[:, None, :]
-    hs2 = 0.5 * np.sum((s_hat - s0) ** 2, axis=-1)
+    s0 = bloch[:, None, :]
     fid = qubit_fidelity(s0, s_hat)
-    bures2 = np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0)
-    infid = 1.0 - fid
+    # squared HS distance, squared Bures distance, infidelity
+    errors = np.stack([0.5 * np.sum((s_hat - s0) ** 2, axis=-1),
+                       np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0), 1.0 - fid])
     n = config.n_copies
-
-    def stderr(x):
-        if nt < 2:
-            return np.zeros(len(x))
-        return n * np.std(x, axis=1, ddof=1) / np.sqrt(nt)
-
-    metrics = {
-        "scaled_mse": n * hs2.mean(axis=1),
-        "mse_stderr": stderr(hs2),
-        "scaled_msb": n * bures2.mean(axis=1),
-        "msb_stderr": stderr(bures2),
-        "scaled_infidelity": n * infid.mean(axis=1),
-        "infidelity_stderr": stderr(infid),
-    }
+    means = n * errors.mean(axis=-1)
+    # rows in _ERROR_FIELDS order: the means, then their standard errors
+    fields = np.concatenate([means, n * errors.std(axis=-1, ddof=1)
+                             / np.sqrt(nt) if nt > 1 else 0.0 * means])
     n_clipped = np.count_nonzero(radii >= clip - _tol.CLIP_MARGIN, axis=1)
     totals = counts.sum(axis=1)
-    return [{**{k: float(v[a]) for k, v in metrics.items()},
+    return [{**dict(zip(_ERROR_FIELDS, map(float, fields[:, a]))),
              "n_clipped": int(n_clipped[a]), "counts_total": totals[a]}
-            for a in range(len(points))]
+            for a in range(len(bloch))]
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -487,8 +514,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     """
     setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
                           config.estimator)
-    point = (np.array(config.bloch), config.seed)
-    return SimResult(config=config, **_simulate(setup, config, [point])[0])
+    return SimResult(config=config, **_simulate(
+        setup, config, np.array([config.bloch]), [config.seed])[0])
 
 
 def _inverse_fisher(i_mats: np.ndarray) -> np.ndarray:
@@ -533,8 +560,10 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
     'hs' and 'msb', at every row of a (g, 3) array of Bloch vectors.
 
     The chart's tangents are σ/2, along which the model's gradient is
-    L + 2 M s, so each point's I follows from the model alone, by the
-    rule of ``fisher._accumulate``.  The weights are 1/2 and J/4 with
+    L + 2 M s, so the I of every point follows from the model alone, in
+    one contraction over the outcomes that ``fisher._kept`` keeps (with
+    its regularity warning for a dropped outcome that still varies).
+    The weights are 1/2 and J/4 with
     J = 1 + s s^T / (1 - |s|^2) (Braunstein and Caves, PRL 72, 3439
     (1994)).  A state with (1 - |s|)/2 at or below ``_tol.RANK_TOL``
     counts as pure, where J is undefined, and raises as the SLD solve of
@@ -543,9 +572,11 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
     probs = _nonnegative(model.c + bloch @ model.lin.T + np.einsum(
         "kab,ga,gb->gk", model.quad, bloch, bloch))
     grads = model.lin + 2.0 * np.einsum("kab,gb->gka", model.quad, bloch)
-    i_inv = _inverse_fisher(np.array([
-        _accumulate(pr, gr, _tol.DROP_THRESHOLD)[0]
-        for pr, gr in zip(probs, grads)]))
+    kept = _kept(probs, grads, _tol.DROP_THRESHOLD)[0][..., None]
+    scaled = np.divide(grads, probs[..., None], out=np.zeros_like(grads),
+                       where=kept)
+    i_mats = scaled.swapaxes(1, 2) @ grads
+    i_inv = _inverse_fisher(0.5 * (i_mats + i_mats.swapaxes(1, 2)))
     r = np.linalg.norm(bloch, axis=1)
     if np.any((1.0 - r) / 2.0 <= _tol.RANK_TOL):
         raise ValueError(f"Bloch radius {r.max()!r} is pure to within "
@@ -600,20 +631,20 @@ def sweep(config: SweepConfig) -> list[dict]:
     scaled Monte Carlo errors next to the asymptotic values
     t * tr(W I^{-1}).  The scheme is set up once for the whole grid, and
     the whole grid is one Monte Carlo batch (:func:`_simulate`): one
-    count matrix for every point and trial and one estimate pass.  The
-    analytic columns come from the scheme's Pauli model for the whole
-    grid at once (:func:`_analytic_columns`), with one batched
-    singular-I check and one batched inverse; they equal
-    :func:`asymptotic_metrics` of the point's :class:`BlochQubit` chart
-    to rounding.
+    stack of states, one count matrix for every point and trial and one
+    estimate pass.  The analytic columns come from ``setup.model``, the
+    scheme's Pauli model, for the whole grid at once
+    (:func:`_analytic_columns`), with one batched singular-I check and
+    one batched inverse; they equal :func:`asymptotic_metrics` of the
+    point's :class:`BlochQubit` chart to rounding.  No step builds a
+    :class:`DensityMatrix` or classifies the POVM's elements.
     """
     setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
                           config.estimator)
     bloch = np.outer(config.radii, config.direction)
-    sims = _simulate(setup, config, [(s, config.seed + 99991 * idx)
-                                     for idx, s in enumerate(bloch)])
-    mse, msb = _analytic_columns(setup.model or _quad_model(setup.povm),
-                                 bloch, setup.povm.copies)
+    sims = _simulate(setup, config, bloch, [config.seed + 99991 * idx
+                                            for idx in range(len(bloch))])
+    mse, msb = _analytic_columns(setup.model, bloch, setup.povm.copies)
     return [{
         "s": s,
         "scheme": config.scheme,
@@ -627,14 +658,15 @@ def sweep(config: SweepConfig) -> list[dict]:
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
-    """Write sweep rows as UTF-8 CSV with a weight-convention comment."""
-    import csv
+    """Write sweep rows as UTF-8 CSV with a weight-convention comment.
 
+    Rows are formatted as ``csv.writer`` writes them: fields joined by
+    commas, floats by ``repr`` and lines ended by CRLF; no field of a
+    sweep row needs quoting.
+    """
+    lines = [SWEEP_COLUMNS, *([row[c] for c in SWEEP_COLUMNS] for row in rows)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# scaled_mse weights squared error by the Hilbert-Schmidt "
                  "metric, 0.5*|delta s|^2 in Bloch coordinates; scaled_msb "
                  "uses squared Bures distance\n")
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        fh.write("".join(",".join(map(str, line)) + "\r\n" for line in lines))

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import fisym
-from fisym import states
+from fisym import cli, states
 from fisym.cli import _choose_param, _parse_state, main
 from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
 from fisym.opfile import (load_json, operator_set_to_obj, save_json,
@@ -329,6 +330,22 @@ class TestFisherCommand:
         assert isinstance(par, states.PureCanonical)
         assert np.allclose(par.base().matrix, rho.matrix, atol=1e-9)
 
+    @pytest.mark.parametrize("spec,param", [
+        ("pure:1,1", "auto"), ("pure:0.6,0.8j", "pure"), ("pure:1,2j", "auto"),
+        ("bloch:0.5,0.1,0", "auto"), ("bloch:0.5,0.1,0", "affine"),
+        ("bloch:1,0,0", "auto"), ("bloch:0.9999999986,0,0", "pure")])
+    def test_state_built_once(self, capsys, monkeypatch, spec, param):
+        # the chart, the pure one included, is based at the parsed state
+        built = []
+        check = states.DensityMatrix.__post_init__
+        monkeypatch.setattr(states.DensityMatrix, "__post_init__",
+                            lambda rho: built.append(rho) or check(rho))
+        code, report, _ = run(capsys, "fisher", "--povm", "sic-single",
+                              "--state", spec, "--param", param)
+        assert code == 0
+        assert len(built) == 1
+        assert report["gm"]["verdict"] == "equality"
+
     def test_state_from_file(self, capsys, tmp_path):
         path = str(tmp_path / "rho.json")
         rho = np.diag([0.75, 0.25]).astype(complex)
@@ -568,6 +585,19 @@ class TestSimulateCommand:
             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 2
         assert "no such file: 2" in proc.stderr
+
+    def test_report_is_written_at_once(self, monkeypatch):
+        # one write of the bytes json.dump writes in chunks
+        writes = []
+        sink = type("Sink", (), {"write": lambda _, text: writes.append(text),
+                                 "flush": lambda _: None})()
+        obj = {"i_matrix": [[1.5, -0.0], [2e-300, 3]], "gm": {"mode": None},
+               "dropped_outcomes": [], "ok": True}
+        monkeypatch.setattr(sys, "stdout", sink)
+        cli._emit(obj)
+        chunked = io.StringIO()
+        json.dump(obj, chunked, indent=1)
+        assert writes == [chunked.getvalue() + "\n"]
 
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # the reader closes the pipe before the result is written, as

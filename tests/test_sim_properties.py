@@ -20,6 +20,11 @@ mix of entropy lengths one batch holds.
 A sweep's analytic columns come from the same model for the whole grid
 at once, with the Bures weight in closed form.  They must agree with
 ``asymptotic_metrics`` of each point's Bloch chart, or fail as it does.
+
+A sweep samples from the Born rule tr(rho^(xt) E), not from the model:
+the states of its grid are one stack and their probabilities one
+contraction.  Both must equal, bit for bit, what ``density_from_bloch``
+and ``outcome_probs`` give point by point, so the counts do not change.
 """
 
 import numpy as np
@@ -32,10 +37,10 @@ from fisym._streams import seeded_rng, stream_states
 from fisym.fisher import _probs_and_grads, fisher_matrix, outcome_probs
 from fisym.matcore import mat_power
 from fisym.povm import NAMED_POVMS, Povm
-from fisym.states import (BlochQubit, density_from_bloch, fidelity,
-                          qubit_fidelity, tangent_ops)
+from fisym.states import (BlochQubit, _bloch_states, density_from_bloch,
+                          fidelity, qubit_fidelity, tangent_ops)
 from fisym.tomosim import (SCHEMES, _analytic_columns, _quad_model,
-                           asymptotic_metrics)
+                           _sampling_probs, asymptotic_metrics)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -190,3 +195,23 @@ def test_analytic_columns_match_asymptotic_metrics(p, bloch):
         tol = max(1e-12, 1e-14 / (1.0 - s @ s), 1e-15 * cond)
         for ref, val in zip(row, cols):
             assert val == pytest.approx(ref, rel=tol)
+
+
+@settings(max_examples=200)
+@given(p=st.one_of(qubit_povms(),
+                   st.sampled_from([NAMED_POVMS[s] for s in SCHEMES[:-1]])),
+       bloch=bloch_grids(), on_sphere=st.booleans())
+@example(p=NAMED_POVMS["collective-sic"],
+         bloch=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0 + 1e-13]]),
+         on_sphere=True)
+def test_grid_probabilities_match_each_point(p, bloch, on_sphere):
+    if on_sphere:  # and one pure state, along the grid if it is not tiny
+        top = bloch[np.argmax(np.linalg.norm(bloch, axis=1))]
+        r = np.linalg.norm(top)
+        bloch = np.vstack([bloch, top / r if r > 1e-3 else [0.0, 1.0, 0.0]])
+    rhos = [density_from_bloch(s) for s in bloch]
+    stack = _bloch_states(bloch)
+    assert stack.tobytes() == np.array([r.matrix for r in rhos]).tobytes()
+    # the per-point sampling probabilities: Born rule, renormalized
+    expected = [pr / pr.sum() for pr in (outcome_probs(r, p) for r in rhos)]
+    assert _sampling_probs(stack, p).tobytes() == np.array(expected).tobytes()

@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_povm
+from conftest import random_povm, random_two_copy_povm
 
-from fisym.povm import (NAMED_POVMS, Povm, collective_sic_qubit,
+from fisym.cli import main
+from fisym.opfile import povm_to_obj, save_json
+from fisym.povm import (NAMED_POVMS, Povm, classify_coherent,
+                        collective_sic_qubit,
                         twocopy_design_povm)
 from fisym.designs import sic_qubit
 from fisym.states import BlochQubit, density_from_bloch
@@ -24,6 +27,7 @@ from fisym.tomosim import (
     write_sweep_csv,
 )
 from fisym.tomosim import _quad_model  # noqa: the model must track the POVM
+from fisym.tomosim import _linear_system, _pauli_coeffs
 from fisym.fisher import outcome_probs
 
 
@@ -101,6 +105,97 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_outcomes(rho, twocopy_design_povm(sic_qubit()), 100,
                             np.random.default_rng(0))
+
+
+def incomplete_povms():
+    """An informationally complete single-copy POVM scaled to sum to
+    0.9, and the two-copy POVM of a 2-design that resolves the symmetric
+    projector, complete only on pure states."""
+    return [Povm(0.9 * NAMED_POVMS["sic-single"].elements, copies=1,
+                 base_dim=2),
+            twocopy_design_povm(sic_qubit())]
+
+
+def incomplete_message(total):
+    return (f"outcome probabilities sum to {total}, POVM is not complete "
+            "for this state")
+
+
+class TestIncompletePovm:
+    # a sweep finds the first incomplete grid point as the per-point
+    # runs did, with the same message
+    @pytest.mark.parametrize("p", incomplete_povms())
+    def test_sweep_and_simulation_raise(self, p):
+        radii = (1.0 - 1e-16, 0.0, 0.5)
+        totals = [outcome_probs(density_from_bloch([r, 0.0, 0.0]), p).sum()
+                  for r in radii]
+        first = next(t for t in totals if abs(t - 1.0) > 1e-9)
+        config = SweepConfig(scheme="custom", radii=radii, n_copies=100,
+                             n_trials=2, seed=1, estimator="linear", povm=p)
+        with pytest.raises(ValueError) as exc:
+            sweep(config)
+        assert str(exc.value) == incomplete_message(first)
+        with pytest.raises(ValueError) as exc:
+            run_simulation(SimConfig(scheme="custom", bloch=(radii[1], 0, 0),
+                                     n_copies=100, n_trials=2, seed=1,
+                                     estimator="linear", povm=p))
+        assert str(exc.value) == incomplete_message(totals[1])
+
+    @pytest.mark.parametrize("p", incomplete_povms())
+    def test_cli_exits_3(self, capsys, tmp_path, p):
+        povm_path = str(tmp_path / "povm.json")
+        save_json(povm_to_obj(p), povm_path)
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "scheme": "custom", "povm": povm_path, "radii": [0.0, 0.5],
+            "n_copies": 100, "n_trials": 2, "seed": 1}))
+        assert main(["sweep", "--config", str(config), "--out",
+                     str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: outcome probabilities "
+                              "sum to ")
+
+
+def mixed_two_copy_povm():
+    """The collective SIC measurement with a 'neither' element (the
+    rank-one product |0><0| x |1><1|) put between its sym-power
+    elements, ahead of its singlet, a 'slater' element."""
+    e = NAMED_POVMS["collective-sic"].elements
+    product = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    return Povm(np.concatenate([e[:2], product[None], e[2:]]), copies=2,
+                base_dim=2)
+
+
+class TestLinearSystem:
+    @pytest.mark.parametrize("p", [NAMED_POVMS["collective-sic"],
+                                   mixed_two_copy_povm()],
+                             ids=["collective-sic", "mixed-kinds"])
+    def test_two_copy_outcomes_are_the_sym_power_classes(self, p):
+        classes = classify_coherent(p).classes
+        assert {c.kind for c in classes} >= {"sym-power", "slater"}
+        sym = [(xi, c) for xi, c in enumerate(classes)
+               if c.kind == "sym-power"]
+        psi = np.array([c.states[0] for _, c in sym])
+        system = _linear_system(p, _quad_model(p))
+        assert system.indices.tolist() == [xi for xi, _ in sym]
+        assert np.array_equal(system.rows, _pauli_coeffs(
+            psi[:, :, None] * psi.conj()[:, None, :])[:, 1:])
+        assert np.array_equal(system.sym_weights, [c.weight for _, c in sym])
+
+    def test_mixed_povm_has_every_kind(self):
+        kinds = [c.kind for c in classify_coherent(
+            mixed_two_copy_povm()).classes]
+        assert kinds == ["sym-power"] * 2 + ["neither"] + ["sym-power"] * 2 \
+            + ["slater"]
+
+    @pytest.mark.parametrize("p", [
+        Povm([np.eye(4) / 2, np.eye(4) / 2], copies=2, base_dim=2),
+        random_two_copy_povm(np.random.default_rng(5), 2, 5)])
+    def test_no_sym_power_outcome_raises(self, p):
+        assert not any(c.kind == "sym-power"
+                       for c in classify_coherent(p).classes)
+        with pytest.raises(ValueError, match="no symmetric rank-one-power"):
+            _linear_system(p, _quad_model(p))
 
 
 class TestLinearEstimator:
