@@ -5,8 +5,10 @@ constructions to operator files), fisher (information report for a
 state/POVM pair), simulate (Monte Carlo run), sweep (radius grid to CSV).
 
 Exit codes: 0 success / check passed, 1 check failed, 2 usage or parse
-error, 3 numerical failure, 141 standard output closed by its reader
-(128 + SIGPIPE, as a shell reports a process that a closed pipe ended).
+error (an input file that cannot be read as UTF-8 JSON or an --out path
+that cannot be written included), 3 numerical failure, 141 standard
+output closed by its reader (128 + SIGPIPE, as a shell reports a process
+that a closed pipe ended).
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ def _load(path) -> dict:
         return opfile.load_json(path)
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, or bytes that are not UTF-8
+        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _finite_float(text: str) -> float:
@@ -54,6 +59,15 @@ def _finite_float(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _threshold(text: str) -> float:
+    """argparse type of ``--drop-threshold``: a finite number, at least 0."""
+    x = _finite_float(text)
+    if x < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, "
+                                         f"got {text!r}")
+    return x
 
 
 # ---------------------------------------------------------------- verify
@@ -347,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["auto", "pure", "bloch", "affine"])
     p_fisher.add_argument("--mode", default="auto",
                           choices=["auto", "single-copy", "two-copy", "pure-n"])
-    p_fisher.add_argument("--drop-threshold", type=_finite_float,
+    p_fisher.add_argument("--drop-threshold", type=_threshold,
                           default=_tol.DROP_THRESHOLD)
     p_fisher.set_defaults(func=cmd_fisher)
 
@@ -389,6 +403,10 @@ def main(argv=None) -> int:
         # the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:
+        # input files are read by _load, so this is an --out path
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

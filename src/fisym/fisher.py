@@ -87,7 +87,12 @@ def _kept(probs: np.ndarray, grads: np.ndarray, drop_threshold: float):
     probabilities with (..., k, n) gradients, one point or a grid of
     them, and (outcome, probability, largest |derivative|) of each
     dropped one, in order.  A dropped outcome whose derivative exceeds
-    ``_tol.REGULARITY_DERIV_TOL`` warns that I may be ill defined."""
+    ``_tol.REGULARITY_DERIV_TOL`` warns that I may be ill defined.  A
+    negative (or NaN) threshold raises: it would keep zero-probability
+    outcomes, which the sums divide by."""
+    if not drop_threshold >= 0.0:
+        raise ValueError(f"drop threshold must be nonnegative, got "
+                         f"{drop_threshold!r}")
     kept = probs > drop_threshold
     dropped = []
     for at in zip(*np.nonzero(~kept)):
@@ -104,11 +109,17 @@ def _kept(probs: np.ndarray, grads: np.ndarray, drop_threshold: float):
 def _accumulate(
     probs: np.ndarray, grads: np.ndarray, drop_threshold: float
 ) -> tuple[np.ndarray, list]:
+    """Classical Fisher matrices, symmetrized, of (..., k) probabilities
+    with (..., k, n) gradients, shape (..., n, n), over the outcomes that
+    :func:`_kept` keeps, and its dropped outcomes.  A kept outcome's
+    gradient is divided by its probability and a dropped one's becomes
+    zero, so a stack of points is one batched product whose matrices are,
+    bit for bit, those of each point on its own."""
     kept, dropped = _kept(probs, grads, drop_threshold)
-    g = grads[kept]
-    pk = probs[kept]
-    i_mat = (g / pk[:, None]).T @ g
-    return 0.5 * (i_mat + i_mat.T), dropped
+    scaled = np.divide(grads, probs[..., None], out=np.zeros_like(grads),
+                       where=kept[..., None])
+    i_mat = scaled.swapaxes(-1, -2) @ grads
+    return 0.5 * (i_mat + i_mat.swapaxes(-1, -2)), dropped
 
 
 def fisher_matrix(

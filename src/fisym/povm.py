@@ -256,45 +256,35 @@ def classify_coherent(p: Povm, tol: float = _tol.RANK_TOL) -> CoherenceReport:
     and a rank-one single-system marginal, and 'slater' when it is rank
     one with antisymmetric support and a rank-two marginal with equal
     eigenvalues.  The POVM is coherent when no element is 'neither'.
+
+    On a qubit, a sym-power element w (psi psi)^(x2) has the outcome
+    probability (w/4)(1 + u.s)^2, u the Bloch vector of psi; ``tomosim``
+    finds its linearizable outcomes by that square, from the Pauli
+    model, without this classification.
     """
     if p.copies != 2:
         raise ValueError("coherence structure applies to two-copy POVMs")
     return _classify(p, np.linalg.eigvalsh(p.elements), tol)
 
 
-def _sym_powers(p: Povm, vals: np.ndarray, tol: float) -> tuple:
-    """The sym-power test of :func:`classify_coherent` for the elements of
-    a two-copy POVM with eigenvalues ``vals``: rank one by ``vals``, with
-    symmetric support, and with a rank-one marginal tr_1.
-
-    Returns the masks of the rank-one elements, of those with symmetric
-    support, and of those whose marginal is rank one as well (the
-    elements c (psi psi)^(x2)), and the marginal eigenvalues and
-    eigenvectors, descending; psi is the first eigenvector and c the
-    element's trace.
-    """
-    e = p.elements
-    scale = np.linalg.norm(e, axis=(1, 2))
-    rank1 = (scale > _tol.POVM_TOL) & (_numerical_ranks(vals, tol) == 1)
-    p_sym = matcore.sym_projector(p.base_dim)
-    sym = rank1 & (np.linalg.norm(e - p_sym @ e @ p_sym, axis=(1, 2))
-                   <= tol * scale)
-    mvals, mvecs = np.linalg.eigh(matcore.partial_trace(e, 0))
-    mvals, mvecs = mvals[:, ::-1], mvecs[:, :, ::-1]
-    return rank1, sym, sym & (_numerical_ranks(mvals, tol) == 1), mvals, mvecs
-
-
 def _classify(p: Povm, vals: np.ndarray, tol: float) -> CoherenceReport:
     """:func:`classify_coherent` given the element eigenvalues ``vals``."""
     e = p.elements
-    rank1, sym, sym_power, mvals, mvecs = _sym_powers(p, vals, tol)
+    p_sym = matcore.sym_projector(p.base_dim)
     p_anti = matcore.antisym_projector(p.base_dim)
+    scale = np.linalg.norm(e, axis=(1, 2))
     weights = np.trace(e, axis1=1, axis2=2).real.tolist()
+    sym_resid = np.linalg.norm(e - p_sym @ e @ p_sym, axis=(1, 2))
     anti_resid = np.linalg.norm(e - p_anti @ e @ p_anti, axis=(1, 2))
+    rank1 = (scale > _tol.POVM_TOL) & (_numerical_ranks(vals, tol) == 1)
+    # marginal eigenpairs, descending
+    mvals, mvecs = np.linalg.eigh(matcore.partial_trace(e, 0))
+    mvals, mvecs = mvals[:, ::-1], mvecs[:, :, ::-1]
+    mranks = _numerical_ranks(mvals, tol)
     # a symmetric element is never tried as an antisymmetric one
-    slater = (rank1 & ~sym
-              & (anti_resid <= tol * np.linalg.norm(e, axis=(1, 2)))
-              & (_numerical_ranks(mvals, tol) == 2)
+    sym = rank1 & (sym_resid <= tol * scale)
+    sym_power = sym & (mranks == 1)
+    slater = (rank1 & ~sym & (anti_resid <= tol * scale) & (mranks == 2)
               & (np.abs(mvals[:, 0] - mvals[:, 1]) <= tol * mvals[:, 0]))
     classes = []
     for k, weight in enumerate(weights):

@@ -25,8 +25,9 @@ Born-rule contraction for their sampling probabilities, one count
 matrix over every grid point and trial, one least-squares solve for all
 linear estimates, and the error metrics in closed form from Bloch
 vectors, stacked and reduced along the trial axis in one pass.  The
-scheme is set up once: its Pauli-basis model serves the MLE, the
-single-copy linear rows and a sweep's analytic columns.
+scheme is set up once, from its Pauli-basis model alone: the model
+serves the MLE, gives the linear system of single-copy and two-copy
+POVMs alike, and gives a sweep's analytic columns.
 """
 
 from __future__ import annotations
@@ -36,17 +37,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _tol
-from .fisher import _accumulate, _kept, _nonnegative, _probs_and_grads
+from .fisher import _accumulate, _nonnegative, fisher_matrix
 from .opfile import _integer, _number
-from .povm import NAMED_POVMS, Povm, _sym_powers
+from .povm import NAMED_POVMS, Povm
 from .states import (
     _PAULI,
     _bloch_states,
     _bloch_vector,
     DensityMatrix,
     Parametrization,
-    _qfi,
     density_from_bloch,
+    qfi_matrix,
     qubit_fidelity,
     tangent_ops,
 )
@@ -253,43 +254,55 @@ def sample_outcomes(
 class _LinearSystem:
     """Linear model target = offset + rows @ s extracted from a POVM.
 
-    For single-copy POVMs the targets are the outcome frequencies.  For
-    two-copy POVMs the symmetric rank-one-power outcomes linearize through
-    <psi|rho|psi> = sqrt(f/w); other outcomes carry no linear information
-    and are skipped.
+    For single-copy POVMs the targets are the outcome frequencies f.  For
+    two-copy POVMs they are sqrt(f/c) of the outcomes whose probability
+    is c (1 + u.s)^2, with rows u and offsets 1; other outcomes carry no
+    linear information and are skipped.
     """
 
     indices: np.ndarray
     offset: np.ndarray
     rows: np.ndarray
-    sym_weights: np.ndarray | None  # two-copy only
+    squares: np.ndarray | None  # two-copy only: the c of each outcome
 
 
 def _linear_system(p: Povm, model: _QuadModel) -> _LinearSystem:
-    """The linear model of a qubit POVM: a single-copy POVM's rows are
-    those of its Pauli ``model``; a two-copy POVM's outcomes are picked by
-    the sym-power test of ``povm.classify_coherent``, with psi the
-    marginal's first eigenvector and the weight the element's trace."""
+    """The linear model of a qubit POVM, read from its Pauli ``model``
+    p(s) = c + L s + s^T M s.
+
+    A single-copy POVM's offsets and rows are c and L.  A two-copy
+    outcome linearizes when its probability is a perfect square
+    c (1 + u.s)^2 with |u| = 1, that is c > 0, |L| = 2c and 4c M = L L^T,
+    each within ``_tol.RANK_TOL`` relative to c: then
+    sqrt(f/c) = 1 + u.s with u = L/(2c).  The sym-power elements
+    w (psi psi)^(x2) of ``povm.classify_coherent`` are such outcomes,
+    with c = w/4 and u the Bloch vector of psi; any element whose
+    probability is such a square for every s linearizes too, whatever its
+    structure.  No element is decomposed.
+    """
     if p.copies == 1:
         indices = np.arange(p.size)
         offset, rows = model.c, model.lin
-        weights = None
+        squares = None
     else:
-        *_, sym_power, _, mvecs = _sym_powers(
-            p, np.linalg.eigvalsh(p.elements), _tol.RANK_TOL)
-        indices = np.nonzero(sym_power)[0]
+        c, lin = model.c, model.lin
+        tol = _tol.RANK_TOL
+        outer = lin[:, :, None] * lin[:, None, :]
+        indices = np.nonzero(
+            (c > 0.0)
+            & (np.abs(np.linalg.norm(lin, axis=1) - 2.0 * c) <= tol * 2.0 * c)
+            & (np.linalg.norm(4.0 * c[:, None, None] * model.quad - outer,
+                              axis=(1, 2)) <= tol * 4.0 * c * c))[0]
         if not indices.size:
             raise ValueError("two-copy POVM has no symmetric rank-one-power "
                              "outcomes; linear inversion is unavailable")
-        # <psi|rho|psi> = (1 + s.u)/2 for the unit vector psi of each outcome
-        psi = mvecs[indices, :, 0]
-        rows = _pauli_coeffs(psi[:, :, None] * psi.conj()[:, None, :])[:, 1:]
-        offset = np.full(len(indices), 0.5)
-        weights = np.trace(p.elements[indices], axis1=1, axis2=2).real
+        squares = c[indices]
+        rows = lin[indices] / (2.0 * squares[:, None])
+        offset = np.ones(len(indices))
     if np.linalg.matrix_rank(rows, tol=_tol.BLOCH_RANK_TOL) < 3:
         raise ValueError("POVM is not informationally complete for the "
                          "Bloch vector")
-    return _LinearSystem(indices, offset, rows, weights)
+    return _LinearSystem(indices, offset, rows, squares)
 
 
 def _linear_bloch(counts: np.ndarray, sys: _LinearSystem) -> np.ndarray:
@@ -297,8 +310,8 @@ def _linear_bloch(counts: np.ndarray, sys: _LinearSystem) -> np.ndarray:
     every trial solved by one lstsq with a matrix right-hand side."""
     freqs = counts / counts.sum(axis=1, keepdims=True)
     target = freqs[:, sys.indices]
-    if sys.sym_weights is not None:
-        target = np.sqrt(np.clip(target, 0.0, None) / sys.sym_weights)
+    if sys.squares is not None:
+        target = np.sqrt(np.clip(target, 0.0, None) / sys.squares)
     s, *_ = np.linalg.lstsq(sys.rows, (target - sys.offset).T, rcond=None)
     return s.T
 
@@ -383,8 +396,9 @@ def _mle_multistart(counts: np.ndarray, model: _QuadModel, s0: np.ndarray,
 @dataclass
 class _Scheme:
     """What estimation needs from a POVM, built once per run or sweep:
-    its Pauli model, which the MLE, the single-copy linear rows and a
-    sweep's analytic columns all read, and its linear system."""
+    its Pauli model, which the MLE and a sweep's analytic columns read,
+    and the linear system that :func:`_linear_system` reads from the
+    model, with no eigendecomposition."""
 
     povm: Povm
     model: _QuadModel
@@ -531,24 +545,22 @@ def _inverse_fisher(i_mats: np.ndarray) -> np.ndarray:
 
 def asymptotic_metrics(param: Parametrization, p: Povm, weight="hs") -> float:
     """Asymptotic scaled error t * tr(W I^{-1}) at the basepoint of any
-    chart.
+    chart, with I from :func:`fisher.fisher_matrix`.
 
     ``weight`` selects the Hilbert-Schmidt matrix W_ab = tr(t_a t_b)
-    ('hs'), the Bures matrix J/4 ('msb'), or any explicit matrix; only
-    the selected one is computed.  :func:`sweep` evaluates the same
-    quantities for the Bloch chart in closed form.
+    ('hs'), the Bures matrix J/4 ('msb', J from
+    :func:`states.qfi_matrix`), or any explicit matrix; only the selected
+    one is computed.  :func:`sweep` evaluates the same quantities for the
+    Bloch chart in closed form.
     """
-    rho = param.base()
+    i_inv = _inverse_fisher(fisher_matrix(param, p)[None])[0]
     tangents = tangent_ops(param)
-    i_mat = _accumulate(*_probs_and_grads(rho, tangents, p),
-                        _tol.DROP_THRESHOLD)[0]
-    i_inv = _inverse_fisher(i_mat[None])[0]
     if not isinstance(weight, str):
         w = np.asarray(weight, dtype=float)
     elif weight == "hs":
         w = np.einsum("aij,bji->ab", tangents, tangents).real
     elif weight == "msb":
-        w = _qfi(rho, tangents) / 4.0
+        w = qfi_matrix(param.base(), tangents) / 4.0
     else:
         raise ValueError(f"unknown weight {weight!r}")
     return float(p.copies * np.trace(w @ i_inv))
@@ -560,10 +572,10 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
     'hs' and 'msb', at every row of a (g, 3) array of Bloch vectors.
 
     The chart's tangents are σ/2, along which the model's gradient is
-    L + 2 M s, so the I of every point follows from the model alone, in
-    one contraction over the outcomes that ``fisher._kept`` keeps (with
-    its regularity warning for a dropped outcome that still varies).
-    The weights are 1/2 and J/4 with
+    L + 2 M s, so the I of every point follows from the model alone:
+    ``fisher._accumulate`` takes the whole grid's probabilities and
+    gradients as one stack, with the drop rule and regularity warning of
+    :func:`fisher.fisher_matrix`.  The weights are 1/2 and J/4 with
     J = 1 + s s^T / (1 - |s|^2) (Braunstein and Caves, PRL 72, 3439
     (1994)).  A state with (1 - |s|)/2 at or below ``_tol.RANK_TOL``
     counts as pure, where J is undefined, and raises as the SLD solve of
@@ -572,11 +584,7 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
     probs = _nonnegative(model.c + bloch @ model.lin.T + np.einsum(
         "kab,ga,gb->gk", model.quad, bloch, bloch))
     grads = model.lin + 2.0 * np.einsum("kab,gb->gka", model.quad, bloch)
-    kept = _kept(probs, grads, _tol.DROP_THRESHOLD)[0][..., None]
-    scaled = np.divide(grads, probs[..., None], out=np.zeros_like(grads),
-                       where=kept)
-    i_mats = scaled.swapaxes(1, 2) @ grads
-    i_inv = _inverse_fisher(0.5 * (i_mats + i_mats.swapaxes(1, 2)))
+    i_inv = _inverse_fisher(_accumulate(probs, grads, _tol.DROP_THRESHOLD)[0])
     r = np.linalg.norm(bloch, axis=1)
     if np.any((1.0 - r) / 2.0 <= _tol.RANK_TOL):
         raise ValueError(f"Bloch radius {r.max()!r} is pure to within "

@@ -117,12 +117,15 @@ class TestBuildVerify:
         ("tight-coherent-d3", "--sic1"),
         ("tight-coherent-d3", "--sic2"),
     ], ids=lambda o: "-".join(o))
-    @pytest.mark.parametrize("source", ["xz-bases", "two-copy-povm"])
+    @pytest.mark.parametrize("source", ["xz-bases", "two-copy-povm",
+                                        "directory"])
     def test_input_file_unfit_for_the_construction_is_usage_error(
             self, capsys, tmp_path, option, source):
         # the input file, not the numerics, is at fault: exit 2, no output
         path = str(tmp_path / "in.json")
-        if source == "xz-bases":
+        if source == "directory":
+            os.mkdir(path)
+        elif source == "xz-bases":
             # four qubit states, not a projective 2-design
             bx, _, bz = mub(2)
             vectors = np.concatenate([bx.T, bz.T])
@@ -447,6 +450,15 @@ class TestFisherCommand:
         assert code == 2
         assert all(name in err for name in NAMED_POVMS)
 
+    @pytest.mark.parametrize("threshold", ["-1", "-1e-300"])
+    def test_negative_drop_threshold_is_usage_error(self, capsys, threshold):
+        # it would keep zero-probability outcomes and divide by them
+        with pytest.raises(SystemExit) as exc:
+            main(["fisher", "--povm", "great-circle", "--state", "pure:1,0",
+                  f"--drop-threshold={threshold}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_pure_chart_needs_pure_state(self, capsys):
         code, _, err = run(capsys, "fisher", "--povm", "sic-single",
                            "--state", "bloch:0.5,0,0", "--param", "pure")
@@ -632,6 +644,53 @@ def test_config_must_be_an_object(capsys, tmp_path, command, content):
                        str(tmp_path / "out"))
     assert code == 2
     assert "JSON object" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "sic", "{dir}"),
+    ("verify", "povm", "{latin1}"),
+    ("fisher", "--povm", "{dir}", "--state", "bloch:0,0,0"),
+    ("fisher", "--povm", "sic-single", "--state", "{dir}"),
+    ("simulate", "--config", "{dir}"),
+    ("simulate", "--config", "{latin1}"),
+    ("sweep", "--config", "{latin1}", "--out", "{out}"),
+], ids=["verify-dir", "verify-latin1", "fisher-povm-dir", "fisher-state-dir",
+        "simulate-dir", "simulate-latin1", "sweep-latin1"])
+def test_unreadable_input_is_usage_error(capsys, tmp_path, argv):
+    # a directory, or a file whose bytes are not UTF-8
+    paths = {"dir": tmp_path / "dir.json", "latin1": tmp_path / "latin1.json",
+             "out": tmp_path / "rows.csv"}
+    paths["dir"].mkdir()
+    paths["latin1"].write_bytes('{"scheme": "sic-single", "note": "\xe9"}'
+                                .encode("latin-1"))
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out is None
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "sic-qubit", "--out", "{out}"),
+    ("simulate", "--config", "{simulate}", "--out", "{out}"),
+    ("sweep", "--config", "{sweep}", "--out", "{out}"),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    # --out in a directory that does not exist
+    run_keys = {"n_copies": 200, "n_trials": 3, "seed": 5,
+                "estimator": "linear"}
+    paths = {"simulate": tmp_path / "simulate.json",
+             "sweep": tmp_path / "sweep.json",
+             "out": tmp_path / "missing" / "out"}
+    paths["simulate"].write_text(json.dumps(
+        {"scheme": "sic-single", "bloch": [0.5, 0.0, 0.0], **run_keys}))
+    paths["sweep"].write_text(json.dumps(
+        {"scheme": "sic-single", "radii": [0.0, 0.5], **run_keys}))
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out is None
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
 
 
 class TestSweepCommand:

@@ -114,6 +114,17 @@ class TestFisherMatrix:
             i_mat = fisher_matrix(par, great_circle_qubit())
         assert i_mat.shape == (2, 2)
 
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, float("nan")])
+    def test_negative_drop_threshold_rejected(self, threshold):
+        # it would keep the zero-probability outcomes of a pure state and
+        # divide by them
+        from fisym.states import PureState
+
+        par = PureCanonical(PureState(np.array([1.0, 0.0], dtype=complex)))
+        for accumulate in (fisher_matrix, fisher_report):
+            with pytest.raises(ValueError, match="nonnegative"):
+                accumulate(par, great_circle_qubit(), drop_threshold=threshold)
+
     def test_irregular_outcome_warns(self):
         # in the mixed chart a vanishing probability with nonzero
         # derivative signals an ill-defined Fisher matrix

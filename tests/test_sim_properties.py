@@ -21,11 +21,20 @@ A sweep's analytic columns come from the same model for the whole grid
 at once, with the Bures weight in closed form.  They must agree with
 ``asymptotic_metrics`` of each point's Bloch chart, or fail as it does.
 
+The same model gives a two-copy POVM's linear system: the outcomes
+whose probability is a perfect square c (1 + u.s)^2 with |u| = 1.  They
+must be exactly the sym-power elements of ``povm.classify_coherent``,
+and exact probabilities must invert to the state.  The Fisher matrices
+of a grid are accumulated as one stack, which must give each point's
+matrix bit for bit.
+
 A sweep samples from the Born rule tr(rho^(xt) E), not from the model:
 the states of its grid are one stack and their probabilities one
 contraction.  Both must equal, bit for bit, what ``density_from_bloch``
 and ``outcome_probs`` give point by point, so the counts do not change.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -34,13 +43,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fisym._streams import seeded_rng, stream_states
-from fisym.fisher import _probs_and_grads, fisher_matrix, outcome_probs
+from fisym.fisher import (_accumulate, _probs_and_grads, fisher_matrix,
+                          outcome_probs)
 from fisym.matcore import mat_power
-from fisym.povm import NAMED_POVMS, Povm
-from fisym.states import (BlochQubit, _bloch_states, density_from_bloch,
-                          fidelity, qubit_fidelity, tangent_ops)
-from fisym.tomosim import (SCHEMES, _analytic_columns, _quad_model,
-                           _sampling_probs, asymptotic_metrics)
+from fisym.povm import NAMED_POVMS, Povm, classify_coherent
+from fisym.states import (_PAULI, BlochQubit, _bloch_states,
+                          density_from_bloch, fidelity, qubit_fidelity,
+                          tangent_ops)
+from fisym.tomosim import (SCHEMES, _analytic_columns, _linear_bloch,
+                           _linear_system, _quad_model, _sampling_probs,
+                           asymptotic_metrics)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -215,3 +227,81 @@ def test_grid_probabilities_match_each_point(p, bloch, on_sphere):
     # the per-point sampling probabilities: Born rule, renormalized
     expected = [pr / pr.sum() for pr in (outcome_probs(r, p) for r in rhos)]
     assert _sampling_probs(stack, p).tobytes() == np.array(expected).tobytes()
+
+
+@settings(max_examples=200)
+@given(p=st.one_of(qubit_povms(),
+                   st.sampled_from([NAMED_POVMS[s] for s in SCHEMES[:-1]])),
+       bloch=bloch_grids(), threshold=st.sampled_from([1e-12, 0.05, 0.3]))
+def test_accumulate_stack_matches_each_point(p, bloch, threshold):
+    model = _quad_model(p)
+    probs = np.array([np.clip(model.probs(s), 0.0, None) for s in bloch])
+    grads = np.array([model.grads(s) for s in bloch])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stack, dropped = _accumulate(probs, grads, threshold)
+        points = [_accumulate(pr, g, threshold) for pr, g in zip(probs, grads)]
+    assert stack.shape == (len(bloch), 3, 3)
+    assert stack.tobytes() == np.array([i for i, _ in points]).tobytes()
+    assert dropped == [d for _, ds in points for d in ds]
+
+
+def _unit_vector(v):
+    norm = np.linalg.norm(v)
+    return v / norm if norm > 1e-3 else np.array([1.0, 0.0], dtype=complex)
+
+
+@st.composite
+def mixed_two_copy_povms(draw):
+    """Complete two-copy qubit POVMs that mix sym-power elements
+    w (psi psi)^(x2), singlets, products |a>|b> of two states at fidelity
+    below 0.98 and random full-rank PSD elements, scaled to sum to at
+    most 0.8 times the identity and completed by the remainder."""
+    elements = []
+    kinds = draw(st.lists(st.sampled_from(["singlet", "product", "random"]),
+                          max_size=4))
+    kinds += ["sym-power"] * draw(st.integers(0 if kinds else 1, 6))
+    for kind in draw(st.permutations(kinds)):
+        if kind == "sym-power":
+            psi = _unit_vector(draw(complex_array(2)))
+            proj = np.outer(psi, psi.conj())
+            elements.append(draw(st.floats(0.1, 1.0)) * np.kron(proj, proj))
+        elif kind == "singlet":
+            v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+            elements.append(np.outer(v, v))
+        elif kind == "product":
+            a = _unit_vector(draw(complex_array(2)))
+            theta = draw(st.floats(0.0, 1.4))
+            b = np.cos(theta) * np.array([-a[1].conj(), a[0].conj()]) \
+                + np.sin(theta) * a
+            ab = np.kron(a, b)
+            elements.append(np.outer(ab, ab.conj()))
+        else:
+            g = draw(complex_array((4, draw(st.integers(1, 4)))))
+            elements.append(g @ g.conj().T + 1e-3 * np.eye(4))
+    elements = np.array(elements) / (
+        1.25 * np.linalg.eigvalsh(sum(elements))[-1])
+    return Povm([*elements, np.eye(4) - elements.sum(axis=0)], copies=2,
+                base_dim=2)
+
+
+@settings(max_examples=300)
+@given(p=mixed_two_copy_povms(), s=interior_bloch())
+@example(p=NAMED_POVMS["collective-sic"], s=np.array([0.3, -0.5, 0.6]))
+def test_linear_system_keeps_the_sym_power_classes(p, s):
+    classes = classify_coherent(p).classes
+    sym = [xi for xi, c in enumerate(classes) if c.kind == "sym-power"]
+    # the Bloch vectors of the classes' states
+    u = np.array([[np.vdot(c.states[0], m @ c.states[0]).real
+                   for m in _PAULI] for c in classes if c.kind == "sym-power"])
+    try:
+        system = _linear_system(p, _quad_model(p))
+    except ValueError:
+        # no such outcome, or too few directions for the Bloch vector
+        assert not sym or np.linalg.matrix_rank(u, tol=1e-10) < 3
+        return
+    assert system.indices.tolist() == sym
+    probs = outcome_probs(density_from_bloch(s), p)
+    # the least-squares solve turns rounding into cond(rows) times as much
+    tol = max(1e-12, 1e-14 * np.linalg.cond(system.rows))
+    assert np.max(np.abs(_linear_bloch(probs[None], system)[0] - s)) <= tol

@@ -178,9 +178,12 @@ class TestLinearSystem:
         psi = np.array([c.states[0] for _, c in sym])
         system = _linear_system(p, _quad_model(p))
         assert system.indices.tolist() == [xi for xi, _ in sym]
-        assert np.array_equal(system.rows, _pauli_coeffs(
-            psi[:, :, None] * psi.conj()[:, None, :])[:, 1:])
-        assert np.array_equal(system.sym_weights, [c.weight for _, c in sym])
+        # the unit Bloch vector u of psi; the element's probability is
+        # (w/4)(1 + u.s)^2
+        u = 2.0 * _pauli_coeffs(psi[:, :, None] * psi.conj()[:, None, :])[:, 1:]
+        assert np.allclose(system.rows, u, rtol=0.0, atol=1e-12)
+        assert np.allclose(system.squares, [c.weight / 4.0 for _, c in sym],
+                           rtol=0.0, atol=1e-12)
 
     def test_mixed_povm_has_every_kind(self):
         kinds = [c.kind for c in classify_coherent(
