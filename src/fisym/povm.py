@@ -114,9 +114,12 @@ class PovmReport:
     ok: bool
 
 
-def _povm_report(p: Povm, vals: np.ndarray, tol: float) -> PovmReport:
-    """:func:`validate_povm` given the element eigenvalues ``vals``."""
-    violation = max(0.0, -float(vals.min()))
+def validate_povm(p: Povm, tol: float = _tol.POVM_TOL) -> PovmReport:
+    """Largest negative-eigenvalue excursion over the elements and
+    |sum - target|_F, the target being the identity or, for a
+    symmetric-subspace POVM, the symmetric projector; ``ok`` when both are
+    at most ``tol``."""
+    violation = max(0.0, -float(np.linalg.eigvalsh(p.elements).min()))
     resid = float(np.linalg.norm(p.elements.sum(axis=0)
                                  - p.completeness_target()))
     return PovmReport(
@@ -124,11 +127,6 @@ def _povm_report(p: Povm, vals: np.ndarray, tol: float) -> PovmReport:
         completeness_residual=resid,
         ok=bool(violation <= tol and resid <= tol),
     )
-
-
-def validate_povm(p: Povm, tol: float = _tol.POVM_TOL) -> PovmReport:
-    """Largest negative-eigenvalue excursion and |sum - target|_F."""
-    return _povm_report(p, np.linalg.eigvalsh(p.elements), tol)
 
 
 def _kron_squares(ops: np.ndarray) -> np.ndarray:
@@ -242,20 +240,20 @@ class CoherenceReport:
     classes: tuple
 
 
-def _numerical_ranks(vals: np.ndarray, tol: float) -> np.ndarray:
-    """Per row of ``vals``, the count of eigenvalues above ``tol`` times
-    the row's largest (0 for a row with no positive eigenvalue)."""
-    top = np.maximum(vals.max(axis=-1, keepdims=True), 0.0)
-    return np.sum(vals > tol * top, axis=-1)
-
-
 def classify_coherent(p: Povm, tol: float = _tol.RANK_TOL) -> CoherenceReport:
-    """Classify every element of a two-copy POVM.
+    """Classify every element E of a two-copy POVM by two identities of
+    its trace w and its marginal M = tr_1(E).
 
-    An element is 'sym-power' when it is rank one with symmetric support
-    and a rank-one single-system marginal, and 'slater' when it is rank
-    one with antisymmetric support and a rank-two marginal with equal
-    eigenvalues.  The POVM is coherent when no element is 'neither'.
+    E is 'sym-power' when w E = P_+ (M ⊗ M) P_+, and 'slater' when
+    w E = 4 P_- (M ⊗ M) P_-, each to ``tol`` w |E|_F, with w above
+    ``_tol.POVM_TOL``; otherwise 'neither'.  Taking tr_1 of either right
+    side gives w M back only when M is w times a rank-one projector, or
+    w/2 times a rank-two one, so each identity holds on its class alone,
+    and its residual grows linearly with the distance from the class
+    (about sqrt(2) eps for v ∝ |00> + eps |11>, whose marginal's second
+    eigenvalue is only eps^2).  The witness states are the marginal's
+    leading eigenvectors.  The POVM is coherent when no element is
+    'neither'.
 
     On a qubit, a sym-power element w (psi psi)^(x2) has the outcome
     probability (w/4)(1 + u.s)^2, u the Bloch vector of psi; ``tomosim``
@@ -264,30 +262,23 @@ def classify_coherent(p: Povm, tol: float = _tol.RANK_TOL) -> CoherenceReport:
     """
     if p.copies != 2:
         raise ValueError("coherence structure applies to two-copy POVMs")
-    return _classify(p, np.linalg.eigvalsh(p.elements), tol)
-
-
-def _classify(p: Povm, vals: np.ndarray, tol: float) -> CoherenceReport:
-    """:func:`classify_coherent` given the element eigenvalues ``vals``."""
     e = p.elements
+    weights = np.trace(e, axis1=1, axis2=2).real
+    marginals = matcore.partial_trace(e, 0)
+    squares = _kron_squares(marginals)
     p_sym = matcore.sym_projector(p.base_dim)
     p_anti = matcore.antisym_projector(p.base_dim)
-    scale = np.linalg.norm(e, axis=(1, 2))
-    weights = np.trace(e, axis1=1, axis2=2).real.tolist()
-    sym_resid = np.linalg.norm(e - p_sym @ e @ p_sym, axis=(1, 2))
-    anti_resid = np.linalg.norm(e - p_anti @ e @ p_anti, axis=(1, 2))
-    rank1 = (scale > _tol.POVM_TOL) & (_numerical_ranks(vals, tol) == 1)
-    # marginal eigenpairs, descending
-    mvals, mvecs = np.linalg.eigh(matcore.partial_trace(e, 0))
-    mvals, mvecs = mvals[:, ::-1], mvecs[:, :, ::-1]
-    mranks = _numerical_ranks(mvals, tol)
-    # a symmetric element is never tried as an antisymmetric one
-    sym = rank1 & (sym_resid <= tol * scale)
-    sym_power = sym & (mranks == 1)
-    slater = (rank1 & ~sym & (anti_resid <= tol * scale) & (mranks == 2)
-              & (np.abs(mvals[:, 0] - mvals[:, 1]) <= tol * mvals[:, 0]))
+    we = weights[:, None, None] * e
+    bound = tol * weights * np.linalg.norm(e, axis=(1, 2))
+    positive = weights > _tol.POVM_TOL
+    sym_power = positive & (np.linalg.norm(
+        we - p_sym @ squares @ p_sym, axis=(1, 2)) <= bound)
+    slater = positive & (np.linalg.norm(
+        we - 4.0 * p_anti @ squares @ p_anti, axis=(1, 2)) <= bound)
+    # marginal eigenvectors, by descending eigenvalue
+    mvecs = np.linalg.eigh(marginals)[1][:, :, ::-1]
     classes = []
-    for k, weight in enumerate(weights):
+    for k, weight in enumerate(weights.tolist()):
         if sym_power[k]:
             classes.append(ElementClass("sym-power", weight, (mvecs[k, :, 0],)))
         elif slater[k]:
@@ -311,14 +302,15 @@ def marginal_Q(element: np.ndarray) -> np.ndarray:
 
 
 def _check_rank_profile(ops: OperatorSet, rank: int, tol: float) -> None:
-    vals = np.linalg.eigvalsh(ops.elements)
-    if np.any(_numerical_ranks(vals, tol) != rank):
-        raise ValueError(f"operator is not rank-{rank} as required")
-    if rank == 2:
-        top, second = vals[:, -1], vals[:, -2]
-        if np.any(np.abs(top - second) > tol * top):
-            raise ValueError("rank-2 operator is not proportional to a "
-                             "projector")
+    """Each operator A must be tr(A)/rank times a rank-``rank`` projector:
+    A^2 = (tr A / rank) A to ``tol`` |A|_F^2.  The operators of an
+    OperatorSet are PSD with positive trace, so that identity is enough."""
+    a = ops.elements
+    resid = np.linalg.norm(a @ a - (ops.traces() / rank)[:, None, None] * a,
+                           axis=(1, 2))
+    if np.any(resid > tol * np.linalg.norm(a, axis=(1, 2)) ** 2):
+        raise ValueError(f"operator is not a multiple of a rank-{rank} "
+                         "projector")
 
 
 def tight_coherent_from_designs(
@@ -334,6 +326,11 @@ def tight_coherent_from_designs(
     B_eta proportional to rank-two projectors, summing to 2(d-1) times the
     identity and forming a generalized 2-design; they produce the
     antisymmetric elements P_- (B ⊗ B) P_- / tr B.
+
+    The rank profiles are checked by the identity A^2 = (tr A / r) A,
+    r = 1 or 2, to ``_tol.RANK_TOL`` |A|_F^2, whose residual grows
+    linearly with a seed's distance from its profile; the sums to ``tol``
+    times d, and the design certificates to ``tol``.
     """
     d = sym_ops.dim
     if antisym_ops.dim != d:
@@ -414,14 +411,19 @@ class TightCoherentReport:
 def tight_coherent_check(
     p: Povm, tol: float = _tol.DESIGN_TOL
 ) -> TightCoherentReport:
-    """Test whether a two-copy POVM is tight coherent."""
+    """Test whether a two-copy POVM is tight coherent.
+
+    One tolerance serves the request: ``tol`` bounds the relative
+    residual of :func:`classify_coherent`'s identities, the frame-potential
+    slack of the marginals {Q_xi} and, with ``_tol.TIGHT_PURITY_TOL`` as
+    its floor, their purity residual.  Positivity and completeness are
+    :func:`validate_povm` at its default ``_tol.POVM_TOL``.
+    """
     if p.copies != 2 or p.subspace is not None:
         raise ValueError("tightness applies to complete two-copy POVMs")
     d = p.base_dim
-    # one batched eigensolve serves the PSD check and the rank tests
-    vals = np.linalg.eigvalsh(p.elements)
-    report = _povm_report(p, vals, _tol.POVM_TOL)
-    classification = _classify(p, vals, _tol.RANK_TOL)
+    report = validate_povm(p)
+    classification = classify_coherent(p, tol)
     q_all = OperatorSet(marginal_Q(p.elements))
     q_cert = generalized_2design_check(q_all, tol)
     target = (3.0 * d + 1.0) / (4.0 * d)

@@ -96,6 +96,9 @@ def _validate_run(config) -> None:
         raise ValueError("need at least one trial")
     if config.n_copies < 1:
         raise ValueError("need at least one copy per trial")
+    if config.n_copies >= 2 ** 63:
+        # the multinomial sampler takes a signed 64-bit count
+        raise ValueError("n_copies must be below 2**63")
     if config.seed < 0:
         raise ValueError("seed must be nonnegative")
     if not (0.0 < config.interior_clip < 1.0):
@@ -587,7 +590,7 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
     i_inv = _inverse_fisher(_accumulate(probs, grads, _tol.DROP_THRESHOLD)[0])
     r = np.linalg.norm(bloch, axis=1)
     if np.any((1.0 - r) / 2.0 <= _tol.RANK_TOL):
-        raise ValueError(f"Bloch radius {r.max()!r} is pure to within "
+        raise ValueError(f"Bloch radius {float(r.max())!r} is pure to within "
                          "the rank tolerance; the Bures weight J/4 is "
                          "undefined there")
     tr_inv = np.trace(i_inv, axis1=1, axis2=2)

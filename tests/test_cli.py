@@ -11,8 +11,8 @@ import fisym
 from fisym import cli, states
 from fisym.cli import _choose_param, _parse_state, main
 from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
-from fisym.opfile import (load_json, operator_set_to_obj, save_json,
-                          state_set_to_obj)
+from fisym.opfile import (json_to_matrix, load_json, matrix_to_json,
+                          operator_set_to_obj, save_json, state_set_to_obj)
 from fisym.povm import NAMED_POVMS
 
 
@@ -98,6 +98,28 @@ class TestBuildVerify:
         assert code == 0
         assert report["purity_target"] == pytest.approx(5 / 6)
         assert report["antisym_gsic"]["is_gsic"] is True
+
+    def test_coherent_kinds_classify_at_one_tol(self, capsys, tmp_path):
+        # element 0 becomes w (psi psi + 5e-9 chi chi) with chi symmetric
+        # and orthogonal to psi psi; its class residual, about 2.5e-9,
+        # lies between the two tolerances
+        path = str(tmp_path / "tc18.json")
+        run(capsys, "build", "tight-coherent-d3", "--out", path)
+        obj = load_json(path)
+        e = json_to_matrix(obj["elements"][0]["matrix"])
+        marginal = e.reshape(3, 3, 3, 3).trace(axis1=0, axis2=2)
+        psi = np.linalg.eigh(marginal)[1][:, -1]
+        a = np.linalg.qr(np.column_stack([psi, np.eye(3)[:, :2]]))[0][:, 1]
+        pp = np.kron(psi, psi)
+        chi = (np.kron(psi, a) + np.kron(a, psi)) / np.sqrt(2.0)
+        e = np.trace(e).real * (np.outer(pp, pp.conj())
+                                + 5e-9 * np.outer(chi, chi.conj()))
+        obj["elements"][0]["matrix"] = matrix_to_json(e)
+        save_json(obj, path)
+        for tol, coherent in (("1e-8", True), ("1e-9", False)):
+            for kind in ("coherent", "tight-coherent"):
+                report = run(capsys, "verify", kind, path, "--tol", tol)[1]
+                assert report["coherent"] is coherent
 
     def test_missing_required_option(self, capsys, tmp_path):
         code, _, err = run(capsys, "build", "twocopy-design", "--out",
@@ -544,7 +566,9 @@ class TestSimulateCommand:
                                      {"radii": [0.5]},
                                      {"interior_clip": "0.5"},
                                      {"bloch": ["0.5", 0, 0]},
-                                     {"bloch": [True, 0, 0]}])
+                                     {"bloch": [True, 0, 0]},
+                                     {"n_copies": 10 ** 23},
+                                     {"n_copies": 2 ** 63}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         config = self.write_config(tmp_path, **bad)
         code, _, err = run(capsys, "simulate", "--config", config)
@@ -721,7 +745,9 @@ class TestSweepCommand:
                                      {"radii": ["0.5"]},
                                      {"radii": [False, 0.5]},
                                      {"direction": ["1", 0, "0"]},
-                                     {"direction": [True, 0, 0]}])
+                                     {"direction": [True, 0, 0]},
+                                     {"n_copies": 10 ** 23},
+                                     {"n_copies": 2 ** 63}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         obj = {"scheme": "collective-sic", "radii": [0.0, 0.5],
                "n_copies": 200, "n_trials": 3, "seed": 5}
@@ -744,6 +770,7 @@ class TestSweepCommand:
                            str(tmp_path / "rows.csv"))
         assert code == 3
         assert err.startswith("numerical failure")
+        assert f"Bloch radius {1.0 - 1e-10!r} is pure" in err
 
     def test_povm_file_needs_custom_scheme(self, capsys, tmp_path):
         path = str(tmp_path / "coll.json")

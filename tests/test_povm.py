@@ -173,6 +173,16 @@ class TestClassifyCoherent:
         assert kinds == ["neither", "neither", "neither", "slater"]
         assert not rep.coherent
 
+    @pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-5])
+    def test_near_product_element_is_neither(self, eps):
+        # |v><v| lies about eps from the sym-power class, and its
+        # marginal's second eigenvalue is only eps^2
+        v = np.array([1.0, 0.0, 0.0, eps]) / np.hypot(1.0, eps)
+        e = np.outer(v, v)
+        rep = classify_coherent(Povm([e, np.eye(4) - e], copies=2,
+                                     base_dim=2))
+        assert rep.classes[0].kind == "neither"
+
     def test_random_two_copy_povm_not_coherent(self, rng):
         rep = classify_coherent(random_two_copy_povm(rng, 2, 5))
         assert not rep.coherent
@@ -237,6 +247,12 @@ class TestTightCoherentFromDesigns:
         bad_anti = OperatorSet((np.diag([1.5, 0.5]),))
         with pytest.raises(ValueError):
             tight_coherent_from_designs(sym, bad_anti)
+        # one seed 1e-6 away from rank one
+        a = sym.elements[0]
+        near = OperatorSet((a + 1e-6 * (np.trace(a) * np.eye(2) - a),
+                            *sym.elements[1:]))
+        with pytest.raises(ValueError, match="rank-1"):
+            tight_coherent_from_designs(near, anti)
 
     def test_non_design_seed_rejected(self, rng):
         # rank-one seeds summing correctly but not a generalized 2-design:
