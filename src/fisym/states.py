@@ -427,21 +427,24 @@ def qfi_matrix(rho: DensityMatrix, tangents) -> np.ndarray:
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].
 
-    sqrt(rho) comes from the spectrum that rho keeps, its negative
-    eigenvalues (at most ``_tol.PSD_TOL`` in size) taken as zero, so any
-    state that :class:`DensityMatrix` accepts is accepted here.
-    Eigenvalues of sqrt(rho) sigma sqrt(rho) at or below
-    d * ``_tol.ROUNDOFF_TOL`` are rounding noise and count as zero, so a
-    rank-deficient product (a pure rho or sigma) does not pick up the
-    square root of that noise.
+    It is computed as F = |sqrt(rho) sqrt(sigma)|_1^2, the squared sum of
+    the singular values of one product (Jozsa, J. Mod. Opt. 41, 2315
+    (1994)).  Each root comes from the spectrum its state keeps.
+    Eigenvalues at or below d * ``_tol.ROUNDOFF_TOL`` are rounding noise
+    and count as zero: so do negative ones (at most ``_tol.PSD_TOL`` in
+    size), so any state that :class:`DensityMatrix` accepts is accepted
+    here, and a pure state's root does not pick up the square root of
+    that noise.  The singular values carry rounding of the size of the
+    product's norm, and no square root of a rounded small eigenvalue
+    enters them, so F stays accurate next to the sphere.
     """
-    v = rho.eigenvectors
-    root = (v * np.sqrt(np.clip(rho.eigenvalues, 0.0, None))) @ v.conj().T
-    inner = root @ sigma.matrix @ root
-    vals = np.linalg.eigvalsh(matcore.hermitian_part(inner))
-    vals = np.where(vals > rho.dim * _tol.ROUNDOFF_TOL, vals, 0.0)
-    f = float(np.sum(np.sqrt(vals)) ** 2)
-    return min(max(f, 0.0), 1.0)
+    def root(state):
+        v, vals = state.eigenvectors, state.eigenvalues
+        vals = np.where(vals > state.dim * _tol.ROUNDOFF_TOL, vals, 0.0)
+        return (v * np.sqrt(vals)) @ v.conj().T
+
+    vals = np.linalg.svd(root(rho) @ root(sigma), compute_uv=False)
+    return min(max(float(np.sum(vals) ** 2), 0.0), 1.0)
 
 
 def qubit_fidelity(s, t) -> np.ndarray:

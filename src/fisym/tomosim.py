@@ -347,7 +347,27 @@ def _mle_bloch(
     init: np.ndarray,
     clip: float,
 ) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent on the multinomial log-likelihood."""
+    """Projected damped-Newton ascent on the multinomial log-likelihood
+    l(s) = sum_k n_k log p_k(s) over the ball |s| <= clip, with Fisher
+    scoring after Hradil, PRA 55, R1561 (1997).
+
+    Each iteration tries the step d = A^{-1} g, g the gradient, at
+    t = 1, 1/2, 1/4, 1/8, each trial point projected onto the clipped
+    ball, and takes the first that raises l.  A is -Hess l where that is
+    positive definite, and otherwise the scoring matrix
+    G = sum_k n_k grad p_k grad p_k^T / p_k^2 over the observed outcomes,
+    which is positive semidefinite, so d is an ascent direction.  For an
+    affine model the two are equal; for a quadratic one
+    -Hess l = G - 2 sum_k (n_k / p_k) M_k, and Newton's step converges
+    where scoring would crawl.  At the clip, with g pointing outward, the
+    step is Newton's on the sphere: A and g restricted to its tangent
+    plane, A plus the curvature term (g.s / |s|^2) of the constraint.
+    When A is singular or no Newton point rises, the iteration takes a
+    projected gradient step with a backtracking step size instead.  The
+    ascent ends when |g| falls to ``_MLE_GRAD_TOL``, when no step raises
+    l, or after ``_MLE_MAX_ITER`` iterations.  Returns the point and its
+    log-likelihood.
+    """
     observed = counts > 0
     c_obs = counts[observed]
 
@@ -364,29 +384,49 @@ def _mle_bloch(
         f = loglik(s)
     step = 1.0 / counts.sum()
     for _ in range(_MLE_MAX_ITER):
-        pr = model.probs(s)
-        g = (model.grads(s)[observed] * (c_obs / pr[observed])[:, None]).sum(axis=0)
+        grads = model.grads(s)[observed]
+        w = c_obs / model.probs(s)[observed]
+        g = w @ grads
         if np.linalg.norm(g) <= _MLE_GRAD_TOL:
             break
-        improved = False
-        while step >= 1e-18:
-            cand = _project(s + step * g, clip)
+        fisher = (grads.T * (w * w / c_obs)) @ grads
+        hess = fisher - 2.0 * np.tensordot(w, model.quad[observed], 1)
+        a = hess if np.linalg.eigvalsh(hess)[0] > 0.0 else fisher
+        r2, b = s @ s, g
+        if r2 >= (clip - _tol.CLIP_MARGIN) ** 2 and g @ s > 0.0:
+            # pressed against the clip: a Newton step along the sphere
+            tan = np.eye(3) - np.outer(s, s) / r2
+            a = tan @ (a + (g @ s / r2) * np.eye(3)) @ tan + np.eye(3) - tan
+            b = tan @ g
+        try:
+            d = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:  # singular: no Newton step
+            d = np.full(3, np.nan)
+        for h in range(4 if np.all(np.isfinite(d)) else 0):
+            cand = _project(s + 0.5 ** h * d, clip)
             fc = loglik(cand)
             if fc > f:
                 s, f = cand, fc
-                improved = True
-                step *= 2.0
                 break
-            step *= 0.5
-        if not improved:
-            break
+        else:  # no Newton point rises: a projected gradient step
+            while step >= 1e-18:
+                cand = _project(s + step * g, clip)
+                fc = loglik(cand)
+                if fc > f:
+                    s, f = cand, fc
+                    step *= 2.0
+                    break
+                step *= 0.5
+            else:  # no step rises at all
+                break
     return s, f
 
 
 def _mle_multistart(counts: np.ndarray, model: _QuadModel, s0: np.ndarray,
                     clip: float) -> np.ndarray:
-    """Best :func:`_mle_bloch` solution from s0 and from s0 moved by 0.05
-    along each axis, all projected into the clipped ball."""
+    """Best :func:`_mle_bloch` solution of four ascents, from s0 and from
+    s0 moved by 0.05 along each axis, all projected into the clipped
+    ball: the start for models whose likelihood need not be concave."""
     s0 = _project(s0, clip)
     best, best_f = None, -np.inf
     for init in (s0, *(_project(s0 + 0.05 * e, clip) for e in np.eye(3))):
@@ -425,13 +465,22 @@ def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
 def _estimate(counts: np.ndarray, setup: _Scheme,
               clip: float = _tol.INTERIOR_CLIP) -> np.ndarray:
     """Bloch estimates for a (trials, outcomes) count array: the linear
-    inversion projected into the unit ball, or the multi-start MLE from
-    it over the ball clipped at ``clip``."""
+    inversion projected into the unit ball, or the MLE from it over the
+    ball clipped at ``clip``, one trial at a time.
+
+    When the Pauli model is affine (every quadratic part M is zero, as
+    for every single-copy POVM), the log-likelihood is concave on a
+    convex set, so one :func:`_mle_bloch` ascent from the linear estimate
+    finds its global maximizer.  A two-copy model is quadratic and its
+    likelihood need not be concave, so it runs :func:`_mle_multistart`.
+    """
     s_lin = (np.zeros((len(counts), 3)) if setup.linsys is None
              else _linear_bloch(counts, setup.linsys))
     if not setup.mle:
         return _to_ball(s_lin)
-    return np.array([_mle_multistart(c, setup.model, s0, clip)
+    ascent = (_mle_multistart if np.any(setup.model.quad)
+              else lambda *args: _mle_bloch(*args)[0])
+    return np.array([ascent(c, setup.model, s0, clip)
                      for c, s0 in zip(counts, s_lin)])
 
 
@@ -451,9 +500,11 @@ def estimate_mle_qubit(
 ) -> DensityMatrix:
     """Maximum-likelihood qubit estimate over the clipped Bloch ball.
 
-    Projected gradient ascent with backtracking line search, multi-start
-    from the linear-inversion estimate plus three fixed perturbations.
-    The returned log-likelihood never falls below the linear start's.
+    The projected damped-Newton ascent of :func:`_mle_bloch` from the
+    linear-inversion estimate: once for a single-copy POVM, whose
+    likelihood is concave, and for a two-copy POVM also from the three
+    perturbed starts of :func:`_mle_multistart`, keeping the best.  The
+    returned log-likelihood never falls below the linear start's.
     """
     counts = _check_counts(counts, p.size)
     return density_from_bloch(_estimate(

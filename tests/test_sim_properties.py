@@ -32,12 +32,21 @@ A sweep samples from the Born rule tr(rho^(xt) E), not from the model:
 the states of its grid are one stack and their probabilities one
 contraction.  Both must equal, bit for bit, what ``density_from_bloch``
 and ``outcome_probs`` give point by point, so the counts do not change.
+
+The MLE must end at a maximizer over the clipped ball: for sampled
+counts of any named scheme or random rank-one qubit POVM, the gradient
+of the log-likelihood vanishes inside the ball, and at the clip it
+points outward with no tangential part (the KKT conditions), each to
+1e-6 N.  Counts on one or two outcomes, where the Fisher-scoring matrix
+of the Newton step is singular, must give a finite estimate in the
+clipped ball.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from conftest import random_rank_one_povm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -50,9 +59,11 @@ from fisym.povm import NAMED_POVMS, Povm, classify_coherent
 from fisym.states import (_PAULI, BlochQubit, _bloch_states,
                           density_from_bloch, fidelity, qubit_fidelity,
                           tangent_ops)
-from fisym.tomosim import (SCHEMES, _analytic_columns, _linear_bloch,
-                           _linear_system, _quad_model, _sampling_probs,
-                           asymptotic_metrics)
+from fisym._tol import CLIP_MARGIN, INTERIOR_CLIP
+from fisym.tomosim import (SCHEMES, _analytic_columns, _estimate,
+                           _linear_bloch, _linear_system, _quad_model,
+                           _sampling_probs, _scheme_setup,
+                           asymptotic_metrics, scheme_povm)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -74,6 +85,27 @@ def bloch_vectors(draw):
 def test_closed_form_matches_eigendecomposition(s, t):
     expected = fidelity(density_from_bloch(s), density_from_bloch(t))
     assert abs(qubit_fidelity(s, t) - expected) <= 1e-12
+
+
+@st.composite
+def near_sphere_bloch(draw):
+    """Bloch vectors of radius 1 - 10^-k, k in [0, 13], or pure."""
+    v = draw(hnp.arrays(float, 3, elements=unit))
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-3:
+        v, norm = np.array([0.0, 0.0, 1.0]), 1.0
+    pure = draw(st.booleans())
+    return (1.0 if pure else 1.0 - 10.0 ** -draw(st.floats(0.0, 13.0))) \
+        * v / norm
+
+
+@settings(max_examples=300)
+@given(s=near_sphere_bloch(), t=near_sphere_bloch())
+def test_fidelity_is_accurate_near_the_sphere(s, t):
+    # the closed form keeps 1 - |s|^2 to rounding relative to it
+    expected = qubit_fidelity(s, t)
+    assert abs(fidelity(density_from_bloch(s), density_from_bloch(t))
+               - expected) <= 1e-9
 
 
 @settings(max_examples=50)
@@ -305,3 +337,62 @@ def test_linear_system_keeps_the_sym_power_classes(p, s):
     # the least-squares solve turns rounding into cond(rows) times as much
     tol = max(1e-12, 1e-14 * np.linalg.cond(system.rows))
     assert np.max(np.abs(_linear_bloch(probs[None], system)[0] - s)) <= tol
+
+
+def _kkt_residuals(p, counts):
+    """At the MLE of ``counts``, checked finite and in the clipped ball,
+    the gradient g of the log-likelihood: its norm and None inside the
+    ball, or at the clip its tangential norm and its radial part g.s."""
+    model = _quad_model(p)
+    s = _estimate(counts[None].astype(float), _scheme_setup(p, "mle"))[0]
+    assert np.all(np.isfinite(s))
+    assert np.linalg.norm(s) <= INTERIOR_CLIP + CLIP_MARGIN
+    observed = counts > 0
+    g = (counts[observed] / model.probs(s)[observed]) @ model.grads(s)[observed]
+    r = np.linalg.norm(s)
+    if r < INTERIOR_CLIP - CLIP_MARGIN:
+        return np.linalg.norm(g), None
+    u = s / r
+    return np.linalg.norm(g - (g @ u) * u), g @ s
+
+
+@st.composite
+def sampled_counts(draw):
+    """A named scheme or a random rank-one qubit POVM, and counts of N
+    measurements, N in [4, 10^4], sampled at a state of radius up to
+    0.999."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from(["collective-sic", "sic-single",
+                                 "mub-single", "random"]))
+    p = (random_rank_one_povm(rng, 2, draw(st.integers(4, 6)))
+         if name == "random" else scheme_povm(name))
+    v = draw(hnp.arrays(float, 3, elements=unit))
+    norm = float(np.linalg.norm(v))
+    s = np.zeros(3) if norm < 1e-3 else draw(
+        st.sampled_from([0.0, 0.3, 0.9, 0.99, 0.999])) * v / norm
+    probs = _sampling_probs(density_from_bloch(s).matrix[None], p)[0]
+    return p, rng.multinomial(draw(st.integers(4, 10**4)), probs)
+
+
+@settings(max_examples=150)
+@given(case=sampled_counts())
+def test_mle_meets_the_kkt_conditions(case):
+    p, counts = case
+    residual, radial = _kkt_residuals(p, counts)
+    assert residual <= 1e-6 * counts.sum()
+    assert radial is None or radial >= 0.0
+
+
+@pytest.mark.parametrize("scheme, counts", [
+    ("collective-sic", [500, 0, 0, 0, 0]),
+    ("collective-sic", [0, 0, 0, 0, 300]),
+    ("collective-sic", [0, 7, 0, 0, 0]),
+    ("collective-sic", [200, 100, 0, 0, 0]),
+    ("collective-sic", [0, 0, 40, 0, 1]),
+    ("sic-single", [500, 0, 0, 0]),
+])
+def test_mle_with_singular_scoring_matrix(scheme, counts):
+    counts = np.array(counts)
+    residual, radial = _kkt_residuals(scheme_povm(scheme), counts)
+    assert residual <= 1e-6 * counts.sum()
+    assert radial is None or radial >= 0.0

@@ -256,6 +256,19 @@ class TestMleEstimator:
             s_mle = bloch_from_density(mle)
             assert loglik(counts, s_mle) >= loglik(counts, s_lin) - 1e-9
 
+    def test_converges_where_the_gradient_ascent_stalled(self):
+        # projected gradient ascent stopped here at its iteration cap with
+        # |grad l| / N = 4.6e-5, 9.1e-5 from the maximizer in x
+        p = scheme_povm("mub-single")
+        counts = np.array([271.0, 80.0, 69.0, 249.0, 217.0, 114.0])
+        from fisym.states import bloch_from_density
+
+        s = bloch_from_density(estimate_mle_qubit(counts, p))
+        model = _quad_model(p)
+        grad = (counts / model.probs(s)) @ model.grads(s)
+        assert np.linalg.norm(grad) <= 1e-6 * counts.sum()
+        assert abs(s[0] - 0.544160) < 1e-6
+
     def test_estimate_respects_clip(self):
         p = scheme_povm("sic-single")
         # all mass on one outcome pulls the estimate to the boundary
@@ -330,6 +343,41 @@ class TestRunSimulation:
         expected = sum(np.random.default_rng((config.seed, i)).multinomial(
             config.n_copies // p.copies, probs) for i in range(7))
         assert np.array_equal(run_simulation(config).counts_total, expected)
+
+    @pytest.mark.parametrize("scheme, bloch, seed, expected", [
+        ("sic-single", (0, 0, 0), 0, [1281, 1258, 1241, 1220]),
+        ("sic-single", (0, 0, 0), 2**32 - 99991, [1284, 1274, 1223, 1219]),
+        ("sic-single", (0.3, -0.2, 0.5), 0, [1711, 1258, 517, 1514]),
+        ("sic-single", (0.3, -0.2, 0.5), 2**32 - 99991,
+         [1712, 1273, 519, 1496]),
+        ("mub-single", (0, 0, 0), 0, [825, 857, 827, 792, 882, 817]),
+        ("mub-single", (0, 0, 0), 2**32 - 99991,
+         [857, 862, 818, 802, 806, 855]),
+        ("mub-single", (0.3, -0.2, 0.5), 0,
+         [1091, 567, 669, 1008, 1253, 412]),
+        ("mub-single", (0.3, -0.2, 0.5), 2**32 - 99991,
+         [1116, 611, 657, 950, 1267, 399]),
+        ("collective-sic", (0, 0, 0), 0, [435, 473, 492, 470, 630]),
+        ("collective-sic", (0, 0, 0), 2**32 - 99991,
+         [499, 487, 462, 430, 622]),
+        ("collective-sic", (0.3, -0.2, 0.5), 0, [843, 470, 86, 723, 378]),
+        ("collective-sic", (0.3, -0.2, 0.5), 2**32 - 99991,
+         [884, 488, 68, 669, 391]),
+    ])
+    def test_counts_total_is_pinned(self, scheme, bloch, seed, expected):
+        """The summed counts of 5 trials at N = 1000, recorded literally.
+
+        ``Generator.multinomial`` changes its draws when a probability
+        moves by one ulp, and a probability moves by one ulp when the
+        Born-rule einsum sums in another order.  So a change to the
+        sampling contraction can change every Monte Carlo output while
+        each probability still agrees to rounding; these literals catch
+        it, and show that a change to the estimators leaves sampling
+        alone.
+        """
+        config = SimConfig(scheme=scheme, bloch=bloch, n_copies=1000,
+                           n_trials=5, seed=seed)
+        assert run_simulation(config).counts_total.tolist() == expected
 
     def test_non_finite_estimate_is_numerical_failure(self, monkeypatch):
         import fisym.tomosim as tomosim
