@@ -235,9 +235,11 @@ def gm_check(
 ) -> GmVerdict:
     """Evaluate tr(J^{-1} I) and compare with the applicable bound.
 
-    Without an explicit mode, pure basepoints (by the rank rule of
-    ``DensityMatrix.is_pure``) check the N-copy pure-state bound and mixed
-    basepoints the single- or two-copy bound matching the POVM.  Equality
+    Without an explicit mode, pure basepoints (numerical rank 1, by
+    ``DensityMatrix.is_pure``) check the N-copy pure-state bound and
+    other basepoints the single- or two-copy bound matching the POVM.  J
+    is solved as in :func:`states.sld` at every rank; a tangent that
+    leaves the support of the basepoint raises ValueError.  Equality
     holds within ``tol`` times max(1, bound).
     """
     return fisher_report(param, p, mode=mode, tol=tol).gm

@@ -83,10 +83,10 @@ class DensityMatrix:
     Hermitian, trace within 1e-10 of 1, eigenvalues in [-1e-10, 1 + 1e-10].
     It decomposes the matrix once and keeps a read-only copy of it with
     its ``eigenvalues``, in descending order, and the matching columns of
-    ``eigenvectors``.  Every rank decision reads that spectrum and applies
-    one rule, with ``_tol.RANK_TOL``: the state is pure when its largest
-    eigenvalue is at least 1 - RANK_TOL, full rank when its smallest
-    eigenvalue exceeds RANK_TOL, and otherwise rank deficient and mixed.
+    ``eigenvectors``.  Every rank decision reads that spectrum: the
+    numerical :meth:`rank` is the count of eigenvalues above
+    ``_tol.RANK_TOL``, which are the kept ones.  The state is pure when
+    its rank is 1 and full rank when its rank is its dimension.
     """
 
     matrix: np.ndarray
@@ -111,10 +111,14 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))
 
+    def rank(self) -> int:
+        """The numerical rank: the count of eigenvalues above
+        ``_tol.RANK_TOL``."""
+        return int(np.count_nonzero(self.eigenvalues > _tol.RANK_TOL))
+
     def is_pure(self) -> bool:
-        """Whether the largest eigenvalue is at least 1 - ``_tol.RANK_TOL``,
-        the pure case of the rank rule."""
-        return bool(self.eigenvalues[0] >= 1.0 - _tol.RANK_TOL)
+        """Whether the numerical rank is 1."""
+        return self.rank() == 1
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
@@ -366,40 +370,42 @@ def tangent_ops(param: Parametrization) -> np.ndarray:
 
 
 def _slds(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:
-    """SLDs for a stack of Hermitian derivatives from the spectrum of rho,
-    by the rank rule of :class:`DensityMatrix`."""
+    """SLDs for a stack of Hermitian derivatives from the spectrum of rho:
+    in its eigenbasis L_ij = 2 (drho)_ij / (lambda_i + lambda_j) on the
+    pairs with a kept eigenvalue, and 0 on the null-null pairs."""
     vals, v = rho.eigenvalues, rho.eigenvectors
-    if rho.is_pure():
-        l = 2.0 * ops
-    elif vals[-1] > _tol.RANK_TOL:
-        vh = v.conj().T
-        denom = vals[:, None] + vals[None, :]
-        l = v @ (2.0 * (vh @ ops @ v) / denom) @ vh
-    else:
-        raise ValueError("state is rank deficient but not pure; "
-                         "sld supports full-rank and pure states only")
-    m = rho.matrix
-    resid = np.linalg.norm(0.5 * (m @ l + l @ m) - ops, axis=(1, 2))
-    # the eigenbasis solve rounds in proportion to |L| ~ |drho| / lambda_min
-    limit = _tol.SLD_RESIDUAL_TOL * np.linalg.norm(
-        [ops, l], axis=(2, 3)).max(axis=0, initial=1.0)
+    # the eigenvalues descend, so the kept ones come first
+    vh, kept = v.conj().T, np.arange(rho.dim) < rho.rank()
+    pairs = vals[:, None] + vals[None, :]
+    drho = vh @ ops @ v
+    l = 2.0 * drho / np.where(kept[:, None] | kept[None, :], pairs, np.inf)
+    # in the eigenbasis the residual is rounding of size |drho| on the kept
+    # pairs and the null-null block of drho, which no L can match
+    resid = np.linalg.norm(0.5 * pairs * l - drho, axis=(1, 2))
+    limit = _tol.SLD_RESIDUAL_TOL * np.maximum(
+        np.linalg.norm(ops, axis=(1, 2)), 1.0)
     if np.any(resid > limit):
-        raise ValueError(f"sld residual {resid.max():.3e}; for a pure state "
-                         "the derivative must lie in the tangent space")
+        raise ValueError(f"sld residual {resid.max():.3e}; the derivative "
+                         "leaves the support of the state")
+    l = v @ l @ vh
     return 0.5 * (l + l.conj().swapaxes(1, 2))
 
 
 def sld(rho: DensityMatrix, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative L with (rho L + L rho)/2 = drho.
 
-    The rank rule of :class:`DensityMatrix` picks the solve: pure states
-    take L = 2 drho, valid when drho is tangent to the pure manifold;
-    full-rank states are solved in the eigenbasis that rho keeps.  Other
-    rank-deficient states raise; depolarize slightly first if needed.
-    The residual of the defining equation is checked against
-    ``_tol.SLD_RESIDUAL_TOL`` times max(1, |drho|, |L|), since the solve
-    rounds in proportion to |L|; this rejects non-tangent derivatives at
-    pure states.  No call decomposes rho again.
+    It is the support form (Braunstein and Caves, PRL 72, 3439 (1994)),
+    one formula at every rank, in the eigenbasis that rho keeps:
+    L_ij = 2 drho_ij / (lambda_i + lambda_j) on the pairs where at least
+    one eigenvalue is kept (above ``_tol.RANK_TOL``), and 0 on the pairs
+    of two null eigenvalues.  For a full-rank state that is the whole
+    solve; for a pure state and a drho tangent to the pure states it is
+    L = 2 drho up to rounding.  A drho whose null-null block is not zero
+    leaves the support of rho, where the rank changes and no finite L
+    exists (Safranek, PRA 95, 052320 (2017)): the residual of the
+    defining equation, taken in the eigenbasis, is then that block, and
+    a residual above ``_tol.SLD_RESIDUAL_TOL`` times max(1, |drho|)
+    raises.  No call decomposes rho again.
     """
     # the reshape rejects a stack, and a matrix of another size than rho
     ops = matcore.require_hermitian(drho).reshape(1, *rho.matrix.shape)
@@ -417,9 +423,9 @@ def qfi_matrix(rho: DensityMatrix, tangents) -> np.ndarray:
     """Quantum Fisher matrix J_ab = Re tr(rho L_a L_b).
 
     All SLDs are solved as in :func:`sld`, from the spectrum that rho
-    keeps, and each keeps its residual check.  States that the rank rule
-    calls pure take the shortcut L = 2 drho (with its tangency
-    validation), where this reduces to J_ab = 2 tr(drho_a drho_b).
+    keeps, and each keeps its residual check, so a tangent that leaves
+    the support of rho raises.  On a pure state with tangents to the pure
+    states this is J_ab = 2 tr(drho_a drho_b) up to rounding.
     """
     return _qfi(rho, matcore.require_hermitian(tangents))
 

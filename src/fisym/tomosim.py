@@ -85,11 +85,7 @@ def _validate_run(config) -> None:
     config.n_trials = _integer(config.n_trials)
     config.seed = _integer(config.seed)
     config.interior_clip = _number(config.interior_clip)
-    if config.scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {config.scheme!r}; choose from "
-                         f"{SCHEMES}")
-    if config.scheme == "custom" and config.povm is None:
-        raise ValueError("custom scheme needs an explicit POVM")
+    scheme_povm(config.scheme, config.povm)
     if config.estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
     if config.n_trials < 1:
@@ -170,7 +166,7 @@ def scheme_povm(scheme: str, custom: Povm | None = None) -> Povm:
             raise ValueError("custom scheme needs an explicit POVM")
         return custom
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     return NAMED_POVMS[scheme]
 
 
@@ -337,8 +333,16 @@ def _check_counts(counts, size: int) -> np.ndarray:
 
 
 def _project(s: np.ndarray, clip: float) -> np.ndarray:
+    """s if |s| <= clip, else s scaled onto the sphere of radius clip and
+    then, where rounding left it outside, moved toward 0 an ulp per
+    coordinate at a time until |s| <= clip holds in floating point."""
     r = np.linalg.norm(s)
-    return s if r <= clip else s * (clip / r)
+    if r <= clip:
+        return s
+    s = s * (clip / r)
+    while np.linalg.norm(s) > clip:
+        s = np.nextafter(s, 0.0)
+    return s
 
 
 def _mle_bloch(
@@ -632,8 +636,11 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
     :func:`fisher.fisher_matrix`.  The weights are 1/2 and J/4 with
     J = 1 + s s^T / (1 - |s|^2) (Braunstein and Caves, PRL 72, 3439
     (1994)).  A state with (1 - |s|)/2 at or below ``_tol.RANK_TOL``
-    counts as pure, where J is undefined, and raises as the SLD solve of
-    the general path does.
+    raises: that test is the numerical rank rule of
+    :class:`states.DensityMatrix` for a qubit, whose smaller eigenvalue
+    is (1 - |s|)/2.  Such a state is pure, the Bloch chart's radial
+    tangent leaves its support, and the SLD solve of the general path
+    raises there as well.
     """
     probs = _nonnegative(model.c + bloch @ model.lin.T + np.einsum(
         "kab,ga,gb->gk", model.quad, bloch, bloch))

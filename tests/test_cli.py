@@ -507,6 +507,36 @@ class TestFisherCommand:
         assert report["gm"]["mode"] == "pure-n"
         assert report["n_params"] == 2
 
+    @staticmethod
+    def d3_files(tmp_path, rho):
+        povm, state = str(tmp_path / "povm.json"), str(tmp_path / "rho.json")
+        main(["build", "tight-coherent-d3", "--out", povm])
+        save_json({"dim": 3, "copies": 1, "elements": [{"matrix": [
+            [[float(x), 0.0] for x in row] for row in rho]}]}, state)
+        return povm, state
+
+    def test_d3_state_between_pure_and_full_rank(self, capsys, tmp_path):
+        # eps = 2e-9: lambda_max = 1 - 1.3e-9 and two eigenvalues of 6.7e-10,
+        # so the numerical rank is 1 and the state takes the pure chart
+        eps = 2e-9
+        rho = (1.0 - eps) * np.full((3, 3), 1.0 / 3.0) + eps * np.eye(3) / 3.0
+        povm, state = self.d3_files(tmp_path, rho)
+        capsys.readouterr()
+        code, report, err = run(capsys, "fisher", "--povm", povm,
+                                "--state", state)
+        assert code == 0, err
+        assert report["gm"]["mode"] == "pure-n"
+        assert report["gm"]["verdict"] == "equality"
+
+    @pytest.mark.filterwarnings("ignore:outcome .* dropped")
+    def test_rank_two_d3_state_leaves_the_support(self, capsys, tmp_path):
+        # the affine chart's tangents leave the support of diag(1/2, 1/2, 0)
+        povm, state = self.d3_files(tmp_path, np.diag([0.5, 0.5, 0.0]))
+        capsys.readouterr()
+        code, _, err = run(capsys, "fisher", "--povm", povm, "--state", state)
+        assert code == 3
+        assert "leaves the support of the state" in err
+
     @pytest.mark.filterwarnings("ignore:outcome 4 dropped")
     def test_boundary_state_numerical_failure(self, capsys):
         # a pure state in the mixed Bloch chart has no finite QFI

@@ -8,11 +8,12 @@ oracle; and that no single-copy POVM beats tr(J^-1 I) <= d - 1
 (Gill & Massar, PRA 61, 042312, 2000).
 
 A density matrix makes the one rank decision, from the spectrum it keeps:
-pure when its largest eigenvalue is at least 1 - RANK_TOL, full rank when
-its smallest exceeds RANK_TOL.  Near-pure states straddle both
-thresholds; the chart, the bound's mode and the SLD solve must follow the
-same decision there, and the fidelity must accept whatever state
-``DensityMatrix`` accepts.
+its numerical rank is the count of eigenvalues above RANK_TOL, pure is
+rank 1 and full rank is rank d.  Near-pure states straddle the tolerance;
+the chart, the bound's mode and the SLD solve must follow the same
+decision there.  The SLD is solved at every rank and raises only for a
+derivative that leaves the support of the state.  The fidelity must
+accept whatever state ``DensityMatrix`` accepts.
 """
 
 import numpy as np
@@ -42,6 +43,7 @@ from fisym.states import (
     density_from_bloch,
     fidelity,
     qfi_matrix,
+    sld,
     tangent_ops,
 )
 from fisym.tomosim import scheme_povm
@@ -251,23 +253,63 @@ def near_pure_d3(draw):
 @example(case=("collective-sic", density_from_bloch([1.0 - 1.4e-9, 0, 0])))
 # lambda_min = 5e-9: full rank, with an SLD of size 1e8
 @example(case=("sic-single", density_from_bloch([1.0 - 1e-8, 0, 0])))
-# eps = 2e-9 in d = 3: lambda_min = 6.7e-10 and lambda_max = 1 - 1.3e-9
+# eps = 2e-9 in d = 3: rank 1, though lambda_max = 1 - 1.3e-9
 @example(case=("tight-coherent-d3", DensityMatrix(
     (1.0 - 2e-9) * np.full((3, 3), 1.0 / 3.0) + 2e-9 * np.eye(3) / 3.0)))
+# eps = 3e-9 less 88 ulps in d = 3: the two small eigenvalues round to
+# either side of RANK_TOL, rank 2
+@example(case=("tight-coherent-d3", DensityMatrix(
+    (1.0 - 2.9999999999997357e-09) * np.full((3, 3), 1.0 / 3.0)
+    + 2.9999999999997357e-09 * np.eye(3) / 3.0)))
 def test_rank_rule_is_one_decision(case):
     name, rho = case
-    vals = np.linalg.eigvalsh(rho.matrix)
-    assert rho.is_pure() == (vals[-1] >= 1.0 - RANK_TOL)
+    rank = int(np.count_nonzero(rho.eigenvalues > RANK_TOL))
+    assert rho.rank() == rank
+    assert rho.is_pure() == (rank == 1)
     par = _choose_param(rho, "auto")
-    if rho.is_pure() or vals[0] > RANK_TOL:
+    if rank in (1, rho.dim):
         rep = fisher_report(par, povm_named(name))
         assert (rep.gm.mode == "pure-n") == rho.is_pure()
     else:
-        # rank deficient and mixed, which only d = 3 can be: outside the
-        # ranks that the SLD solve supports
+        # rank 2 of 3 under the affine chart: its Gell-Mann tangents leave
+        # the support of the state
         assert rho.dim == 3
-        with pytest.raises(ValueError, match="rank deficient"):
+        with pytest.raises(ValueError, match="leaves the support"):
             fisher_report(par, povm_named(name))
+
+
+@st.composite
+def rank_r_states(draw):
+    """A d x d state of rank r, d in {2, 3, 4} and r in [1, d], with its
+    kept eigenvalues at least 0.01 and its eigenvectors at random."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    r = draw(st.integers(1, d))
+    w = draw(hnp.arrays(float, r, elements=st.floats(0.01, 1.0)))
+    q, _ = np.linalg.qr(draw(complex_array((d, d))) + 3.0 * np.eye(d))
+    rho = DensityMatrix((q[:, :r] * (w / w.sum())) @ q[:, :r].conj().T)
+    return rho, q, r
+
+
+@SETTINGS
+@given(case=rank_r_states(), data=st.data())
+def test_sld_solves_exactly_the_derivatives_inside_the_support(case, data):
+    rho, q, r = case
+    d = rho.dim
+    # a traceless Hermitian derivative written in the eigenbasis q
+    g = data.draw(complex_array((d, d)))
+    h = g + g.conj().T
+    h[r:, r:] = 0.0
+    h -= np.trace(h) / r * np.diag(np.arange(d) < r)
+    inside = q @ h @ q.conj().T
+    l = sld(rho, inside)
+    resid = 0.5 * (rho.matrix @ l + l @ rho.matrix) - inside
+    assert np.linalg.norm(resid) <= 1e-9 * max(1.0, np.linalg.norm(inside))
+    if r < d:
+        # a null-null block of norm 0.1 leaves the support
+        k = np.zeros((d, d))
+        k[r, r], k[0, 0] = 0.1, -0.1
+        with pytest.raises(ValueError, match="leaves the support"):
+            sld(rho, inside + q @ k @ q.conj().T)
 
 
 @st.composite

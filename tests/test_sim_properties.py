@@ -346,7 +346,7 @@ def _kkt_residuals(p, counts):
     model = _quad_model(p)
     s = _estimate(counts[None].astype(float), _scheme_setup(p, "mle"))[0]
     assert np.all(np.isfinite(s))
-    assert np.linalg.norm(s) <= INTERIOR_CLIP + CLIP_MARGIN
+    assert np.linalg.norm(s) <= INTERIOR_CLIP
     observed = counts > 0
     g = (counts[observed] / model.probs(s)[observed]) @ model.grads(s)[observed]
     r = np.linalg.norm(s)

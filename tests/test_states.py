@@ -62,10 +62,21 @@ class TestStateTypes:
             with pytest.raises(ValueError):
                 a[0] = 0
 
-    def test_is_pure_reads_the_largest_eigenvalue(self):
-        # purity 1 - 1.4e-9 is below 1 - RANK_TOL; lambda_max is not
+    def test_is_pure_is_numerical_rank_one(self):
+        # purity 1 - 1.4e-9 is below 1 - RANK_TOL; the rank is 1
         assert DensityMatrix(np.diag([1.0 - 7e-10, 7e-10])).is_pure()
         assert not DensityMatrix(np.diag([1.0 - 2e-9, 2e-9])).is_pure()
+        # lambda_max = 1 - 1.4e-9 is below 1 - RANK_TOL; the rank is 1
+        rho = DensityMatrix(np.diag([1.0 - 1.4e-9, 7e-10, 7e-10]))
+        assert rho.rank() == 1 and rho.is_pure()
+        rho = DensityMatrix(np.diag([0.5, 0.5, 0.0]))
+        assert rho.rank() == 2 and not rho.is_pure()
+        assert DensityMatrix.maximally_mixed(3).rank() == 3
+
+    def test_one_by_one_state_is_pure(self):
+        # a state with no second eigenvalue
+        rho = DensityMatrix(np.ones((1, 1)))
+        assert rho.rank() == 1 and rho.is_pure()
 
 
 class TestBlochMaps:
@@ -249,11 +260,16 @@ class TestSld:
         with pytest.raises(ValueError):
             sld(rho, radial)
 
-    def test_rank_deficient_mixed_rejected(self):
+    def test_rank_deficient_mixed_solves_inside_the_support(self):
         rho = DensityMatrix(np.diag([0.5, 0.5, 0.0]))
+        # |0><1| + |1><0|, inside the support of rho
         e = gell_mann_basis(3)[0]
-        with pytest.raises(ValueError):
-            sld(rho, e)
+        l = sld(rho, e)
+        resid = 0.5 * (rho.matrix @ l + l @ rho.matrix) - e
+        assert np.max(np.abs(resid)) < 1e-12
+        # diag(1, 1, -2) / sqrt(6) has a null-null block
+        with pytest.raises(ValueError, match="leaves the support"):
+            sld(rho, gell_mann_basis(3)[-1])
 
 
 class TestQfi:

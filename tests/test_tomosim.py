@@ -27,7 +27,9 @@ from fisym.tomosim import (
     write_sweep_csv,
 )
 from fisym.tomosim import _quad_model  # noqa: the model must track the POVM
-from fisym.tomosim import _linear_system, _pauli_coeffs
+from fisym.tomosim import (_estimate, _linear_system, _pauli_coeffs,
+                           _scheme_setup)
+from fisym._tol import INTERIOR_CLIP
 from fisym.fisher import outcome_probs
 
 
@@ -277,7 +279,18 @@ class TestMleEstimator:
         est = estimate_mle_qubit(counts, p, interior_clip=clip)
         from fisym.states import bloch_from_density
 
-        assert np.linalg.norm(bloch_from_density(est)) <= clip + 1e-12
+        assert np.linalg.norm(bloch_from_density(est)) <= clip
+
+    @pytest.mark.parametrize("name, counts", [
+        ("collective-sic", [500, 0, 0, 0, 0]),
+        ("collective-sic", [0, 0, 0, 500, 0]),
+        ("sic-single", [500, 0, 0, 0]),
+        ("sic-single", [0, 0, 0, 500])])
+    def test_estimate_lands_inside_the_clip(self, name, counts):
+        # scaling by clip / |s| once left these 1 to 3 ulps outside
+        setup = _scheme_setup(scheme_povm(name), "mle")
+        s = _estimate(np.array([counts], dtype=float), setup)[0]
+        assert np.linalg.norm(s) <= INTERIOR_CLIP
 
 
 class TestRunSimulation:

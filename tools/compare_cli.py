@@ -107,10 +107,17 @@ def _requests():
                                  [0.0, 0.05, 0.2]]),
         "centre-d3.json": _state([[1 / 3, 0.0, 0.0], [0.0, 1 / 3, 0.0],
                                   [0.0, 0.0, 1 / 3]]),
+        # (1 - eps)|psi><psi| + eps 1/3, psi = (1, 1, 1)/sqrt(3), eps = 2e-9:
+        # numerical rank 1
+        "gap-d3.json": _state([[(1 - 2e-9) / 3 + (2e-9 / 3 if i == j else 0.0)
+                                for j in range(3)] for i in range(3)]),
+        "rank2-d3.json": _state([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0],
+                                 [0.0, 0.0, 0.0]]),
     }
     for name in ("twocopy-d3.json", "tight-coherent-d3.json",
                  "tight-coherent-d3-two.json"):
-        for state in ("mixed-d3.json", "centre-d3.json", "pure:0.6,0.8,0"):
+        for state in ("mixed-d3.json", "centre-d3.json", "gap-d3.json",
+                      "rank2-d3.json", "pure:0.6,0.8,0"):
             requests.append((["fisher", "--povm", name, "--state", state], []))
     runs = {"n_copies": 200, "n_trials": 5, "seed": 7}
     for scheme, extra in (("collective-sic", {}), ("sic-single", {}),
