@@ -61,8 +61,9 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _threshold(text: str) -> float:
-    """argparse type of ``--drop-threshold``: a finite number, at least 0."""
+def _nonnegative(text: str) -> float:
+    """argparse type of ``--tol`` and ``--drop-threshold``: a finite
+    number, at least 0."""
     x = _finite_float(text)
     if x < 0.0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative number, "
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="certify a design or POVM file")
     p_verify.add_argument("kind", choices=sorted(_VERIFIERS))
     p_verify.add_argument("file")
-    p_verify.add_argument("--tol", type=_finite_float,
+    p_verify.add_argument("--tol", type=_nonnegative,
                           default=_tol.VERIFY_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["auto", "pure", "bloch", "affine"])
     p_fisher.add_argument("--mode", default="auto",
                           choices=["auto", "single-copy", "two-copy", "pure-n"])
-    p_fisher.add_argument("--drop-threshold", type=_threshold,
+    p_fisher.add_argument("--drop-threshold", type=_nonnegative,
                           default=_tol.DROP_THRESHOLD)
     p_fisher.set_defaults(func=cmd_fisher)
 

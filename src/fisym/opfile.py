@@ -15,11 +15,14 @@ One format stores POVMs, weighted state sets, operator sets and states:
 Matrices are nested rows of [re, im] pairs.  ``weight`` appears for state
 sets (whose matrices are the rank-one projectors) and is omitted for raw
 operators.  Entries and weights are JSON numbers; a string or a boolean
-in their place raises ValueError.  Floats are serialized with ``repr``,
-so export -> import -> export is byte identical for POVMs and operator
-sets.  A state set is read back as the eigenvectors of its projectors,
-so its second export has the same weights and matrices equal to
-rounding.
+in their place raises ValueError.  A file's elements are read and
+written as one (k, n, n) stack: the reader flattens every matrix of the
+file at once and checks the parts' types, the shape and finiteness once
+for the whole stack, and a state set's vectors come from one stacked
+eigendecomposition.  Floats are serialized with ``repr``, so export ->
+import -> export is byte identical for POVMs and operator sets.  A state
+set is read back as the eigenvectors of its projectors, so its second
+export has the same weights and matrices equal to rounding.
 
 A state file holds one density matrix: copies 1, no subspace, and
 exactly one element.  :func:`obj_to_density` reads it; this module is
@@ -29,7 +32,8 @@ the only reader of the format.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,38 +58,76 @@ __all__ = [
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    """Nested rows of [re, im] pairs of a matrix, or a list of them for a
+    stack of matrices, with the same floats as ``float`` of each part."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
-def json_to_matrix(obj) -> np.ndarray:
-    """Complex matrix from nested rows of [re, im] pairs.
+def _floats(parts: list) -> np.ndarray:
+    """A list of JSON numbers as a float array.  Each must be an int or a
+    float, not a bool, a string or null; anything else raises
+    ValueError."""
+    bad = set(map(type, parts)) - {int, float}
+    if bad:
+        raise ValueError(f"{bad.pop().__name__} is not a number")
+    return np.array(parts, dtype=float)
 
-    Each part must be a JSON number: an int or a float, not a bool or a
-    string.  The parts are flattened, then checked and converted in one
-    pass, which costs less than converting them pair by pair.
+
+def _stack(matrices: list) -> np.ndarray:
+    """k matrices of nested rows of [re, im] pairs as one (k, n, n)
+    complex stack.
+
+    The parts of every matrix are flattened at once and then checked in
+    one pass each: their types (:func:`_floats`), the shape (every
+    matrix n rows of n pairs, for one n) and finiteness.
     """
     try:
-        pairs = list(chain.from_iterable(obj))
-        parts = list(chain.from_iterable(pairs))
-        bad = set(map(type, parts)) - {int, float}
-        if bad:
-            raise ValueError(f"{bad.pop().__name__} is not a number")
-        values = np.array(parts, dtype=float)
-        n = len(obj)
-        if set(map(len, obj)) != {n} or set(map(len, pairs)) != {2}:
-            raise ValueError("the matrix is not n rows of n [re, im] pairs")
+        rows = list(chain.from_iterable(matrices))
+        pairs = list(chain.from_iterable(rows))
+        values = _floats(list(chain.from_iterable(pairs)))
+        n = len(matrices[0])
+        if (set(map(len, matrices)) != {n} or set(map(len, rows)) != {n}
+                or set(map(len, pairs)) != {2}):
+            raise ValueError("the matrices are not n rows of n [re, im] "
+                             "pairs, for one n")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
-    m = values.view(complex).reshape(n, n)
+    m = values.view(complex).reshape(len(matrices), n, n)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
 
 
+def json_to_matrix(obj) -> np.ndarray:
+    """Complex matrix from nested rows of [re, im] pairs: the stack of
+    one that :func:`_stack` reads."""
+    return _stack([obj])[0]
+
+
+def _column(obj, key: str, convert):
+    """``convert`` of the list of the ``key`` fields of all elements of
+    an operator file, with any missing key or unconvertible value raised
+    as ValueError; ``convert`` raises no KeyError or TypeError."""
+    try:
+        return convert(list(map(itemgetter(key), obj["elements"])))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"operator-file entry is missing the {key!r} "
+                         "field") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"bad {key!r} field: {exc}") from exc
+
+
+def _entries(**columns) -> list:
+    """The element list of a file: one dict per element, whose fields
+    are the keyword names in order and whose values are the next item of
+    each list."""
+    return list(map(dict, map(zip, repeat(columns), zip(*columns.values()))))
+
+
 def _field(entry, key: str, convert):
-    """``convert(entry[key])`` for an element or header field, with any
-    missing key or unconvertible value raised as ValueError."""
+    """``convert(entry[key])`` for a header field, with any missing key or
+    unconvertible value raised as ValueError."""
     if not isinstance(entry, dict) or key not in entry:
         raise ValueError(f"operator-file entry is missing the {key!r} field")
     try:
@@ -131,49 +173,44 @@ def povm_to_obj(p: Povm) -> dict:
     obj = {"dim": p.base_dim, "copies": p.copies}
     if p.subspace is not None:
         obj["subspace"] = p.subspace
-    obj["elements"] = [{"matrix": matrix_to_json(e)} for e in p.elements]
+    obj["elements"] = _entries(matrix=matrix_to_json(p.elements))
     return obj
 
 
 def obj_to_povm(obj) -> Povm:
     dim, copies, subspace = _header(obj)
-    elements = [_field(e, "matrix", json_to_matrix) for e in obj["elements"]]
-    return Povm(elements, copies=copies, base_dim=dim, subspace=subspace)
+    return Povm(_column(obj, "matrix", _stack), copies=copies, base_dim=dim,
+                subspace=subspace)
 
 
-def _vector_from_projector(m: np.ndarray) -> np.ndarray:
+def _vectors(m: np.ndarray) -> np.ndarray:
+    """The unit vectors of a (k, n, n) stack of rank-one projectors, from
+    one stacked eigendecomposition.  Each row's phase is set by its first
+    entry larger than ``_tol.PHASE_ANCHOR_TOL``, made real and positive."""
     vals, vecs = np.linalg.eigh(matcore.require_hermitian(m))
-    if vals[-1] <= 0:
+    if np.any(vals[:, -1] <= 0):
         raise ValueError("projector entry has no positive eigenvalue")
-    if np.abs(vals[:-1]).max() > _tol.RANK_TOL * vals[-1]:
+    if np.any(np.abs(vals[:, :-1]).max(axis=1) > _tol.RANK_TOL * vals[:, -1]):
         raise ValueError("state-set entry is not a rank-one projector")
-    v = vecs[:, -1]
-    for x in v:
-        if abs(x) > _tol.PHASE_ANCHOR_TOL:
-            return v * (x.conj() / abs(x))
-    raise ValueError("zero eigenvector")
+    # a unit vector has an entry of size at least 1/sqrt(n), so every row
+    # has an anchor
+    v = vecs[:, :, -1]
+    first = (np.abs(v) > _tol.PHASE_ANCHOR_TOL).argmax(axis=1)
+    x = np.take_along_axis(v, first[:, None], axis=1)
+    return v * (x.conj() / np.abs(x))
 
 
 def state_set_to_obj(s: WeightedStateSet) -> dict:
-    elements = []
-    for w, v in zip(s.weights, s.vectors):
-        elements.append({
-            "weight": float(w),
-            "matrix": matrix_to_json(np.outer(v, v.conj())),
-        })
-    return {"dim": s.dim, "copies": 1, "elements": elements}
+    return {"dim": s.dim, "copies": 1, "elements": _entries(
+        weight=s.weights.tolist(), matrix=matrix_to_json(s.projectors()))}
 
 
 def obj_to_state_set(obj) -> WeightedStateSet:
     dim, copies, subspace = _header(obj)
     if copies != 1 or subspace is not None:
         raise ValueError("a state set is a single-copy object")
-    vectors, weights = [], []
-    for e in obj["elements"]:
-        weights.append(_field(e, "weight", _number))
-        vectors.append(_vector_from_projector(
-            _field(e, "matrix", json_to_matrix)))
-    s = WeightedStateSet(np.array(vectors), np.array(weights))
+    s = WeightedStateSet(_vectors(_column(obj, "matrix", _stack)),
+                         _column(obj, "weight", _floats))
     if s.dim != dim:
         raise ValueError(f"header dim {dim} does not match {s.dim}-dimensional "
                          "states")
@@ -181,17 +218,13 @@ def obj_to_state_set(obj) -> WeightedStateSet:
 
 
 def operator_set_to_obj(s: OperatorSet) -> dict:
-    return {
-        "dim": s.dim,
-        "copies": 1,
-        "elements": [{"matrix": matrix_to_json(e)} for e in s.elements],
-    }
+    return {"dim": s.dim, "copies": 1,
+            "elements": _entries(matrix=matrix_to_json(s.elements))}
 
 
 def obj_to_operator_set(obj) -> OperatorSet:
     dim, copies, _ = _header(obj)
-    ops = OperatorSet(tuple(_field(e, "matrix", json_to_matrix)
-                            for e in obj["elements"]))
+    ops = OperatorSet(_column(obj, "matrix", _stack))
     if ops.dim != dim ** copies:
         raise ValueError(f"header dim {dim} and copies {copies} do not match "
                          f"{ops.dim}-dimensional operators")
@@ -203,7 +236,7 @@ def obj_to_density(obj) -> DensityMatrix:
     if copies != 1 or subspace is not None or len(obj["elements"]) != 1:
         raise ValueError("a state file is an operator file with copies 1 "
                          "and exactly one element")
-    m = _field(obj["elements"][0], "matrix", json_to_matrix)
+    m = _column(obj, "matrix", _stack)[0]
     if len(m) != dim:
         raise ValueError(f"header dim {dim} does not match the "
                          f"{len(m)} x {len(m)} matrix")

@@ -8,6 +8,7 @@ matrices in :mod:`fisym.fisher`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -144,7 +145,7 @@ def _bloch_vector(s) -> np.ndarray:
     s = np.asarray(s, dtype=float).reshape(3)
     if not np.all(np.isfinite(s)):
         raise ValueError(f"Bloch vector {s} is not finite")
-    r = np.linalg.norm(s)
+    r = math.hypot(*s)  # no overflow on huge finite entries
     if r > 1.0 + _tol.NORM_TOL:
         raise ValueError(f"Bloch vector has length {r} > 1")
     return s

@@ -316,9 +316,15 @@ def _linear_bloch(counts: np.ndarray, sys: _LinearSystem) -> np.ndarray:
 
 
 def _to_ball(s: np.ndarray) -> np.ndarray:
-    """Rescale the rows of s that lie outside the unit Bloch ball onto it."""
+    """Rescale the rows of s that lie outside the unit Bloch ball onto it
+    and then, as :func:`_project` does, move those that rounding left
+    outside toward 0 an ulp per coordinate at a time until |s| <= 1 holds
+    in floating point."""
     r = np.linalg.norm(s, axis=-1, keepdims=True)
-    return np.where(r > 1.0, s / np.maximum(r, 1.0), s)
+    s = np.where(r > 1.0, s / np.maximum(r, 1.0), s)
+    while np.any(out := np.linalg.norm(s, axis=-1, keepdims=True) > 1.0):
+        s = np.where(out, np.nextafter(s, 0.0), s)
+    return s
 
 
 def _check_counts(counts, size: int) -> np.ndarray:
@@ -675,6 +681,9 @@ class SweepConfig:
     def __post_init__(self):
         _validate_run(self)
         d = np.array([_number(x) for x in self.direction]).reshape(3)
+        # scaled by a power of two, so that |d| neither overflows nor
+        # underflows; the scaling is exact and leaves d / |d| as it was
+        d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
         r = np.linalg.norm(d)
         if not 0.0 < r < np.inf:
             raise ValueError("direction must be a finite nonzero vector")

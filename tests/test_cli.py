@@ -206,6 +206,16 @@ class TestVerifyFailures:
         assert run(capsys, "verify", "povm", path)[0] == 1
         assert run(capsys, "verify", "povm", path, "--tol", "1e-3")[0] == 0
 
+    @pytest.mark.parametrize("tol", ["-1", "-1e-300"])
+    def test_negative_tol_is_usage_error(self, capsys, tmp_path, tol):
+        # no residual can be below it, so every check would fail
+        path = str(tmp_path / "cs.json")
+        run(capsys, "build", "collective-sic", "--out", path)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "povm", path, f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_coherent_honours_tol(self, capsys, tmp_path):
         # a 1e-6 diagonal shift gives element 0 a second small eigenvalue
         path = str(tmp_path / "coll.json")
@@ -415,7 +425,8 @@ class TestFisherCommand:
         assert plain == run(capsys, *argv, "--drop-threshold", "1e-12")[1]
 
     @pytest.mark.parametrize("spec", ["bloch:nan,0,0", "bloch:0,inf,0",
-                                      "bloch:2,0,0", "pure:nan,1",
+                                      "bloch:2,0,0", "bloch:1e308,1e308,0",
+                                      "pure:nan,1",
                                       "pure:inf,1", "pure:1,0,0", "pure:1"])
     def test_bad_state_is_usage_error(self, capsys, spec):
         code, _, err = run(capsys, "fisher", "--povm", "sic-single",
@@ -598,7 +609,8 @@ class TestSimulateCommand:
                                      {"bloch": ["0.5", 0, 0]},
                                      {"bloch": [True, 0, 0]},
                                      {"n_copies": 10 ** 23},
-                                     {"n_copies": 2 ** 63}])
+                                     {"n_copies": 2 ** 63},
+                                     {"bloch": [1e308, 1e308, 0.0]}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         config = self.write_config(tmp_path, **bad)
         code, _, err = run(capsys, "simulate", "--config", config)
@@ -789,6 +801,25 @@ class TestSweepCommand:
                            str(tmp_path / "rows.csv"))
         assert code == 2
         assert "bad sweep config" in err
+
+    @pytest.mark.parametrize("direction", [[2.0 ** 1000, 2.0 ** 1000, 0.0],
+                                           [2.0 ** -1070, 2.0 ** -1070, 0.0],
+                                           [1e308, 1e308, 0.0]])
+    def test_direction_of_any_finite_size(self, capsys, tmp_path, direction):
+        # |d| overflowed, or d . d underflowed to 0, for these directions
+        rows = []
+        for d in (direction, [1.0, 1.0, 0.0]):
+            config = str(tmp_path / "sweep.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump({"scheme": "sic-single", "radii": [0.5],
+                           "n_copies": 200, "n_trials": 3, "seed": 5,
+                           "estimator": "linear", "direction": d}, fh)
+            out = tmp_path / "rows.csv"
+            assert run(capsys, "sweep", "--config", config, "--out",
+                       str(out))[0] == 0
+            rows.append(out.read_text(encoding="utf-8"))
+        if direction[0] != 1e308:  # a power of two scales without rounding
+            assert rows[0] == rows[1]
 
     def test_near_pure_radius_is_numerical_failure(self, capsys, tmp_path):
         config = str(tmp_path / "sweep.json")

@@ -25,6 +25,8 @@ from hypothesis.extra import numpy as hnp
 from fisym.designs import OperatorSet, WeightedStateSet, sic_d3, sic_qubit
 from fisym.matcore import mat_power
 from fisym.opfile import (
+    _stack,
+    json_to_matrix,
     load_json,
     matrix_to_json,
     obj_to_density,
@@ -179,3 +181,87 @@ def test_state_set_file_round_trip_keeps_weights_and_projectors(s):
         e["weight"] for e in second["elements"]]
     for a, b in zip(first["elements"], second["elements"]):
         assert np.abs(np.subtract(a["matrix"], b["matrix"])).max() < 1e-14
+
+
+@st.composite
+def json_stacks(draw):
+    """The parts of a (k, n, n) stack as nested JSON lists: finite floats
+    with signed zeros and subnormals among them, and ints, some beyond
+    2**53, where a drawn mask says so."""
+    k, n = draw(st.integers(1, 20)), draw(st.integers(1, 9))
+    size = 2 * k * n * n
+    floats = draw(hnp.arrays(float, size, elements=st.floats(
+        allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308])))
+    ints = draw(hnp.arrays(np.int64, size))
+    mask = draw(hnp.arrays(bool, size))
+    flat = iter([int(i) if b else float(x)
+                 for x, i, b in zip(floats, ints, mask)])
+    return [[[[next(flat), next(flat)] for _ in range(n)] for _ in range(n)]
+            for _ in range(k)]
+
+
+def _bits(a: np.ndarray) -> list:
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+@settings(max_examples=100)
+@given(matrices=json_stacks())
+def test_stack_reads_and_writes_every_part_bit_for_bit(matrices):
+    k, n = len(matrices), len(matrices[0])
+    expected = np.array([float(x) for m in matrices for row in m
+                         for pair in row for x in pair]).view(
+        complex).reshape(k, n, n)
+    got = _stack(json.loads(json.dumps(matrices)))
+    assert _bits(got) == _bits(expected)
+    assert _bits(got) == _bits(np.array([json_to_matrix(m)
+                                         for m in matrices]))
+    # writer -> JSON text -> reader, and the writer's floats are those of
+    # float() of each part, signed zeros included
+    text = json.dumps(matrix_to_json(got))
+    assert _bits(_stack(json.loads(text))) == _bits(got)
+    assert text == json.dumps([[[[float(x.real), float(x.imag)] for x in row]
+                                for row in m] for m in got])
+
+
+def _grow(pair, row, m):
+    """Make m a valid matrix of one more row and column."""
+    for r in m:
+        r.append([0.0, 0.0])
+    m.append([[0.0, 0.0]] * len(m[0]))
+
+
+BAD_PARTS = {
+    "bool": lambda pair, row, m: pair.__setitem__(1, True),
+    "string": lambda pair, row, m: pair.__setitem__(0, "0.5"),
+    "null": lambda pair, row, m: pair.__setitem__(0, None),
+    "nan": lambda pair, row, m: pair.__setitem__(1, float("nan")),
+    "ragged-row": lambda pair, row, m: row.pop(),
+    "short-pair": lambda pair, row, m: pair.pop(),
+    "other-size": _grow,
+}
+
+
+def _reads(load, obj) -> bool:
+    try:
+        load(obj)
+    except ValueError:
+        return False
+    return True
+
+
+# each valid file with each loader that reads it as it is
+READABLE = [(obj, load) for obj in VALID for load in LOADERS
+            if _reads(load, obj)]
+
+
+@settings(max_examples=200)
+@given(case=st.sampled_from(READABLE),
+       bad=st.sampled_from(sorted(BAD_PARTS)), data=st.data())
+def test_one_bad_part_in_any_element_raises(case, bad, data):
+    obj, load = copy.deepcopy(case[0]), case[1]
+    elements = obj["elements"]
+    m = elements[data.draw(st.integers(0, len(elements) - 1))]["matrix"]
+    row = m[data.draw(st.integers(0, len(m) - 1))]
+    BAD_PARTS[bad](row[data.draw(st.integers(0, len(row) - 1))], row, m)
+    assert not _reads(load, obj), f"{load.__name__} read a {bad} part"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from fisym.designs import OperatorSet, sic_d3, sic_qubit
+from fisym import _tol
+from fisym.designs import (OperatorSet, WeightedStateSet, mub_state_set,
+                           sic_d3, sic_qubit)
+from fisym.matcore import require_hermitian
 from fisym.opfile import (
     json_to_matrix,
     load_json,
@@ -138,6 +141,39 @@ class TestStateSetFiles:
         obj["elements"][0]["weight"] = weight
         with pytest.raises(ValueError):
             obj_to_state_set(obj)
+
+
+def _vector_from_projector(m):
+    """The vector of one projector, read element by element: the
+    reference for the stacked reader."""
+    vals, vecs = np.linalg.eigh(require_hermitian(m))
+    assert vals[-1] > 0
+    assert np.abs(vals[:-1]).max() <= _tol.RANK_TOL * vals[-1]
+    v = vecs[:, -1]
+    for x in v:
+        if abs(x) > _tol.PHASE_ANCHOR_TOL:
+            return v * (x.conj() / abs(x))
+    raise AssertionError("zero eigenvector")
+
+
+class TestStackedStateSetReader:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("design", ["sic-qubit", "sic-d3", "mub2",
+                                        "mub3"])
+    def test_vectors_equal_the_per_element_path(self, design, seed):
+        rng = np.random.default_rng(seed)
+        s = {"sic-qubit": sic_qubit, "sic-d3": lambda: sic_d3(
+            rng.uniform(0.0, np.pi / 9)), "mub2": lambda: mub_state_set(2),
+             "mub3": lambda: mub_state_set(3)}[design]()
+        # random phases change the rounding of each stored projector
+        phases = np.exp(2j * np.pi * rng.uniform(size=s.size))
+        obj = state_set_to_obj(WeightedStateSet(
+            s.vectors * phases[:, None], s.weights))
+        expected = np.array([_vector_from_projector(json_to_matrix(
+            e["matrix"])) for e in obj["elements"]])
+        got = obj_to_state_set(obj).vectors
+        assert got.view(np.uint64).tolist() == expected.view(
+            np.uint64).tolist()
 
 
 class TestOperatorSetFiles:

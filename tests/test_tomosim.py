@@ -28,7 +28,7 @@ from fisym.tomosim import (
 )
 from fisym.tomosim import _quad_model  # noqa: the model must track the POVM
 from fisym.tomosim import (_estimate, _linear_system, _pauli_coeffs,
-                           _scheme_setup)
+                           _scheme_setup, _to_ball)
 from fisym._tol import INTERIOR_CLIP
 from fisym.fisher import outcome_probs
 
@@ -221,6 +221,16 @@ class TestLinearEstimator:
     def test_rank_deficient_povm_rejected(self):
         with pytest.raises(ValueError):
             estimate_linear_qubit(np.array([600.0, 400.0]), z_basis_povm())
+
+    def test_rows_outside_land_inside_the_ball(self):
+        # dividing by |s| once left 981 of these rows an ulp outside
+        s = 3.0 * np.random.default_rng(7).normal(size=(100_000, 3))
+        r = np.linalg.norm(s, axis=1)
+        ball = _to_ball(s)
+        assert np.all(np.linalg.norm(ball, axis=1) <= 1.0)
+        assert np.array_equal(ball[r <= 1.0], s[r <= 1.0])
+        assert np.allclose(ball[r > 1.0], (s / r[:, None])[r > 1.0],
+                           rtol=0.0, atol=1e-15)
 
     def test_count_validation(self):
         p = scheme_povm("sic-single")

@@ -14,6 +14,8 @@ files; ``simulate`` and ``sweep`` for each scheme and estimator at small
 N, with a near-pure sweep and an oversized ``n_copies`` among them.  The
 output of a request is its exit code (or the exception that escaped
 ``main``), its standard output and error, and the files it writes.
+Warnings are printed as ``Category: message``, without the file and line
+that raised them, so two copies of one tree compare identical.
 
 Per subcommand the tool prints the count of byte-identical and of
 differing outputs, the largest relative difference between the numbers
@@ -39,6 +41,10 @@ src = os.path.join(sys.argv[1], "")
 if not os.path.abspath(fisym.__file__).startswith(src):
     raise SystemExit(f"fisym imported from {fisym.__file__}, not {src}")
 warnings.simplefilter("always")
+# the default text holds the source file's absolute path and line number,
+# which differ between two trees that run the same code
+warnings.formatwarning = lambda message, category, *_: (
+    f"{category.__name__}: {message}\n")
 job = json.load(sys.stdin)
 for name, obj in job["inputs"].items():
     with open(name, "w", encoding="utf-8") as fh:
