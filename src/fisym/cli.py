@@ -238,11 +238,8 @@ def _parse_state(spec: str) -> states.DensityMatrix:
             amps = [complex(x) for x in spec[len("pure:"):].split(",")]
         except ValueError as exc:
             raise UsageError(f"bad amplitude list: {exc}") from exc
-        v = np.array(amps, dtype=complex)
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < np.inf:
-            raise UsageError("state vector must be finite and nonzero")
-        return states.DensityMatrix.from_pure(states.PureState(v / norm))
+        v = states._unit_vector(np.array(amps, dtype=complex), "state vector")
+        return states.DensityMatrix.from_pure(states.PureState(v))
     path = spec[len("file:"):] if spec.startswith("file:") else spec
     if os.path.exists(path):
         return opfile.obj_to_density(_load(path))

@@ -43,25 +43,37 @@ __all__ = [
 _MODES = ("single-copy", "two-copy", "pure-n")
 
 
+def _born(ops: np.ndarray, rho: np.ndarray, p: Povm) -> np.ndarray:
+    """The derivative of tr(rho^(xt) Pi_xi) along each operator A of a
+    (n, d, d) stack, shape (n, k): tr(A Pi_xi) on one copy and
+    tr((A x rho + rho x A) Pi_xi) on two, so A = rho gives t p_xi.
+    ``rho`` is one state or a stack of n, the state of each A.
+
+    Each (operator, element) pair is summed on its own, by one
+    contraction of the repeated operators with the tiled elements, so a
+    row is, bit for bit, the row that A alone would give: a (n, D, D) by
+    (k, D, D) contraction would not be, as its order of summation
+    depends on n."""
+    if p.copies == 2:
+        x = np.einsum("...ij,...kl->...ikjl", ops, rho)
+        ops = (x + x.transpose(0, 2, 1, 4, 3)).reshape(len(ops), p.dim, p.dim)
+    n, k = len(ops), p.size
+    return np.einsum("xij,xji->x", np.repeat(ops, k, axis=0),
+                     np.tile(p.elements, (n, 1, 1))).real.reshape(n, k)
+
+
 def _probs_and_grads(
     rho: DensityMatrix, tangents, p: Povm
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities tr(rho^(xt) Pi_xi) and their derivatives along each
-    tangent, from one contraction of the stacked state and derivative
-    operators with the stacked POVM elements.  ``tangents`` come from
+    tangent, shapes (k,) and (k, n), from one :func:`_born` call on the
+    stack of rho and the tangents.  ``tangents`` come from
     :func:`tangent_ops` and are not checked again."""
     if rho.dim != p.base_dim:
         raise ValueError(f"state dimension {rho.dim} does not match POVM "
                          f"base dimension {p.base_dim}")
-    m = rho.matrix
-    ops = np.array([m, *tangents])
-    if p.copies == 2:
-        # d(rho x rho) = t x rho + rho x t; slot 0 becomes 2 rho x rho
-        x = np.einsum("aij,kl->aikjl", ops, m)
-        ops = (x + x.transpose(0, 2, 1, 4, 3)).reshape(len(ops), p.dim, p.dim)
-        ops[0] *= 0.5
-    vals = np.einsum("aij,kji->ka", ops, p.elements).real
-    return _nonnegative(vals[:, 0]), vals[:, 1:]
+    vals = _born(np.array([rho.matrix, *tangents]), rho.matrix, p)
+    return _nonnegative(vals[0] / p.copies), vals[1:].T
 
 
 def _nonnegative(probs: np.ndarray) -> np.ndarray:

@@ -190,7 +190,9 @@ def _vectors(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(matcore.require_hermitian(m))
     if np.any(vals[:, -1] <= 0):
         raise ValueError("projector entry has no positive eigenvalue")
-    if np.any(np.abs(vals[:, :-1]).max(axis=1) > _tol.RANK_TOL * vals[:, -1]):
+    # a 1 x 1 projector has no other eigenvalue, and is its one vector
+    if np.any(np.abs(vals[:, :-1]).max(axis=1, initial=0.0)
+              > _tol.RANK_TOL * vals[:, -1]):
         raise ValueError("state-set entry is not a rank-one projector")
     # a unit vector has an entry of size at least 1/sqrt(n), so every row
     # has an anchor

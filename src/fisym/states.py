@@ -35,6 +35,21 @@ __all__ = [
 ]
 
 
+def _unit_vector(v: np.ndarray, what: str) -> np.ndarray:
+    """v / |v| for a float or complex vector v, which ``what`` names in
+    the ValueError raised when v is not finite and nonzero.  v is first
+    scaled by the power of two that brings its largest part (entry, or
+    real or imaginary part of an entry) into [1/2, 1), so |v| neither
+    overflows nor underflows; the scaling is exact and leaves v / |v| as
+    it was."""
+    parts = np.ascontiguousarray(v).view(float)
+    v = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(v.dtype)
+    r = np.linalg.norm(v)
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"{what} must be finite and nonzero")
+    return v / r
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector: finite entries and unit norm, kept as a
@@ -212,20 +227,41 @@ def gell_mann_basis(d: int) -> list[np.ndarray]:
 
 
 class Parametrization:
-    """Chart theta -> rho(theta) with basepoint at theta = 0."""
+    """Chart theta -> rho(theta) with basepoint at theta = 0.
 
-    dim: int
-    n_params: int
+    A chart is built from its base state and its tangents, the partial
+    derivatives of rho at theta = 0, which are checked once, here (a stack
+    of the state's size, and :func:`_tangent_stack`), and kept as the
+    read-only stack ``basis``.
+    """
+
+    def __init__(self, base_state: DensityMatrix, tangents):
+        self.base_state = base_state
+        self.dim = base_state.dim
+        self.basis = _tangent_stack(tangents)
+        if self.basis.shape[1:] != base_state.matrix.shape:
+            raise ValueError("tangents must be matrices of the state's size")
+        self.n_params = len(self.basis)
 
     def density(self, theta: np.ndarray) -> DensityMatrix:
         raise NotImplementedError
 
     def tangents(self) -> list[np.ndarray]:
-        """Partial derivatives of rho at theta = 0."""
-        raise NotImplementedError
+        """Partial derivatives of rho at theta = 0, as copies."""
+        return list(self.basis.copy())
 
     def base(self) -> DensityMatrix:
-        return self.density(np.zeros(self.n_params))
+        return self.base_state
+
+
+def _tangent_stack(ops) -> np.ndarray:
+    """``ops`` as a read-only stack of finite Hermitian matrices, checked
+    traceless."""
+    ops = matcore.require_hermitian(ops)
+    if np.any(np.abs(np.trace(ops, axis1=-2, axis2=-1)) > _tol.TRACE_TOL):
+        raise ValueError("tangent operators must be traceless")
+    ops.flags.writeable = False
+    return ops
 
 
 def _adapted_basis(psi: np.ndarray) -> np.ndarray:
@@ -251,21 +287,21 @@ class PureCanonical(Parametrization):
     so there are 2d - 2 real parameters.  The tangents at theta = 0 are
     |j'><0'| + |0'><j'| and i(|j'><0'| - |0'><j'|), the canonical
     parametrization in which the quantum Fisher matrix is 4 times the
-    identity.  ``base``, when given, is what :meth:`base` returns in
-    place of a new projector onto the basepoint: a pure DensityMatrix the
+    identity.  ``base``, when given, is the chart's base state in place
+    of a new projector onto the basepoint: a pure DensityMatrix the
     caller already holds, whose top eigenvector is the basepoint.
     """
 
     def __init__(self, basepoint: PureState,
                  base: DensityMatrix | None = None):
         self.basepoint = basepoint
-        self.dim = basepoint.dim
-        self.n_params = 2 * self.dim - 2
-        self._basis = _adapted_basis(basepoint.vector)
-        self._base = base
-
-    def base(self) -> DensityMatrix:
-        return super().base() if self._base is None else self._base
+        self._basis = b = _adapted_basis(basepoint.vector)
+        v0, vj = b[:, 0], b[:, 1:].T
+        ket = vj[:, :, None] * v0.conj()  # |j'><0'|
+        bra = v0[:, None] * vj.conj()[:, None, :]  # |0'><j'|
+        if base is None:
+            base = DensityMatrix.from_pure(PureState(v0 / np.linalg.norm(v0)))
+        super().__init__(base, np.concatenate([ket + bra, 1j * (ket - bra)]))
 
     def state_vector(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float).reshape(self.n_params)
@@ -279,29 +315,9 @@ class PureCanonical(Parametrization):
         v = self.state_vector(theta)
         return DensityMatrix(np.outer(v, v.conj()))
 
-    def tangents(self) -> list[np.ndarray]:
-        b = self._basis
-        v0 = b[:, 0]
-        out = []
-        for j in range(1, self.dim):
-            out.append(np.outer(b[:, j], v0.conj()) + np.outer(v0, b[:, j].conj()))
-        for j in range(1, self.dim):
-            out.append(1j * (np.outer(b[:, j], v0.conj())
-                             - np.outer(v0, b[:, j].conj())))
-        return out
-
-
-def _tangent_stack(ops) -> np.ndarray:
-    """``ops`` as a stack of finite Hermitian matrices, checked traceless."""
-    ops = matcore.require_hermitian(ops)
-    if np.any(np.abs(np.trace(ops, axis1=-2, axis2=-1)) > _tol.TRACE_TOL):
-        raise ValueError("tangent operators must be traceless")
-    return ops
-
 
 # the tangents σ/2 of every BlochQubit, checked once
 _HALF_PAULI = _tangent_stack(0.5 * np.array(_PAULI))
-_HALF_PAULI.flags.writeable = False
 
 
 class AffineMixed(Parametrization):
@@ -313,16 +329,8 @@ class AffineMixed(Parametrization):
     """
 
     def __init__(self, base: DensityMatrix, basis: list[np.ndarray] | None = None):
-        self.base_state = base
-        self.dim = base.dim
-        if basis is None:
-            basis = gell_mann_basis(base.dim)
-        self.basis = _tangent_stack(basis)
-        self.basis.flags.writeable = False
-        self.n_params = len(self.basis)
-
-    def base(self) -> DensityMatrix:
-        return self.base_state
+        super().__init__(base, gell_mann_basis(base.dim) if basis is None
+                         else basis)
 
     def density(self, theta: np.ndarray) -> DensityMatrix:
         theta = np.asarray(theta, dtype=float).reshape(self.n_params)
@@ -330,9 +338,6 @@ class AffineMixed(Parametrization):
         for t, e in zip(theta, self.basis):
             m = m + t * e
         return DensityMatrix(m)
-
-    def tangents(self) -> list[np.ndarray]:
-        return [e.copy() for e in self.basis]
 
 
 class BlochQubit(AffineMixed):
@@ -359,15 +364,11 @@ class BlochQubit(AffineMixed):
 
 
 def tangent_ops(param: Parametrization) -> np.ndarray:
-    """Tangent operators of a parametrization at its basepoint, stacked.
-
-    They are checked Hermitian, finite and traceless once: an affine
-    chart's basis when the chart is built, any other chart's tangents here.
-    The kernels that take them from here do not check them again.
-    """
-    if type(param).tangents is AffineMixed.tangents:
-        return param.basis  # checked by AffineMixed.__init__
-    return _tangent_stack(param.tangents())
+    """Tangent operators of a parametrization at its basepoint, stacked:
+    its ``basis``, checked Hermitian, finite and traceless once, when the
+    chart was built.  The kernels that take them from here do not check
+    them again."""
+    return param.basis
 
 
 def _slds(rho: DensityMatrix, ops: np.ndarray) -> np.ndarray:

@@ -37,17 +37,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _tol
-from .fisher import _accumulate, _nonnegative, fisher_matrix
+from .fisher import _accumulate, _born, _nonnegative, fisher_matrix
 from .opfile import _integer, _number
 from .povm import NAMED_POVMS, Povm
 from .states import (
     _PAULI,
     _bloch_states,
     _bloch_vector,
+    _qfi,
+    _unit_vector,
     DensityMatrix,
     Parametrization,
     density_from_bloch,
-    qfi_matrix,
     qubit_fidelity,
     tangent_ops,
 )
@@ -218,22 +219,10 @@ def _quad_model(p: Povm) -> _QuadModel:
 def _sampling_probs(rhos: np.ndarray, p: Povm) -> np.ndarray:
     """Outcome probabilities tr(rho^(xt) E) of every state of a checked
     (g, d, d) stack, shape (g, k), clipped at zero, checked complete and
-    renormalized.
-
-    One contraction over every (state, element) pair gives them.  It
-    sums each pair in the order in which ``fisher.outcome_probs`` sums
-    one state's, so the probabilities, and the multinomial draws, which
-    change with their last bit, are those of each state on its own.  A
-    (g, n, n) by (k, n, n) contraction would not be: its order of
-    summation depends on g.
-    """
-    if p.copies == 2:
-        x = np.einsum("gij,gkl->gikjl", rhos, rhos)
-        rhos = 0.5 * (x + x.transpose(0, 2, 1, 4, 3)).reshape(-1, p.dim, p.dim)
-    g, k = len(rhos), p.size
-    probs = _nonnegative(np.einsum(
-        "xij,xji->x", np.repeat(rhos, k, axis=0),
-        np.tile(p.elements, (g, 1, 1))).real.reshape(g, k))
+    renormalized.  They come from ``fisher._born``, the kernel of
+    ``fisher.outcome_probs``, so each row is that of its state alone and
+    equals the probabilities the Fisher reports read."""
+    probs = _nonnegative(_born(rhos, rhos, p) / p.copies)
     total = probs.sum(axis=1, keepdims=True)
     incomplete = np.abs(total - 1.0) > _tol.POVM_TOL
     if np.any(incomplete):
@@ -298,10 +287,16 @@ def _linear_system(p: Povm, model: _QuadModel) -> _LinearSystem:
         squares = c[indices]
         rows = lin[indices] / (2.0 * squares[:, None])
         offset = np.ones(len(indices))
+    return _LinearSystem(indices, offset, _identifying(rows), squares)
+
+
+def _identifying(rows: np.ndarray) -> np.ndarray:
+    """The rows of a linear model in s, checked to identify s: rank 3 to
+    ``_tol.BLOCH_RANK_TOL``."""
     if np.linalg.matrix_rank(rows, tol=_tol.BLOCH_RANK_TOL) < 3:
         raise ValueError("POVM is not informationally complete for the "
                          "Bloch vector")
-    return _LinearSystem(indices, offset, rows, squares)
+    return rows
 
 
 def _linear_bloch(counts: np.ndarray, sys: _LinearSystem) -> np.ndarray:
@@ -460,16 +455,26 @@ class _Scheme:
 
 
 def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
+    """The scheme of a qubit POVM, held to one rule for both estimators:
+    the rows that the estimator reads identify the Bloch vector
+    (:func:`_identifying`).  The linear estimator reads the rows of its
+    linear system, and the MLE the model's linear part L, the
+    information at the centre.  The MLE starts from the linear estimate,
+    or from the centre when the POVM has no linear system: a two-copy
+    POVM with no square outcome, or with too few for the Bloch vector."""
     if p.base_dim != 2:
         raise ValueError("simulation estimators are implemented for qubits")
     model = _quad_model(p)
+    mle = estimator == "mle"
+    if mle:
+        _identifying(model.lin)
     try:
         linsys = _linear_system(p, model)
     except ValueError:
-        if estimator != "mle":
+        if not mle:
             raise
         linsys = None
-    return _Scheme(p, model, linsys, estimator == "mle")
+    return _Scheme(p, model, linsys, mle)
 
 
 def _estimate(counts: np.ndarray, setup: _Scheme,
@@ -612,9 +617,10 @@ def asymptotic_metrics(param: Parametrization, p: Povm, weight="hs") -> float:
     chart, with I from :func:`fisher.fisher_matrix`.
 
     ``weight`` selects the Hilbert-Schmidt matrix W_ab = tr(t_a t_b)
-    ('hs'), the Bures matrix J/4 ('msb', J from
-    :func:`states.qfi_matrix`), or any explicit matrix; only the selected
-    one is computed.  :func:`sweep` evaluates the same quantities for the
+    ('hs'), the Bures matrix J/4 ('msb', J the quantum Fisher matrix of
+    :func:`states.qfi_matrix`, whose tangents the chart checked when it
+    was built), or any explicit matrix; only the selected one is
+    computed.  :func:`sweep` evaluates the same quantities for the
     Bloch chart in closed form.
     """
     i_inv = _inverse_fisher(fisher_matrix(param, p)[None])[0]
@@ -624,7 +630,7 @@ def asymptotic_metrics(param: Parametrization, p: Povm, weight="hs") -> float:
     elif weight == "hs":
         w = np.einsum("aij,bji->ab", tangents, tangents).real
     elif weight == "msb":
-        w = qfi_matrix(param.base(), tangents) / 4.0
+        w = _qfi(param.base(), tangents) / 4.0
     else:
         raise ValueError(f"unknown weight {weight!r}")
     return float(p.copies * np.trace(w @ i_inv))
@@ -680,14 +686,8 @@ class SweepConfig:
 
     def __post_init__(self):
         _validate_run(self)
-        d = np.array([_number(x) for x in self.direction]).reshape(3)
-        # scaled by a power of two, so that |d| neither overflows nor
-        # underflows; the scaling is exact and leaves d / |d| as it was
-        d = np.ldexp(d, -np.frexp(np.abs(d).max())[1])
-        r = np.linalg.norm(d)
-        if not 0.0 < r < np.inf:
-            raise ValueError("direction must be a finite nonzero vector")
-        self.direction = tuple(d / r)
+        self.direction = tuple(_unit_vector(np.array(
+            [_number(x) for x in self.direction]).reshape(3), "direction"))
         radii = tuple(_number(s) for s in self.radii)
         if not radii:
             raise ValueError("need at least one radius")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -433,6 +434,28 @@ class TestFisherCommand:
                            "--state", spec)
         assert code == 2
         assert "numerical failure" not in err
+
+    @pytest.mark.parametrize("spec", ["pure:1e308,1e308",
+                                      "pure:1e-320,1e-320",
+                                      "pure:1e308j,-1e308",
+                                      f"pure:{2.0 ** 1000!r},{2.0 ** 1000!r}",
+                                      f"pure:{2.0 ** -1070!r},{2.0 ** -1070!r}"])
+    def test_pure_amplitudes_of_any_finite_size(self, capsys, spec):
+        # |v| overflowed, with a RuntimeWarning, or underflowed to 0, for
+        # these amplitudes, and the state was refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, err = run(capsys, "fisher", "--povm", "sic-single",
+                                    "--state", spec)
+        assert (code, err) == (0, "")
+        unit = "pure:1j,-1" if "j" in spec else "pure:1,1"
+        want = run(capsys, "fisher", "--povm", "sic-single", "--state",
+                   unit)[1]
+        if "e-320" in spec or "e308" in spec:
+            assert np.allclose(report["i_matrix"], want["i_matrix"],
+                               rtol=0.0, atol=1e-12)
+        else:  # a power of two scales without rounding
+            assert report == want
 
     # each content pairs a state file with a part of the error it must give
     @pytest.mark.parametrize("content", [

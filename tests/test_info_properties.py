@@ -16,15 +16,19 @@ derivative that leaves the support of the state.  The fidelity must
 accept whatever state ``DensityMatrix`` accepts.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fisym._tol import REGULARITY_DERIV_TOL
 from fisym.cli import _choose_param
 from fisym.designs import sic_d3
 from fisym.fisher import (
+    _born,
     fisher_fd_oracle,
     fisher_matrix,
     fisher_report,
@@ -131,13 +135,55 @@ def test_report_agrees_with_standalone_functions(case):
 
 
 @pytest.mark.filterwarnings("ignore:outcome .* dropped")
+@st.composite
+def born_stacks(draw):
+    """A POVM of one or two copies on d in {2, 3}, a stack of n operators
+    and their states: one state for the whole stack, led by that state as
+    ``_probs_and_grads`` passes it, or a stack of n states, one per
+    operator, as ``tomosim._sampling_probs`` passes them.  The operators
+    are Hermitian, traceless tangents or the states themselves."""
+    d = draw(st.sampled_from([2, 3]))
+    two_copy = [QUBIT_POVMS["collective-sic"]] if d == 2 else list(
+        D3_POVMS.values())
+    p = draw(st.one_of(single_copy_povms(d), st.sampled_from(two_copy)))
+    n = draw(st.integers(1, 6))
+    states = np.array([draw(full_rank(d)).matrix for _ in range(n)])
+    g = draw(complex_array((n, d, d)))
+    ops = g + g.conj().swapaxes(1, 2)
+    ops -= np.trace(ops, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
+    if draw(st.booleans()):  # one state
+        return p, np.concatenate([states[:1], ops]), states[0]
+    return p, states if draw(st.booleans()) else ops, states
+
+
+@SETTINGS
+@given(case=born_stacks())
+def test_born_rows_do_not_depend_on_the_stack(case):
+    p, ops, rho = case
+    stack = _born(ops, rho, p)
+    assert stack.shape == (len(ops), p.size)
+    for a, op in enumerate(ops):
+        alone = _born(op[None], rho if rho.ndim == 2 else rho[a:a + 1], p)
+        assert stack[a].tobytes() == alone[0].tobytes()
+
+
 @SETTINGS
 @given(case=charts(), drop_threshold=st.sampled_from([1e-12, 0.02, 0.1]))
+@example(case=("collective-sic", BlochQubit([0.0, 0.35355339, 0.35355339])),
+         drop_threshold=0.1)
 def test_verdicts_follow_returned_matrices(case, drop_threshold):
     # with a raised drop threshold both verdicts must still be computed
     # from the Fisher matrix the report returns
     name, par = case
-    rep = fisher_report(par, povm_named(name), drop_threshold=drop_threshold)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = fisher_report(par, povm_named(name),
+                            drop_threshold=drop_threshold)
+    # a raised threshold may drop an outcome that still varies: the one
+    # warning is the regularity warning of each such outcome
+    steep = [xi for xi, _, dp in rep.dropped if dp > REGULARITY_DERIV_TOL]
+    assert [str(w.message).split()[1] for w in caught] == list(map(str, steep))
+    assert all(w.category is UserWarning for w in caught)
     i_mat, j_mat = rep.i_matrix, rep.j_matrix
     value = float(np.trace(np.linalg.solve(j_mat, i_mat)))
     assert rep.gm.value == pytest.approx(value, rel=1e-10, abs=1e-12)

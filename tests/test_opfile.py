@@ -120,6 +120,22 @@ class TestStateSetFiles:
         with pytest.raises(ValueError):
             obj_to_state_set(obj)
 
+    def test_one_dimensional_set_is_its_one_vector(self):
+        # a 1 x 1 projector has no other eigenvalue for the rank-one test
+        # to check; the reader once failed there with numpy's message
+        obj = {"dim": 1, "copies": 1, "elements": [
+            {"weight": 0.25, "matrix": [[[1.0, 0.0]]]},
+            {"weight": 0.75, "matrix": [[[2.5, 0.0]]]}]}
+        s = obj_to_state_set(obj)
+        assert s.dim == 1
+        assert s.vectors.tolist() == [[1.0], [1.0]]
+        assert s.weights.tolist() == [0.25, 0.75]
+        assert obj_to_state_set(state_set_to_obj(s)).vectors.tolist() == \
+            [[1.0], [1.0]]
+        obj["elements"][1]["matrix"] = [[[0.0, 0.0]]]
+        with pytest.raises(ValueError, match="no positive eigenvalue"):
+            obj_to_state_set(obj)
+
     def test_non_hermitian_rejected(self):
         # its lower triangle is the projector onto |0>, all that eigh reads
         obj = state_set_to_obj(sic_qubit())

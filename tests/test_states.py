@@ -6,6 +6,7 @@ from fisym.states import (
     AffineMixed,
     BlochQubit,
     DensityMatrix,
+    Parametrization,
     PureCanonical,
     PureState,
     bloch_from_density,
@@ -225,16 +226,42 @@ class TestParametrizations:
                               affine.density(np.zeros(8)).matrix)
 
     def test_tangent_ops_validation(self, rng):
-        par = BlochQubit([0.0, 0.0, 0.0])
-        ops = tangent_ops(par)
-        assert len(ops) == 3
+        # a chart checks its tangents once, when it is built, and
+        # tangent_ops hands out that read-only stack
+        for par in (BlochQubit([0.0, 0.0, 0.0]), AffineMixed(
+                random_full_rank(rng, 3)), PureCanonical(random_pure(rng, 3))):
+            ops = tangent_ops(par)
+            assert ops is par.basis and len(ops) == par.n_params
+            assert not ops.flags.writeable
+            copies = par.tangents()
+            assert np.array_equal(copies, ops)
+            copies[0][0, 0] = 7.0
+            assert ops[0][0, 0] != 7.0
 
-        class Bad(BlochQubit):
-            def tangents(self):
-                return [np.eye(2)] * 3
+        rho = density_from_bloch([0.1, 0.2, 0.3])
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
 
-        with pytest.raises(ValueError):
-            tangent_ops(Bad([0.0, 0.0, 0.0]))
+        class Bad(Parametrization):
+            # a chart of its own that makes bad tangents
+            def __init__(self, ops):
+                super().__init__(rho, ops)
+
+        bad = {
+            "traced": [np.eye(2)] * 3,
+            "not traceless": [sx, np.diag([1.0, 0.0]), sx],
+            "NaN": [sx, np.full((2, 2), np.nan), sx],
+            "infinite": [sx, sx, np.diag([np.inf, -np.inf])],
+            "not Hermitian": [sx, np.array([[0.0, 1.0], [0.0, 0.0]])],
+            "not square": [np.zeros((2, 3))],
+            "of another size": gell_mann_basis(3),
+            "not a stack": sx,
+        }
+        for what, ops in bad.items():
+            for build in (lambda o: Parametrization(rho, o),
+                          lambda o: AffineMixed(rho, basis=o), Bad):
+                with pytest.raises(ValueError):
+                    build(ops)
+                    pytest.fail(f"accepted {what} tangents")
 
 
 class TestSld:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import random_povm, random_two_copy_povm
 
+from fisym import tomosim
 from fisym.cli import main
 from fisym.opfile import povm_to_obj, save_json
 from fisym.povm import (NAMED_POVMS, Povm, classify_coherent,
@@ -301,6 +302,82 @@ class TestMleEstimator:
         setup = _scheme_setup(scheme_povm(name), "mle")
         s = _estimate(np.array([counts], dtype=float), setup)[0]
         assert np.linalg.norm(s) <= INTERIOR_CLIP
+
+
+def not_ic_povms():
+    """Single-copy POVMs whose Bloch rows cannot identify the Bloch
+    vector: the z basis (rank 1) and a custom copy of great-circle
+    (rank 2)."""
+    return [z_basis_povm(), Povm(NAMED_POVMS["great-circle"].elements,
+                                 copies=1, base_dim=2)]
+
+
+NOT_IC = "POVM is not informationally complete for the Bloch vector"
+
+
+class TestNotInformationallyComplete:
+    # one rule at set-up refuses both estimators; the MLE once estimated
+    # with these POVMs, from the centre, and reported meaningless errors
+    @pytest.mark.parametrize("p", not_ic_povms(),
+                             ids=["z-basis", "great-circle"])
+    def test_both_estimators_refuse(self, p):
+        counts = np.full(p.size, 100.0)
+        counts[0] = 600.0
+        for estimate in (estimate_linear_qubit, estimate_mle_qubit):
+            with pytest.raises(ValueError, match=NOT_IC):
+                estimate(counts, p)
+        for estimator in ("linear", "mle"):
+            with pytest.raises(ValueError, match=NOT_IC):
+                _scheme_setup(p, estimator)
+            with pytest.raises(ValueError, match=NOT_IC):
+                run_simulation(SimConfig(
+                    scheme="custom", bloch=(0.3, 0.0, 0.0), n_copies=100,
+                    n_trials=2, seed=1, estimator=estimator, povm=p))
+
+    @pytest.mark.parametrize("estimator", ["linear", "mle"])
+    @pytest.mark.parametrize("p", not_ic_povms(),
+                             ids=["z-basis", "great-circle"])
+    def test_cli_exits_3_before_any_trial(self, capsys, tmp_path,
+                                          monkeypatch, p, estimator):
+        def no_trials(*args):
+            raise AssertionError("the Monte Carlo ran")
+
+        monkeypatch.setattr(tomosim, "_simulate", no_trials)
+        povm_path = str(tmp_path / "povm.json")
+        save_json(povm_to_obj(p), povm_path)
+        run = {"scheme": "custom", "povm": povm_path, "n_copies": 100,
+               "n_trials": 2, "seed": 1, "estimator": estimator}
+        for command, extra in (("simulate", {"bloch": [0.3, 0.0, 0.0]}),
+                               ("sweep", {"radii": [0.0, 0.5]})):
+            config = tmp_path / f"{command}.json"
+            config.write_text(json.dumps({**run, **extra}))
+            argv = [command, "--config", str(config)]
+            if command == "sweep":
+                argv += ["--out", str(tmp_path / "rows.csv")]
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"numerical failure: {NOT_IC}\n"
+
+    def test_mle_starts_from_the_centre_without_a_linear_system(self):
+        # no square outcome, or two square outcomes, whose rows have rank 2
+        # (the collective SIC with its singlet split over two of its
+        # sym-power elements): no linear system, but L has rank 3
+        e = NAMED_POVMS["collective-sic"].elements
+        two_squares = Povm([e[0], e[1], e[2] + e[4] / 2, e[3] + e[4] / 2],
+                           copies=2, base_dim=2)
+        for p, message in (
+                (random_two_copy_povm(np.random.default_rng(5), 2, 5),
+                 "no symmetric rank-one-power"), (two_squares, NOT_IC)):
+            with pytest.raises(ValueError, match=message):
+                _scheme_setup(p, "linear")
+            setup = _scheme_setup(p, "mle")
+            assert setup.linsys is None
+            s = _estimate(np.round(exact_counts([0.3, -0.2, 0.1], p))[None],
+                          setup)[0]
+            assert np.linalg.norm(s - [0.3, -0.2, 0.1]) < 1e-2
+        # no square outcome and L = 0: nothing identifies the Bloch vector
+        flat = Povm([np.eye(4) / 2, np.eye(4) / 2], copies=2, base_dim=2)
+        with pytest.raises(ValueError, match=NOT_IC):
+            _scheme_setup(flat, "mle")
 
 
 class TestRunSimulation:

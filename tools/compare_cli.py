@@ -11,8 +11,23 @@ paths.  The requests are every ``build``; every ``verify`` kind on every
 built file at three ``--tol`` values; ``fisher`` for each named POVM at
 fixed Bloch and pure states and for the built d = 3 POVMs at fixed state
 files; ``simulate`` and ``sweep`` for each scheme and estimator at small
-N, with a near-pure sweep and an oversized ``n_copies`` among them.  The
-output of a request is its exit code (or the exception that escaped
+N, with a near-pure sweep and an oversized ``n_copies`` among them.
+
+Some requests are expected to differ from a tree older than the change
+that mended them, and only these:
+
+- ``simulate`` and ``sweep`` with the MLE on the custom POVMs
+  ``z-basis.json`` and ``great-circle.json``, whose Bloch rows have rank
+  1 and 2: they exit 3, "POVM is not informationally complete for the
+  Bloch vector", where the MLE used to estimate from the centre (and a
+  sweep to fail after its Monte Carlo, on a singular Fisher matrix);
+- ``fisher`` at ``pure:1e308,1e308`` and ``pure:1e-320,1e-320``: a
+  report, where the norm used to overflow or underflow and the state was
+  refused;
+- ``verify design2`` on the one-dimensional state set ``one-d1.json``:
+  a certificate, where the reader used to fail with numpy's message.
+
+The output of a request is its exit code (or the exception that escaped
 ``main``), its standard output and error, and the files it writes.
 Warnings are printed as ``Category: message``, without the file and line
 that raised them, so two copies of one tree compare identical.
@@ -137,6 +152,22 @@ def _requests():
             requests.append((["simulate", "--config", f"sim-{tag}.json"], []))
             requests.append((["sweep", "--config", f"sweep-{tag}.json",
                               "--out", "rows.csv"], ["rows.csv"]))
+    inputs["z-basis.json"] = {"dim": 2, "copies": 1, "elements": [
+        _state(m)["elements"][0] for m in ([[1.0, 0.0], [0.0, 0.0]],
+                                           [[0.0, 0.0], [0.0, 1.0]])]}
+    for povm in ("z-basis.json", "great-circle.json"):
+        base = {"scheme": "custom", "povm": povm, "estimator": "mle", **runs}
+        inputs[f"sim-{povm}"] = {**base, "bloch": [0.3, -0.2, 0.5]}
+        inputs[f"sweep-{povm}"] = {**base, "radii": [0.0, 0.4, 0.9]}
+        requests.append((["simulate", "--config", f"sim-{povm}"], []))
+        requests.append((["sweep", "--config", f"sweep-{povm}", "--out",
+                          "rows.csv"], ["rows.csv"]))
+    for state in ("pure:1e308,1e308", "pure:1e-320,1e-320"):
+        requests.append((["fisher", "--povm", "sic-single", "--state",
+                          state], []))
+    inputs["one-d1.json"] = {"dim": 1, "copies": 1, "elements": [
+        {"weight": 1.0, "matrix": [[[1.0, 0.0]]]}]}
+    requests.append((["verify", "design2", "one-d1.json"], []))
     inputs["sim-oversized.json"] = {"scheme": "sic-single", **runs,
                                     "bloch": [0.5, 0.0, 0.0],
                                     "n_copies": 10 ** 23}
