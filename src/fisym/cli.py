@@ -30,7 +30,9 @@ class UsageError(Exception):
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=1) + "\n")
+    # strict JSON: a non-finite number raises ValueError, a numerical
+    # failure, instead of printing NaN, which RFC 8259 does not have
+    sys.stdout.write(json.dumps(obj, indent=1, allow_nan=False) + "\n")
     # a reader that closed the pipe shows here, inside main, not at exit
     sys.stdout.flush()
 

@@ -273,7 +273,10 @@ def projective_2design_check(
 
 def _normalized_ops(ops: OperatorSet) -> tuple[np.ndarray, np.ndarray, float]:
     """Rescale so the traces sum to the dimension; returns (stack, traces,
-    purity)."""
+    purity).  Both generalized checks start here, and their bounds hold
+    for d >= 2 only (the 2-design bound divides by d^2 - 1)."""
+    if ops.dim < 2:
+        raise ValueError("generalized designs need dimension at least 2")
     traces = ops.traces()
     scale = ops.dim / traces.sum()
     elems = scale * ops.elements

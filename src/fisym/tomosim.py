@@ -367,10 +367,15 @@ def _mle_bloch(
     where scoring would crawl.  At the clip, with g pointing outward, the
     step is Newton's on the sphere: A and g restricted to its tangent
     plane, A plus the curvature term (g.s / |s|^2) of the constraint.
-    When A is singular or no Newton point rises, the iteration takes a
-    projected gradient step with a backtracking step size instead.  The
-    ascent ends when |g| falls to ``_MLE_GRAD_TOL``, when no step raises
-    l, or after ``_MLE_MAX_ITER`` iterations.  Returns the point and its
+    When no Newton point rises and the rise the step predicts, half the
+    Newton decrement lambda^2 = b.d (Boyd and Vandenberghe, Convex
+    Optimization, 9.5), lies in [0, k eps |l|], the ascent ends: l sums k
+    observed terms n_k log p_k <= 0, so it is computed only to k eps |l|,
+    and no step could show a rise.  When A is singular, or the predicted
+    rise is larger, the iteration takes a projected gradient step with a
+    backtracking step size instead.  The ascent also ends when |g| falls
+    to ``_MLE_GRAD_TOL``, when no gradient step raises l, or after
+    ``_MLE_MAX_ITER`` iterations.  Returns the point and its
     log-likelihood.
     """
     observed = counts > 0
@@ -388,6 +393,7 @@ def _mle_bloch(
         s = np.zeros(3)
         f = loglik(s)
     step = 1.0 / counts.sum()
+    rounding = c_obs.size * np.finfo(float).eps  # of l, relative to |l|
     for _ in range(_MLE_MAX_ITER):
         grads = model.grads(s)[observed]
         w = c_obs / model.probs(s)[observed]
@@ -407,14 +413,17 @@ def _mle_bloch(
             d = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:  # singular: no Newton step
             d = np.full(3, np.nan)
-        for h in range(4 if np.all(np.isfinite(d)) else 0):
+        newton = bool(np.all(np.isfinite(d)))
+        for h in range(4 if newton else 0):
             cand = _project(s + 0.5 ** h * d, clip)
             fc = loglik(cand)
             if fc > f:
                 s, f = cand, fc
                 break
-        else:  # no Newton point rises: a projected gradient step
-            while step >= 1e-18:
+        else:  # no Newton point rises
+            if newton and 0.0 <= 0.5 * (b @ d) <= rounding * abs(f):
+                break  # the rise Newton's step predicts is rounding of l
+            while step >= 1e-18:  # a projected gradient step
                 cand = _project(s + step * g, clip)
                 fc = loglik(cand)
                 if fc > f:

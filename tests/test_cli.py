@@ -330,6 +330,36 @@ class TestVerifyOperatorSets:
         save_json(operator_set_to_obj(OperatorSet(tuple(elems))), path)
         assert run(capsys, "verify", "gdesign2", path)[0] == 1
 
+    @pytest.mark.parametrize("kind", ["gdesign2", "gsic"])
+    def test_one_dimensional_set_fails_the_check(self, capsys, tmp_path,
+                                                 kind):
+        # the 2-design bound divides by d^2 - 1 and the SIC fit averages
+        # d^2 (d^2 - 1) overlaps: d = 1 ended in a ZeroDivisionError
+        # traceback (gdesign2) and in NaN after numpy's warning (gsic)
+        path = tmp_path / "one-d1.json"
+        path.write_text(json.dumps({"dim": 1, "copies": 1, "elements": [
+            {"weight": 1.0, "matrix": [[[1.0, 0.0]]]}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, err = run(capsys, "verify", kind, str(path))
+        assert (code, err) == (1, "")
+        assert report == {"ok": False, "error": "generalized designs need "
+                                                "dimension at least 2"}
+
+
+class TestStrictJson:
+    def test_non_finite_output_is_numerical_failure(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # RFC 8259 has no NaN: stdout carries strict JSON or nothing
+        monkeypatch.setitem(cli._VERIFIERS, "povm", lambda obj, tol: (
+            True, {"ok": True, "residual": float("nan")}))
+        path = str(tmp_path / "sic.json")
+        run(capsys, "build", "sic-qubit", "--out", path)
+        code, out, err = run(capsys, "verify", "povm", path)
+        assert (code, out) == (3, None)
+        assert err.startswith("numerical failure: Out of range float values "
+                              "are not JSON compliant")
+
 
 class TestFisherCommand:
     def test_collective_sic_report(self, capsys):

@@ -25,7 +25,17 @@ that mended them, and only these:
   report, where the norm used to overflow or underflow and the state was
   refused;
 - ``verify design2`` on the one-dimensional state set ``one-d1.json``:
-  a certificate, where the reader used to fail with numpy's message.
+  a certificate, where the reader used to fail with numpy's message;
+- ``verify gdesign2`` and ``verify gsic`` on ``one-d1.json``: exit 1 with
+  ``{"ok": false, "error": ...}``, where ``gdesign2`` used to end in a
+  ``ZeroDivisionError`` and ``gsic`` to print NaN after numpy's warning;
+- ``simulate`` and ``sweep`` with the MLE, against a tree whose ascent
+  ran a gradient search after its last failed Newton step: the numbers
+  move by at most 1e-6 relative, since an ascent now ends where Newton's
+  step predicts a rise within the rounding of the log-likelihood.
+
+Each request's output files are deleted before it runs, so a request
+that fails before writing shows no file rather than the last request's.
 
 The output of a request is its exit code (or the exception that escaped
 ``main``), its standard output and error, and the files it writes.
@@ -66,6 +76,9 @@ for name, obj in job["inputs"].items():
         json.dump(obj, fh)
 results = []
 for argv, outputs in job["requests"]:
+    for name in outputs:
+        if os.path.exists(name):
+            os.remove(name)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -167,7 +180,8 @@ def _requests():
                           state], []))
     inputs["one-d1.json"] = {"dim": 1, "copies": 1, "elements": [
         {"weight": 1.0, "matrix": [[[1.0, 0.0]]]}]}
-    requests.append((["verify", "design2", "one-d1.json"], []))
+    for kind in ("design2", "gdesign2", "gsic"):
+        requests.append((["verify", kind, "one-d1.json"], []))
     inputs["sim-oversized.json"] = {"scheme": "sic-single", **runs,
                                     "bloch": [0.5, 0.0, 0.0],
                                     "n_copies": 10 ** 23}
