@@ -358,7 +358,11 @@ def _mle_bloch(
 
     Each iteration tries the step d = A^{-1} g, g the gradient, at
     t = 1, 1/2, 1/4, 1/8, each trial point projected onto the clipped
-    ball, and takes the first that raises l.  A is -Hess l where that is
+    ball, and takes the first that raises l.  While the trial point still
+    lies outside the ball, t keeps halving: projecting a far step along a
+    flat direction of l lands on the sphere away from where l rises, and
+    the gradient search would crawl along that ridge; a short enough
+    step stays in the ball, where d ascends.  A is -Hess l where that is
     positive definite, and otherwise the scoring matrix
     G = sum_k n_k grad p_k grad p_k^T / p_k^2 over the observed outcomes,
     which is positive semidefinite, so d is an ascent direction.  For an
@@ -414,13 +418,17 @@ def _mle_bloch(
         except np.linalg.LinAlgError:  # singular: no Newton step
             d = np.full(3, np.nan)
         newton = bool(np.all(np.isfinite(d)))
-        for h in range(4 if newton else 0):
-            cand = _project(s + 0.5 ** h * d, clip)
+        rose, h = False, 0
+        while newton and not rose:
+            trial = s + 0.5 ** h * d
+            cand = _project(trial, clip)
             fc = loglik(cand)
-            if fc > f:
+            if rose := fc > f:
                 s, f = cand, fc
+            h += 1
+            if h >= 4 and cand is trial:  # four trials, the last unprojected
                 break
-        else:  # no Newton point rises
+        if not rose:  # no Newton point rises
             if newton and 0.0 <= 0.5 * (b @ d) <= rounding * abs(f):
                 break  # the rise Newton's step predicts is rounding of l
             while step >= 1e-18:  # a projected gradient step

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_povm, random_two_copy_povm
+from conftest import _sandwich, random_povm, random_two_copy_povm
 
 from fisym import tomosim
 from fisym.cli import main
@@ -353,6 +353,26 @@ class TestMleEstimator:
         s, _ = tomosim._mle_bloch(counts, model, start, INTERIOR_CLIP)
         assert singular
         assert np.linalg.norm(s - INTERIOR_CLIP * u) < 1e-9
+
+    def test_newton_step_past_the_ball_is_halved_into_it(self):
+        # three observed outcomes of a six-outcome POVM: l is nearly flat
+        # along the Newton step, which leaves the ball; its projections
+        # onto the sphere never rose, and the gradient search crawled the
+        # ridge for all its iterations, ending inside the ball at |g| 0.017
+        vectors = [[0.75, -0.01 + 0.4j], [0.18, -0.07 + 0.02j],
+                   [0.1, -0.24 - 0.66j], [0.36, 0.04 - 0.45j],
+                   [0.49, 0.05 - 0.24j], [0.14, 0.01 + 0.28j]]
+        p = Povm(_sandwich([np.outer(v, np.conj(v)) for v in vectors]),
+                 copies=1, base_dim=2)
+        counts = np.array([2, 0, 1, 0, 1, 0])
+        s = _estimate(counts[None].astype(float), _scheme_setup(p, "mle"))[0]
+        model, observed = _quad_model(p), counts > 0
+        g = ((counts[observed] / model.probs(s)[observed])
+             @ model.grads(s)[observed])
+        u = s / np.linalg.norm(s)
+        assert np.linalg.norm(s) == pytest.approx(INTERIOR_CLIP, abs=1e-12)
+        assert np.linalg.norm(g - (g @ u) * u) <= 1e-6 * counts.sum()
+        assert g @ u > 0.0
 
 
 def not_ic_povms():
