@@ -64,6 +64,11 @@ TIGHT_PURITY_TOL = 1e-8
 # its global phase; the first one does.
 PHASE_ANCHOR_TOL = 1e-8
 
+# Magnitudes within this of an operator's largest entry tie for fixing its
+# global phase (the first one does), so the drift of repeated products
+# cannot switch the anchor entry.
+PHASE_TIE_TOL = 1e-6
+
 # POVM completeness / positivity reporting threshold.
 POVM_TOL = 1e-9
 
@@ -88,3 +93,9 @@ VERIFY_TOL = 1e-8
 
 # Relative residual below which a scalar fit I = c*J counts as proportional.
 SYMMETRY_TOL = 1e-6
+
+# Gradient norm of the log-likelihood at which a qubit-MLE ascent stops.
+MLE_GRAD_TOL = 1e-10
+
+# Smallest projected-gradient step size an MLE ascent tries before it stops.
+MLE_STEP_FLOOR = 1e-18

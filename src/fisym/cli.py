@@ -6,7 +6,8 @@ state/POVM pair), simulate (Monte Carlo run), sweep (radius grid to CSV).
 
 Exit codes: 0 success / check passed, 1 check failed, 2 usage or parse
 error (an input file that cannot be read as UTF-8 JSON or an --out path
-that cannot be written included), 3 numerical failure, 141 standard
+that cannot be written included), 3 numerical failure (a floating-point
+overflow anywhere in the request included), 141 standard
 output closed by its reader (128 + SIGPIPE, as a shell reports a process
 that a closed pipe ended).
 """
@@ -172,13 +173,13 @@ def cmd_verify(args) -> int:
 def _povm_from_files(construct, *paths) -> dict:
     """File object of the POVM ``construct`` makes from the state sets in
     ``paths`` (None where a path is not given).  A given file that does
-    not load as a state set, or whose states the construction rejects,
-    is a usage error."""
+    not load as a state set, or whose states the construction rejects or
+    overflows on, is a usage error."""
     try:
         sets = [opfile.obj_to_state_set(_load(f)) if f else None
                 for f in paths]
         return opfile.povm_to_obj(construct(*sets))
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         if not any(paths):
             raise
         raise UsageError(f"unfit input file: {exc}") from exc
@@ -388,7 +389,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow is a numerical failure, not a warning printed beside
+        # a result computed from infinities
+        with np.errstate(over="raise"):
+            return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

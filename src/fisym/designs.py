@@ -387,7 +387,7 @@ def clifford_group_qubit() -> list[np.ndarray]:
         # axis; stable under the drift accumulated by repeated products
         flat = u.reshape(-1)
         mags = np.abs(flat)
-        idx = int(np.nonzero(mags >= mags.max() - 1e-6)[0][0])
+        idx = int(np.nonzero(mags >= mags.max() - _tol.PHASE_TIE_TOL)[0][0])
         entry = flat[idx]
         return u * (entry.conj() / abs(entry))
 

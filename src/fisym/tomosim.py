@@ -71,9 +71,8 @@ __all__ = [
 # great-circle is left out: its Bloch rows have rank 2.
 SCHEMES = ("collective-sic", "sic-single", "mub-single", "custom")
 
-# Iteration cap and absolute gradient norm that end one MLE ascent.
+# Iteration cap that ends one MLE ascent.
 _MLE_MAX_ITER = 200
-_MLE_GRAD_TOL = 1e-10
 
 
 def _validate_run(config) -> None:
@@ -377,35 +376,44 @@ def _mle_bloch(
     observed terms n_k log p_k <= 0, so it is computed only to k eps |l|,
     and no step could show a rise.  When A is singular, or the predicted
     rise is larger, the iteration takes a projected gradient step with a
-    backtracking step size instead.  The ascent also ends when |g| falls
-    to ``_MLE_GRAD_TOL``, when no gradient step raises l, or after
-    ``_MLE_MAX_ITER`` iterations.  Returns the point and its
+    backtracking step size, down to ``_tol.MLE_STEP_FLOOR``, instead.
+    The ascent also ends when |g| falls to ``_tol.MLE_GRAD_TOL``, when no
+    gradient step raises l, or after ``_MLE_MAX_ITER`` iterations.
+
+    The model is restricted to the observed outcomes once, with the M_k
+    also kept as rows of 9, so the curvature term is one product.  The
+    model is evaluated once per trial point: l comes with its
+    probabilities, and an accepted point's probabilities give the next
+    iteration's weights and gradient.  Returns the point and its
     log-likelihood.
     """
     observed = counts > 0
     c_obs = counts[observed]
+    obs = _QuadModel(model.c[observed], model.lin[observed],
+                     model.quad[observed])
+    quad9 = obs.quad.reshape(-1, 9)
 
     def loglik(s):
-        pr = model.probs(s)[observed]
+        pr = obs.probs(s)
         if np.any(pr <= 0.0):
-            return -np.inf
-        return float(c_obs @ np.log(pr))
+            return -np.inf, pr
+        return float(c_obs @ np.log(pr)), pr
 
     s = _project(init, clip)
-    f = loglik(s)
+    f, pr = loglik(s)
     if not np.isfinite(f):
         s = np.zeros(3)
-        f = loglik(s)
+        f, pr = loglik(s)
     step = 1.0 / counts.sum()
     rounding = c_obs.size * np.finfo(float).eps  # of l, relative to |l|
     for _ in range(_MLE_MAX_ITER):
-        grads = model.grads(s)[observed]
-        w = c_obs / model.probs(s)[observed]
+        grads = obs.grads(s)
+        w = c_obs / pr
         g = w @ grads
-        if np.linalg.norm(g) <= _MLE_GRAD_TOL:
+        if np.linalg.norm(g) <= _tol.MLE_GRAD_TOL:
             break
         fisher = (grads.T * (w * w / c_obs)) @ grads
-        hess = fisher - 2.0 * np.tensordot(w, model.quad[observed], 1)
+        hess = fisher - 2.0 * (w @ quad9).reshape(3, 3)
         a = hess if np.linalg.eigvalsh(hess)[0] > 0.0 else fisher
         r2, b = s @ s, g
         if r2 >= (clip - _tol.CLIP_MARGIN) ** 2 and g @ s > 0.0:
@@ -422,20 +430,20 @@ def _mle_bloch(
         while newton and not rose:
             trial = s + 0.5 ** h * d
             cand = _project(trial, clip)
-            fc = loglik(cand)
+            fc, pc = loglik(cand)
             if rose := fc > f:
-                s, f = cand, fc
+                s, f, pr = cand, fc, pc
             h += 1
             if h >= 4 and cand is trial:  # four trials, the last unprojected
                 break
         if not rose:  # no Newton point rises
             if newton and 0.0 <= 0.5 * (b @ d) <= rounding * abs(f):
                 break  # the rise Newton's step predicts is rounding of l
-            while step >= 1e-18:  # a projected gradient step
+            while step >= _tol.MLE_STEP_FLOOR:  # a projected gradient step
                 cand = _project(s + step * g, clip)
-                fc = loglik(cand)
+                fc, pc = loglik(cand)
                 if fc > f:
-                    s, f = cand, fc
+                    s, f, pr = cand, fc, pc
                     step *= 2.0
                     break
                 step *= 0.5

@@ -13,7 +13,8 @@ from fisym import cli, states
 from fisym.cli import _choose_param, _parse_state, main
 from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
 from fisym.opfile import (json_to_matrix, load_json, matrix_to_json,
-                          operator_set_to_obj, save_json, state_set_to_obj)
+                          operator_set_to_obj, povm_to_obj, save_json,
+                          state_set_to_obj)
 from fisym.povm import NAMED_POVMS
 
 
@@ -359,6 +360,58 @@ class TestStrictJson:
         assert (code, out) == (3, None)
         assert err.startswith("numerical failure: Out of range float values "
                               "are not JSON compliant")
+
+
+def _scaled_collective_sic(path):
+    # entries up to 1.5e149 pass the reader's bound of 1e150, but their
+    # squares summed in a Frobenius norm of a 4 x 4 element overflow
+    obj = povm_to_obj(NAMED_POVMS["collective-sic"])
+    for e in obj["elements"]:
+        e["matrix"] = (np.array(e["matrix"]) * 1e149).tolist()
+    save_json(obj, path)
+    return path
+
+
+def _heavy_sic(path):
+    # weights of 1e308 overflow the frame potential, a sum of w_i w_j |.|^2
+    obj = state_set_to_obj(sic_qubit())
+    for e in obj["elements"]:
+        e["weight"] = 1e308
+    save_json(obj, path)
+    return path
+
+
+class TestOverflow:
+    # found by test_cli_properties.py: an overflow printed numpy's
+    # RuntimeWarning and the request went on with infinities, to a
+    # verdict (coherent), to NaN (the design slack that build reported)
+    # or to a misleading message (simulate)
+    @pytest.mark.parametrize("make, argv", [
+        (_scaled_collective_sic, ["verify", "coherent", "{}"]),
+        (_scaled_collective_sic, ["verify", "tight-coherent", "{}"]),
+        (_heavy_sic, ["verify", "sic", "{}"]),
+        (_scaled_collective_sic, ["simulate", "--config", "cfg.json"]),
+    ])
+    def test_overflow_is_numerical_failure(self, capsys, tmp_path,
+                                           monkeypatch, make, argv):
+        monkeypatch.chdir(tmp_path)
+        path = make(str(tmp_path / "in.json"))
+        save_json({"scheme": "custom", "povm": path, "bloch": [0, 0, 0],
+                   "n_copies": 4, "n_trials": 2, "seed": 1,
+                   "estimator": "linear"}, "cfg.json")
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert (code, out) == (3, None)
+        assert err.startswith("numerical failure: overflow encountered")
+
+    def test_overflow_in_an_input_file_is_usage_error(self, capsys, tmp_path):
+        # as any other input file unfit for the construction
+        path = _heavy_sic(str(tmp_path / "in.json"))
+        out = tmp_path / "out.json"
+        code, _, err = run(capsys, "build", "companion", "--source", path,
+                           "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: unfit input file: overflow encountered")
+        assert not out.exists()
 
 
 class TestFisherCommand:

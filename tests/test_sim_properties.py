@@ -40,6 +40,13 @@ points outward with no tangential part (the KKT conditions), each to
 1e-6 N.  Counts on one or two outcomes, where the Fisher-scoring matrix
 of the Newton step is singular, must give a finite estimate in the
 clipped ball.
+
+The MLE evaluates its model on the observed outcomes only and carries
+each accepted point's probabilities into the next iteration.  The
+log-likelihood it returns must be that of the full model at the returned
+point, sum over n_k > 0 of n_k log p_k, for random one- and two-copy
+POVMs and counts with zeros, so no probabilities of an earlier point
+survive into the result.
 """
 
 import warnings
@@ -47,7 +54,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import random_rank_one_povm
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -61,8 +68,8 @@ from fisym.states import (_PAULI, BlochQubit, _bloch_states,
                           tangent_ops)
 from fisym._tol import CLIP_MARGIN, INTERIOR_CLIP
 from fisym.tomosim import (SCHEMES, _analytic_columns, _estimate,
-                           _linear_bloch, _linear_system, _quad_model,
-                           _sampling_probs, _scheme_setup,
+                           _linear_bloch, _linear_system, _mle_bloch,
+                           _quad_model, _sampling_probs, _scheme_setup,
                            asymptotic_metrics, scheme_povm)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -381,6 +388,24 @@ def test_mle_meets_the_kkt_conditions(case):
     residual, radial = _kkt_residuals(p, counts)
     assert residual <= 1e-6 * counts.sum()
     assert radial is None or radial >= 0.0
+
+
+@settings(max_examples=60)
+@given(p=qubit_povms(), start=interior_bloch(), data=st.data())
+def test_mle_loglik_is_the_full_model_at_the_estimate(p, start, data):
+    counts = np.array(data.draw(st.lists(st.integers(0, 1000), min_size=p.size,
+                                         max_size=p.size)), dtype=float)
+    zero = data.draw(st.integers(0, p.size - 1))
+    counts[zero] = 0.0
+    counts[(zero + 1) % p.size] += 1.0
+    try:  # the MLE's domain: POVMs whose model identifies the Bloch vector
+        model = _scheme_setup(p, "mle").model
+    except ValueError:
+        assume(False)
+    s, loglik = _mle_bloch(counts, model, start, INTERIOR_CLIP)
+    observed = counts > 0
+    full = counts[observed] @ np.log(model.probs(s)[observed])
+    assert loglik == pytest.approx(full, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme, counts", [
