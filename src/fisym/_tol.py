@@ -96,6 +96,3 @@ SYMMETRY_TOL = 1e-6
 
 # Gradient norm of the log-likelihood at which a qubit-MLE ascent stops.
 MLE_GRAD_TOL = 1e-10
-
-# Smallest projected-gradient step size an MLE ascent tries before it stops.
-MLE_STEP_FLOOR = 1e-18

@@ -216,13 +216,24 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------- fisher
 
 def _resolve_povm(spec: str) -> povm.Povm:
+    """A named POVM, or the POVM in the file ``spec``, which must be
+    positive and complete to ``_tol.POVM_TOL`` (:func:`povm.validate_povm`).
+    """
     if spec in povm.NAMED_POVMS:
         return povm.NAMED_POVMS[spec]
     if os.path.exists(spec):
         try:
-            return opfile.obj_to_povm(_load(spec))
+            p = opfile.obj_to_povm(_load(spec))
         except ValueError as exc:
             raise UsageError(f"bad POVM file {spec}: {exc}") from exc
+        report = povm.validate_povm(p)
+        if not report.ok:
+            raise UsageError(
+                f"bad POVM file {spec}: not a POVM (positivity violation "
+                f"{report.psd_violation:.3g}, completeness residual "
+                f"{report.completeness_residual:.3g}, tolerance "
+                f"{_tol.POVM_TOL:g})")
+        return p
     raise UsageError(f"--povm must be a file or one of "
                      f"{tuple(povm.NAMED_POVMS)}")
 

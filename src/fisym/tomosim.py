@@ -355,30 +355,30 @@ def _mle_bloch(
     l(s) = sum_k n_k log p_k(s) over the ball |s| <= clip, with Fisher
     scoring after Hradil, PRA 55, R1561 (1997).
 
-    Each iteration tries the step d = A^{-1} g, g the gradient, at
-    t = 1, 1/2, 1/4, 1/8, each trial point projected onto the clipped
-    ball, and takes the first that raises l.  While the trial point still
-    lies outside the ball, t keeps halving: projecting a far step along a
-    flat direction of l lands on the sphere away from where l rises, and
-    the gradient search would crawl along that ridge; a short enough
-    step stays in the ball, where d ascends.  A is -Hess l where that is
-    positive definite, and otherwise the scoring matrix
-    G = sum_k n_k grad p_k grad p_k^T / p_k^2 over the observed outcomes,
-    which is positive semidefinite, so d is an ascent direction.  For an
-    affine model the two are equal; for a quadratic one
+    Each iteration solves A d = b and backtracks along d: for
+    t = 1, 1/2, 1/4, ... it takes the first trial point s + t d,
+    projected onto the clipped ball, that raises l.  b is the gradient g
+    of l, and A is -Hess l where that is positive definite, and otherwise
+    the scoring matrix G = sum_k n_k grad p_k grad p_k^T / p_k^2 over the
+    observed outcomes.
+    For an affine model the two are equal; for a quadratic one
     -Hess l = G - 2 sum_k (n_k / p_k) M_k, and Newton's step converges
     where scoring would crawl.  At the clip, with g pointing outward, the
     step is Newton's on the sphere: A and g restricted to its tangent
-    plane, A plus the curvature term (g.s / |s|^2) of the constraint.
-    When no Newton point rises and the rise the step predicts, half the
-    Newton decrement lambda^2 = b.d (Boyd and Vandenberghe, Convex
-    Optimization, 9.5), lies in [0, k eps |l|], the ascent ends: l sums k
-    observed terms n_k log p_k <= 0, so it is computed only to k eps |l|,
-    and no step could show a rise.  When A is singular, or the predicted
-    rise is larger, the iteration takes a projected gradient step with a
-    backtracking step size, down to ``_tol.MLE_STEP_FLOOR``, instead.
-    The ascent also ends when |g| falls to ``_tol.MLE_GRAD_TOL``, when no
-    gradient step raises l, or after ``_MLE_MAX_ITER`` iterations.
+    plane, A plus the curvature term (g.s / |s|^2) of the constraint,
+    which makes that system definite.  So only G can be singular; g lies
+    in its range, and the minimum-norm least-squares d still ascends.
+    Halving a far step along a flat direction of l brings the trial point
+    back from the sphere into the ball, where d ascends.
+
+    The ascent ends when no trial point down to t = 1/8 rises and the
+    rise the step predicts, t b.d / 2 with b.d the Newton decrement
+    lambda^2 (Boyd and Vandenberghe, Convex Optimization, 9.5), is within
+    k eps |l|: l sums k observed terms n_k log p_k <= 0, so it is computed
+    only to that, and no shorter step could show a rise.  A NaN
+    prediction ends it too, and t reaches 0 within about 1075 halvings.
+    The ascent also ends when |g| falls to ``_tol.MLE_GRAD_TOL``, or
+    after ``_MLE_MAX_ITER`` iterations.
 
     The model is restricted to the observed outcomes once, with the M_k
     also kept as rows of 9, so the curvature term is one product.  The
@@ -404,7 +404,6 @@ def _mle_bloch(
     if not np.isfinite(f):
         s = np.zeros(3)
         f, pr = loglik(s)
-    step = 1.0 / counts.sum()
     rounding = c_obs.size * np.finfo(float).eps  # of l, relative to |l|
     for _ in range(_MLE_MAX_ITER):
         grads = obs.grads(s)
@@ -423,32 +422,18 @@ def _mle_bloch(
             b = tan @ g
         try:
             d = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:  # singular: no Newton step
-            d = np.full(3, np.nan)
-        newton = bool(np.all(np.isfinite(d)))
-        rose, h = False, 0
-        while newton and not rose:
-            trial = s + 0.5 ** h * d
-            cand = _project(trial, clip)
+        except np.linalg.LinAlgError:  # G is singular, and b in its range
+            d = np.linalg.lstsq(a, b, rcond=None)[0]
+        t = 1.0
+        while True:  # backtrack along d to the first point that rises
+            cand = _project(s + t * d, clip)
             fc, pc = loglik(cand)
-            if rose := fc > f:
-                s, f, pr = cand, fc, pc
-            h += 1
-            if h >= 4 and cand is trial:  # four trials, the last unprojected
+            if fc > f:
                 break
-        if not rose:  # no Newton point rises
-            if newton and 0.0 <= 0.5 * (b @ d) <= rounding * abs(f):
-                break  # the rise Newton's step predicts is rounding of l
-            while step >= _tol.MLE_STEP_FLOOR:  # a projected gradient step
-                cand = _project(s + step * g, clip)
-                fc, pc = loglik(cand)
-                if fc > f:
-                    s, f, pr = cand, fc, pc
-                    step *= 2.0
-                    break
-                step *= 0.5
-            else:  # no step rises at all
-                break
+            if t <= 0.125 and not 0.5 * t * (b @ d) > rounding * abs(f):
+                return s, f  # any rise left is rounding of l
+            t *= 0.5
+        s, f, pr = cand, fc, pc
     return s, f
 
 
@@ -541,10 +526,12 @@ def estimate_mle_qubit(
     """Maximum-likelihood qubit estimate over the clipped Bloch ball.
 
     The projected damped-Newton ascent of :func:`_mle_bloch` from the
-    linear-inversion estimate: once for a single-copy POVM, whose
-    likelihood is concave, and for a two-copy POVM also from the three
-    perturbed starts of :func:`_mle_multistart`, keeping the best.  The
-    returned log-likelihood never falls below the linear start's.
+    linear-inversion estimate, each step backtracked to the first point
+    that raises the likelihood, with no gradient step: once for a
+    single-copy POVM, whose likelihood is concave, and for a two-copy POVM
+    also from the three perturbed starts of :func:`_mle_multistart`,
+    keeping the best.  The returned log-likelihood never falls below the
+    linear start's.
     """
     counts = _check_counts(counts, p.size)
     return density_from_bloch(_estimate(

@@ -15,7 +15,7 @@ from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
 from fisym.opfile import (json_to_matrix, load_json, matrix_to_json,
                           operator_set_to_obj, povm_to_obj, save_json,
                           state_set_to_obj)
-from fisym.povm import NAMED_POVMS
+from fisym.povm import NAMED_POVMS, Povm
 
 
 # the maximally mixed qubit state as a file matrix
@@ -582,6 +582,26 @@ class TestFisherCommand:
                            "--state", "bloch:0,0,0")
         assert code == 2
         assert "bad POVM file" in err
+
+    # each edit takes a built file's elements to a set that is no measurement
+    @pytest.mark.parametrize("name, edit", [
+        # sum 2 * 1: the single-copy bound then reads "violated"
+        ("sic-single", lambda m: 2.0 * m),
+        ("collective-sic", lambda m: 2.0 * m),
+        # complete, but 2 E_0 - E_1 has the eigenvalue -1/3
+        ("mub-single", lambda m: np.concatenate(
+            [[2.0 * m[0] - m[1], 2.0 * m[1] - m[0]], m[2:]])),
+    ], ids=["double-sic-single", "double-collective-sic", "mub-not-positive"])
+    def test_povm_file_that_is_not_a_measurement_is_usage_error(
+            self, capsys, tmp_path, name, edit):
+        path = str(tmp_path / "unfit.json")
+        save_json(povm_to_obj(Povm(edit(NAMED_POVMS[name].elements),
+                                   copies=NAMED_POVMS[name].copies,
+                                   base_dim=2)), path)
+        code, out, err = run(capsys, "fisher", "--povm", path,
+                             "--state", "bloch:0,0,0")
+        assert (code, out) == (2, None)
+        assert "bad POVM file" in err and "not a POVM" in err
 
     def test_bad_povm_spec(self, capsys):
         code, _, err = run(capsys, "fisher", "--povm", "unknown-name",

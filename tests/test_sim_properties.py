@@ -415,6 +415,13 @@ def test_mle_loglik_is_the_full_model_at_the_estimate(p, start, data):
     ("collective-sic", [200, 100, 0, 0, 0]),
     ("collective-sic", [0, 0, 40, 0, 1]),
     ("sic-single", [500, 0, 0, 0]),
+    # small-N draws on which the ascent used to fall back to a projected
+    # gradient search: G singular on the first three, and on the last a
+    # failed Newton step that predicted a rise beyond the rounding of l
+    ("mub-single", [1, 2, 0, 0, 1, 0]),
+    ("mub-single", [0, 0, 0, 0, 2, 1]),
+    ("collective-sic", [0, 14, 5, 0, 0]),
+    ("collective-sic", [7, 0, 15, 31, 0]),
 ])
 def test_mle_with_singular_scoring_matrix(scheme, counts):
     counts = np.array(counts)

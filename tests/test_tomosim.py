@@ -270,8 +270,9 @@ class TestMleEstimator:
             assert loglik(counts, s_mle) >= loglik(counts, s_lin) - 1e-9
 
     def test_converges_where_the_gradient_ascent_stalled(self):
-        # projected gradient ascent stopped here at its iteration cap with
-        # |grad l| / N = 4.6e-5, 9.1e-5 from the maximizer in x
+        # a plain projected-gradient ascent, the MLE before Newton steps,
+        # stopped here at its iteration cap with |grad l| / N = 4.6e-5,
+        # 9.1e-5 from the maximizer in x
         p = scheme_povm("mub-single")
         counts = np.array([271.0, 80.0, 69.0, 249.0, 217.0, 114.0])
         from fisym.states import bloch_from_density
@@ -304,10 +305,10 @@ class TestMleEstimator:
         assert np.linalg.norm(s) <= INTERIOR_CLIP
 
     def test_ascent_ends_at_the_rounding_of_the_likelihood(self, monkeypatch):
-        # an ascent stops once Newton's step predicts a rise within the
-        # rounding of l; a gradient search down to its 1e-18 step floor
-        # used to follow, and the criterion-7 mix took 40 model
-        # evaluations per ascent instead of about 10.5
+        # an ascent stops once no backtracked Newton point rises and the
+        # step predicts a rise within the rounding of l; searching on past
+        # that point, down to a 1e-18 step, took the criterion-7 mix to 40
+        # model evaluations per ascent instead of about 10.5
         evals, ascents = [0], [0]
         probs, mle_bloch = tomosim._QuadModel.probs, tomosim._mle_bloch
 
@@ -363,8 +364,9 @@ class TestMleEstimator:
     def test_singular_newton_system_falls_back_to_the_gradient(
             self, monkeypatch):
         # all counts on one collective-SIC outcome: from this start A is
-        # singular, so there is no Newton step, and only the gradient
-        # search reaches the maximizer at the clip
+        # singular and solve raises; b lies in the range of A, so the
+        # minimum-norm least-squares step still ascends, and the ascent
+        # reaches the maximizer at the clip
         singular = []
         solve = np.linalg.solve
 
@@ -385,11 +387,35 @@ class TestMleEstimator:
         assert singular
         assert np.linalg.norm(s - INTERIOR_CLIP * u) < 1e-9
 
+    def test_non_finite_newton_step_ends_the_ascent(self, monkeypatch):
+        # an infinite d makes every trial point NaN (inf * 0 in the
+        # projection), which never rises; t halves to 0, where the
+        # predicted rise is NaN too, and the ascent ends where it started
+        evals = [0]
+        probs = tomosim._QuadModel.probs
+
+        def counted_probs(model, s):
+            evals[0] += 1
+            return probs(model, s)
+
+        monkeypatch.setattr(tomosim._QuadModel, "probs", counted_probs)
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.full(3, np.inf))
+        model = _quad_model(scheme_povm("collective-sic"))
+        start = np.array([0.1, 0.2, -0.1])
+        with np.errstate(invalid="ignore"):
+            s, f = tomosim._mle_bloch(np.array([3.0, 1.0, 2.0, 0.0, 1.0]),
+                                      model, start, INTERIOR_CLIP)
+        assert np.array_equal(s, start) and np.isfinite(f)
+        assert np.linalg.norm(s) <= INTERIOR_CLIP
+        assert evals[0] <= 1100  # the start and at most 1075 halvings
+
     def test_newton_step_past_the_ball_is_halved_into_it(self):
         # three observed outcomes of a six-outcome POVM: l is nearly flat
-        # along the Newton step, which leaves the ball; its projections
-        # onto the sphere never rose, and the gradient search crawled the
-        # ridge for all its iterations, ending inside the ball at |g| 0.017
+        # along the Newton step, which leaves the ball, and its first four
+        # projections onto the sphere do not rise; backtracking halves on
+        # until the trial point lies back in the ball, where l rises, and
+        # does not leave the ascent crawling along that ridge
         vectors = [[0.75, -0.01 + 0.4j], [0.18, -0.07 + 0.02j],
                    [0.1, -0.24 - 0.66j], [0.36, 0.04 - 0.45j],
                    [0.49, 0.05 - 0.24j], [0.14, 0.01 + 0.28j]]

@@ -11,7 +11,9 @@ paths.  The requests are every ``build``; every ``verify`` kind on every
 built file at three ``--tol`` values; ``fisher`` for each named POVM at
 fixed Bloch and pure states and for the built d = 3 POVMs at fixed state
 files; ``simulate`` and ``sweep`` for each scheme and estimator at small
-N, with a near-pure sweep and an oversized ``n_copies`` among them.
+N, with a near-pure sweep and an oversized ``n_copies`` among them, and
+``simulate`` with the MLE for each scheme at ``n_copies`` 10 and 40 over
+200 trials, at a mixed state and at radius 0.99.
 
 Some requests are expected to differ from a tree older than the change
 that mended them, and only these:
@@ -32,7 +34,13 @@ that mended them, and only these:
 - ``simulate`` and ``sweep`` with the MLE, against a tree whose ascent
   ran a gradient search after its last failed Newton step: the numbers
   move by at most 1e-6 relative, since an ascent now ends where Newton's
-  step predicts a rise within the rounding of the log-likelihood.
+  step predicts a rise within the rounding of the log-likelihood;
+- ``simulate`` with the MLE at ``n_copies`` 10 and 40, against a tree
+  whose ascent fell back to a projected gradient search where Newton's
+  system was singular or its failed step predicted a rise beyond the
+  rounding: the numbers move by at most 1e-8 relative (2.1e-9 measured),
+  since the ascent now takes the minimum-norm least-squares step and
+  ends on one backtracking rule.
 
 Each request's output files are deleted before it runs, so a request
 that fails before writing shows no file rather than the last request's.
@@ -165,6 +173,16 @@ def _requests():
             requests.append((["simulate", "--config", f"sim-{tag}.json"], []))
             requests.append((["sweep", "--config", f"sweep-{tag}.json",
                               "--out", "rows.csv"], ["rows.csv"]))
+        # small N, where an MLE ascent reaches the rare ends of its rules
+        for n in (10, 40):
+            for where, state in (("mixed", [0.3, -0.2, 0.5]),
+                                 ("near-pure", [0.0, 0.0, 0.99])):
+                tag = f"{scheme}-mle-n{n}-{where}"
+                inputs[f"sim-{tag}.json"] = {
+                    "scheme": scheme, "estimator": "mle", "n_copies": n,
+                    "n_trials": 200, "seed": 7, "bloch": state, **extra}
+                requests.append((["simulate", "--config",
+                                  f"sim-{tag}.json"], []))
     inputs["z-basis.json"] = {"dim": 2, "copies": 1, "elements": [
         _state(m)["elements"][0] for m in ([[1.0, 0.0], [0.0, 0.0]],
                                            [[0.0, 0.0], [0.0, 1.0]])]}
