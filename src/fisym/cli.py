@@ -4,6 +4,10 @@ Subcommands: verify (certify a design/POVM file), build (write standard
 constructions to operator files), fisher (information report for a
 state/POVM pair), simulate (Monte Carlo run), sweep (radius grid to CSV).
 
+The verify kinds are the keys of one table, ``_VERIFIERS``, and the build
+names the keys of another, ``_BUILDS``, whose named measurements are
+spread from ``povm.NAMED_POVMS``; the parser reads its choices from them.
+
 Exit codes: 0 success / check passed, 1 check failed, 2 usage or parse
 error (an input file that cannot be read as UTF-8 JSON or an --out path
 that cannot be written included), 3 numerical failure (a floating-point
@@ -76,61 +80,38 @@ def _nonnegative(text: str) -> float:
 
 # ---------------------------------------------------------------- verify
 
-def _verify_povm(obj, tol) -> tuple[bool, dict]:
-    p = opfile.obj_to_povm(obj)
-    report = povm.validate_povm(p, tol)
-    return report.ok, dataclasses.asdict(report)
+def _verifier(read, check, ok_field):
+    """Verify kind that reads the file object with ``read`` and runs
+    ``check(x, tol)``.  It prints the report (a dataclass, or the dict of
+    the kinds whose printed report is not one), whose field ``ok_field``
+    holds the verdict."""
+    def verify(obj, tol) -> tuple[bool, dict]:
+        report = check(read(obj), tol)
+        if not isinstance(report, dict):
+            report = dataclasses.asdict(report)
+        return report[ok_field], report
+    return verify
 
 
-def _verify_sic(obj, tol) -> tuple[bool, dict]:
-    s = opfile.obj_to_state_set(obj)
-    d = s.dim
-    n = s.size
+def _sic_report(s, tol) -> dict:
+    d, n = s.dim, s.size
     overlaps = np.abs(s.vectors.conj() @ s.vectors.T) ** 2
     law = (d * np.eye(n) + 1.0) / (d + 1.0)
     residual = float(np.abs(overlaps - law).max())
     cert = designs.projective_2design_check(s, tol)
-    ok = n == d * d and residual <= tol and cert.is_design
-    return ok, {
-        "elements": n,
-        "dim": d,
-        "overlap_residual": residual,
-        "design": dataclasses.asdict(cert),
-        "ok": bool(ok),
-    }
+    return {"elements": n, "dim": d, "overlap_residual": residual,
+            "design": dataclasses.asdict(cert),
+            "ok": bool(n == d * d and residual <= tol and cert.is_design)}
 
 
-def _verify_design2(obj, tol) -> tuple[bool, dict]:
-    s = opfile.obj_to_state_set(obj)
-    cert = designs.projective_2design_check(s, tol)
-    return cert.is_design, dataclasses.asdict(cert)
-
-
-def _verify_gdesign2(obj, tol) -> tuple[bool, dict]:
-    s = opfile.obj_to_operator_set(obj)
-    cert = designs.generalized_2design_check(s, tol)
-    return cert.is_design, dataclasses.asdict(cert)
-
-
-def _verify_gsic(obj, tol) -> tuple[bool, dict]:
-    s = opfile.obj_to_operator_set(obj)
-    report = designs.generalized_sic_check(s, tol)
-    return report.is_gsic, dataclasses.asdict(report)
-
-
-def _verify_coherent(obj, tol) -> tuple[bool, dict]:
-    p = opfile.obj_to_povm(obj)
+def _coherent_report(p, tol) -> dict:
     report = povm.classify_coherent(p, tol)
-    out = {
-        "coherent": report.coherent,
-        "classes": [{"kind": c.kind, "weight": c.weight}
-                    for c in report.classes],
-    }
-    return report.coherent, out
+    return {"coherent": report.coherent,
+            "classes": [{"kind": c.kind, "weight": c.weight}
+                        for c in report.classes]}
 
 
-def _verify_tight_coherent(obj, tol) -> tuple[bool, dict]:
-    p = opfile.obj_to_povm(obj)
+def _tight_coherent_report(p, tol) -> dict:
     report = povm.tight_coherent_check(p, tol)
     out = {
         "ok": report.ok,
@@ -142,17 +123,22 @@ def _verify_tight_coherent(obj, tol) -> tuple[bool, dict]:
     }
     if report.antisym_gsic is not None:
         out["antisym_gsic"] = dataclasses.asdict(report.antisym_gsic)
-    return report.ok, out
+    return out
 
 
+# kind -> verifier(obj, tol) -> (ok, report); the parser's verify choices
 _VERIFIERS = {
-    "povm": _verify_povm,
-    "sic": _verify_sic,
-    "design2": _verify_design2,
-    "gdesign2": _verify_gdesign2,
-    "gsic": _verify_gsic,
-    "coherent": _verify_coherent,
-    "tight-coherent": _verify_tight_coherent,
+    "povm": _verifier(opfile.obj_to_povm, povm.validate_povm, "ok"),
+    "sic": _verifier(opfile.obj_to_state_set, _sic_report, "ok"),
+    "design2": _verifier(opfile.obj_to_state_set,
+                         designs.projective_2design_check, "is_design"),
+    "gdesign2": _verifier(opfile.obj_to_operator_set,
+                          designs.generalized_2design_check, "is_design"),
+    "gsic": _verifier(opfile.obj_to_operator_set,
+                      designs.generalized_sic_check, "is_gsic"),
+    "coherent": _verifier(opfile.obj_to_povm, _coherent_report, "coherent"),
+    "tight-coherent": _verifier(opfile.obj_to_povm, _tight_coherent_report,
+                                "ok"),
 }
 
 
@@ -185,31 +171,36 @@ def _povm_from_files(construct, *paths) -> dict:
         raise UsageError(f"unfit input file: {exc}") from exc
 
 
+def _given(path, message: str) -> str:
+    """``path``, an option that its construction needs; None is a usage
+    error that says ``message``."""
+    if path is None:
+        raise UsageError(message)
+    return path
+
+
+# name -> file object of the construction for the parsed args; the parser's
+# build choices, in this order
+_BUILDS = {
+    "sic-qubit": lambda a: opfile.state_set_to_obj(designs.sic_qubit()),
+    "sic-d3": lambda a: opfile.state_set_to_obj(designs.sic_d3(a.phi)),
+    "mub": lambda a: opfile.state_set_to_obj(designs.mub_state_set(a.dim)),
+    **{name: lambda a, p=p: opfile.povm_to_obj(p)
+       for name, p in povm.NAMED_POVMS.items()},
+    "twocopy-design": lambda a: _povm_from_files(
+        povm.twocopy_design_povm,
+        _given(a.design, "twocopy-design needs --design FILE")),
+    "companion": lambda a: _povm_from_files(
+        lambda s: povm.companion_povm(povm.twocopy_design_povm(s)),
+        _given(a.source, "companion needs --source FILE, a projective "
+                         "2-design state set such as sic-qubit writes")),
+    "tight-coherent-d3": lambda a: _povm_from_files(
+        povm.minimal_tight_coherent_d3, a.sic1, a.sic2),
+}
+
+
 def cmd_build(args) -> int:
-    name = args.name
-    if name in povm.NAMED_POVMS:
-        obj = opfile.povm_to_obj(povm.NAMED_POVMS[name])
-    elif name == "sic-qubit":
-        obj = opfile.state_set_to_obj(designs.sic_qubit())
-    elif name == "sic-d3":
-        obj = opfile.state_set_to_obj(designs.sic_d3(args.phi))
-    elif name == "mub":
-        obj = opfile.state_set_to_obj(designs.mub_state_set(args.dim))
-    elif name == "twocopy-design":
-        if args.design is None:
-            raise UsageError("twocopy-design needs --design FILE")
-        obj = _povm_from_files(povm.twocopy_design_povm, args.design)
-    elif name == "companion":
-        if args.source is None:
-            raise UsageError("companion needs --source FILE, a projective "
-                             "2-design state set such as sic-qubit writes")
-        obj = _povm_from_files(
-            lambda s: povm.companion_povm(povm.twocopy_design_povm(s)),
-            args.source)
-    else:  # tight-coherent-d3, the last of the parser's choices
-        obj = _povm_from_files(povm.minimal_tight_coherent_d3,
-                               args.sic1, args.sic2)
-    opfile.save_json(obj, args.out)
+    opfile.save_json(_BUILDS[args.name](args), args.out)
     return 0
 
 
@@ -352,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_build = sub.add_parser("build", help="write a standard construction")
-    p_build.add_argument("name", choices=[
-        "sic-qubit", "sic-d3", "mub", *povm.NAMED_POVMS,
-        "twocopy-design", "companion", "tight-coherent-d3"])
+    p_build.add_argument("name", choices=list(_BUILDS))
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--phi", type=_finite_float, default=0.0)
     p_build.add_argument("--dim", type=int, default=2, choices=(2, 3))
@@ -372,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fisher.add_argument("--param", default="auto",
                           choices=["auto", "pure", "bloch", "affine"])
     p_fisher.add_argument("--mode", default="auto",
-                          choices=["auto", "single-copy", "two-copy", "pure-n"])
+                          choices=["auto", *fisher._MODES])
     p_fisher.add_argument("--drop-threshold", type=_nonnegative,
                           default=_tol.DROP_THRESHOLD)
     p_fisher.set_defaults(func=cmd_fisher)

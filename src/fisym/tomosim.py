@@ -85,7 +85,7 @@ def _validate_run(config) -> None:
     config.n_trials = _integer(config.n_trials)
     config.seed = _integer(config.seed)
     config.interior_clip = _number(config.interior_clip)
-    scheme_povm(config.scheme, config.povm)
+    copies = scheme_povm(config.scheme, config.povm).copies
     if config.estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
     if config.n_trials < 1:
@@ -95,6 +95,8 @@ def _validate_run(config) -> None:
     if config.n_copies >= 2 ** 63:
         # the multinomial sampler takes a signed 64-bit count
         raise ValueError("n_copies must be below 2**63")
+    if config.n_copies % copies != 0:
+        raise ValueError(f"n_copies must be a positive multiple of {copies}")
     if config.seed < 0:
         raise ValueError("seed must be nonnegative")
     if not (0.0 < config.interior_clip < 1.0):
@@ -562,10 +564,7 @@ def _simulate(setup: _Scheme, config, bloch: np.ndarray, seeds) -> list[dict]:
     :class:`SimResult` other than ``config``.
     """
     p = setup.povm
-    t = p.copies
-    if config.n_copies < t or config.n_copies % t != 0:
-        raise ValueError(f"n_copies must be a positive multiple of {t}")
-    n_meas = config.n_copies // t
+    n_meas = config.n_copies // p.copies
     probs = _sampling_probs(_bloch_states(bloch), p)
 
     # numpy.random is imported on the first draw, not with fisym

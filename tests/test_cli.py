@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fisym
-from fisym import cli, states
+from fisym import cli, fisher, states
 from fisym.cli import _choose_param, _parse_state, main
 from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
 from fisym.opfile import (json_to_matrix, load_json, matrix_to_json,
@@ -184,6 +184,19 @@ class TestNamedPovms:
         code, by_name, _ = run(capsys, "fisher", "--povm", name, *state)
         assert code == 0
         assert run(capsys, "fisher", "--povm", path, *state)[1] == by_name
+
+
+def _choices(command, dest):
+    """The choices that the parser of ``command`` offers for ``dest``."""
+    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    return next(a.choices for a in sub._actions if a.dest == dest)
+
+
+def test_parser_choices_come_from_the_dispatch_tables():
+    # a name added to a table is offered by the parser, and only those
+    assert _choices("build", "name") == list(cli._BUILDS)
+    assert _choices("verify", "kind") == sorted(cli._VERIFIERS)
+    assert _choices("fisher", "mode") == ["auto", *fisher._MODES]
 
 
 class TestVerifyFailures:
@@ -736,7 +749,9 @@ class TestSimulateCommand:
                                      {"bloch": [True, 0, 0]},
                                      {"n_copies": 10 ** 23},
                                      {"n_copies": 2 ** 63},
-                                     {"bloch": [1e308, 1e308, 0.0]}])
+                                     {"bloch": [1e308, 1e308, 0.0]},
+                                     {"scheme": "collective-sic",
+                                      "n_copies": 301}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         config = self.write_config(tmp_path, **bad)
         code, _, err = run(capsys, "simulate", "--config", config)
@@ -754,7 +769,8 @@ class TestSimulateCommand:
         config = self.write_config(tmp_path, scheme="collective-sic",
                                    n_copies=301)
         code, _, err = run(capsys, "simulate", "--config", config)
-        assert code == 3
+        assert code == 2
+        assert "n_copies must be a positive multiple of 2" in err
 
     def test_oversized_run_is_numerical_failure(self, capsys, tmp_path):
         # 10**15 trials ask for petabytes, so the first allocation fails
@@ -915,7 +931,8 @@ class TestSweepCommand:
                                      {"direction": ["1", 0, "0"]},
                                      {"direction": [True, 0, 0]},
                                      {"n_copies": 10 ** 23},
-                                     {"n_copies": 2 ** 63}])
+                                     {"n_copies": 2 ** 63},
+                                     {"n_copies": 201}])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, bad):
         obj = {"scheme": "collective-sic", "radii": [0.0, 0.5],
                "n_copies": 200, "n_trials": 3, "seed": 5}

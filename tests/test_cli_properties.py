@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fisym.cli import _VERIFIERS, build_parser, main
+from fisym.cli import _BUILDS, _VERIFIERS, main
 from fisym.designs import OperatorSet, sic_d3, sic_qubit
 from fisym.opfile import (matrix_to_json, operator_set_to_obj, povm_to_obj,
                           state_set_to_obj)
@@ -33,9 +33,8 @@ from fisym.tomosim import SCHEMES
 
 _EXIT_CODES = {0, 1, 2, 3}
 
-# the parser's own choices, so a new construction is fuzzed too
-_BUILD = build_parser()._subparsers._group_actions[0].choices["build"]
-BUILD_NAMES = next(a.choices for a in _BUILD._actions if a.dest == "name")
+# the dispatch table's names, so a new construction is fuzzed too
+BUILD_NAMES = list(_BUILDS)
 
 VALID = (
     *(povm_to_obj(p) for p in NAMED_POVMS.values()),

@@ -552,6 +552,7 @@ class TestRunSimulation:
         {"bloch": (float("nan"), 0.0, 0.0)},
         {"bloch": (float("inf"), 0.0, 0.0)},
         {"bloch": (1.0, 1.0, 0.0)},
+        {"n_copies": 401},
     ])
     def test_config_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):

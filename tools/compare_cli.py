@@ -13,7 +13,10 @@ fixed Bloch and pure states and for the built d = 3 POVMs at fixed state
 files; ``simulate`` and ``sweep`` for each scheme and estimator at small
 N, with a near-pure sweep and an oversized ``n_copies`` among them, and
 ``simulate`` with the MLE for each scheme at ``n_copies`` 10 and 40 over
-200 trials, at a mixed state and at radius 0.99.
+200 trials, at a mixed state and at radius 0.99; and the usage errors of
+``build`` (a missing ``--design`` or ``--source``, an unfit input file),
+an unknown ``build`` name and ``verify`` kind, and ``simulate`` and
+``sweep`` on collective-sic with an odd ``n_copies``.
 
 Some requests are expected to differ from a tree older than the change
 that mended them, and only these:
@@ -41,6 +44,10 @@ that mended them, and only these:
   rounding: the numbers move by at most 1e-8 relative (2.1e-9 measured),
   since the ascent now takes the minimum-norm least-squares step and
   ends on one backtracking rule.
+- ``simulate`` and ``sweep`` on collective-sic with an odd ``n_copies``
+  (``sim-odd.json``, ``sweep-odd.json``): exit 2, "bad simulation
+  config" or "bad sweep config", where they used to exit 3 with
+  "numerical failure" when the Monte Carlo started.
 
 Each request's output files are deleted before it runs, so a request
 that fails before writing shows no file rather than the last request's.
@@ -209,6 +216,20 @@ def _requests():
     requests.append((["simulate", "--config", "sim-oversized.json"], []))
     requests.append((["sweep", "--config", "sweep-near-pure.json", "--out",
                       "near.csv"], ["near.csv"]))
+    # usage errors of build and the parser's refusals of unknown choices
+    for args in (["twocopy-design"], ["companion"],
+                 ["companion", "--source", "collective-sic.json"],
+                 ["tight-coherent-d3", "--sic1", "mub2.json"], ["bogus"]):
+        requests.append((["build", *args, "--out", "unbuilt.json"],
+                         ["unbuilt.json"]))
+    requests.append((["verify", "bogus", "sic-qubit.json"], []))
+    odd = {"scheme": "collective-sic", "n_copies": 201, "n_trials": 5,
+           "seed": 7}
+    inputs["sim-odd.json"] = {**odd, "bloch": [0.3, -0.2, 0.5]}
+    inputs["sweep-odd.json"] = {**odd, "radii": [0.0, 0.4]}
+    requests.append((["simulate", "--config", "sim-odd.json"], []))
+    requests.append((["sweep", "--config", "sweep-odd.json", "--out",
+                      "odd.csv"], ["odd.csv"]))
     return inputs, requests
 
 
