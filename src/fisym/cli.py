@@ -4,9 +4,12 @@ Subcommands: verify (certify a design/POVM file), build (write standard
 constructions to operator files), fisher (information report for a
 state/POVM pair), simulate (Monte Carlo run), sweep (radius grid to CSV).
 
-The verify kinds are the keys of one table, ``_VERIFIERS``, and the build
+The verify kinds are the keys of one table, ``_VERIFIERS``, the build
 names the keys of another, ``_BUILDS``, whose named measurements are
-spread from ``povm.NAMED_POVMS``; the parser reads its choices from them.
+spread from ``povm.NAMED_POVMS``, and the fisher charts the keys of a
+third, ``_CHARTS``; the parser reads its choices from them.  Every POVM
+file, given to ``fisher --povm`` or named by a config, is read and
+checked by one reader, ``_povm_file``.
 
 Exit codes: 0 success / check passed, 1 check failed, 2 usage or parse
 error (an input file that cannot be read as UTF-8 JSON or an --out path
@@ -206,25 +209,30 @@ def cmd_build(args) -> int:
 
 # ---------------------------------------------------------------- fisher
 
+def _povm_file(path) -> povm.Povm:
+    """The POVM in the operator file ``path``, which must be positive and
+    complete to ``_tol.POVM_TOL`` (:func:`povm.validate_povm`): the one
+    reader of ``fisher --povm`` files and of a config's ``povm`` file."""
+    try:
+        p = opfile.obj_to_povm(_load(path))
+    except ValueError as exc:
+        raise UsageError(f"bad POVM file {path}: {exc}") from exc
+    report = povm.validate_povm(p)
+    if not report.ok:
+        raise UsageError(
+            f"bad POVM file {path}: not a POVM (positivity violation "
+            f"{report.psd_violation:.3g}, completeness residual "
+            f"{report.completeness_residual:.3g}, tolerance "
+            f"{_tol.POVM_TOL:g})")
+    return p
+
+
 def _resolve_povm(spec: str) -> povm.Povm:
-    """A named POVM, or the POVM in the file ``spec``, which must be
-    positive and complete to ``_tol.POVM_TOL`` (:func:`povm.validate_povm`).
-    """
+    """A named POVM, or the POVM in the file ``spec`` (:func:`_povm_file`)."""
     if spec in povm.NAMED_POVMS:
         return povm.NAMED_POVMS[spec]
     if os.path.exists(spec):
-        try:
-            p = opfile.obj_to_povm(_load(spec))
-        except ValueError as exc:
-            raise UsageError(f"bad POVM file {spec}: {exc}") from exc
-        report = povm.validate_povm(p)
-        if not report.ok:
-            raise UsageError(
-                f"bad POVM file {spec}: not a POVM (positivity violation "
-                f"{report.psd_violation:.3g}, completeness residual "
-                f"{report.completeness_residual:.3g}, tolerance "
-                f"{_tol.POVM_TOL:g})")
-        return p
+        return _povm_file(spec)
     raise UsageError(f"--povm must be a file or one of "
                      f"{tuple(povm.NAMED_POVMS)}")
 
@@ -252,23 +260,29 @@ def _parse_state(spec: str) -> states.DensityMatrix:
                      "density-matrix file")
 
 
+def _pure_chart(rho: states.DensityMatrix) -> states.PureCanonical:
+    if not rho.is_pure():
+        raise UsageError("the pure-state chart needs a pure state")
+    # based at rho itself, which is not built again
+    return states.PureCanonical(states.PureState(rho.eigenvectors[:, 0]), rho)
+
+
+def _bloch_chart(rho: states.DensityMatrix) -> states.BlochQubit:
+    if rho.dim != 2:
+        raise UsageError("the Bloch chart is for qubits")
+    return states.BlochQubit.from_density(rho)
+
+
+# name -> chart of rho; the parser's --param choices after "auto"
+_CHARTS = {"pure": _pure_chart, "bloch": _bloch_chart,
+           "affine": states.AffineMixed}
+
+
 def _choose_param(rho: states.DensityMatrix, choice: str) -> states.Parametrization:
     if choice == "auto":
         choice = ("pure" if rho.is_pure() else
                   "bloch" if rho.dim == 2 else "affine")
-    if choice == "pure":
-        if not rho.is_pure():
-            raise UsageError("the pure-state chart needs a pure state")
-        # based at rho itself, which is not built again
-        return states.PureCanonical(states.PureState(rho.eigenvectors[:, 0]),
-                                    rho)
-    if choice == "bloch":
-        if rho.dim != 2:
-            raise UsageError("the Bloch chart is for qubits")
-        return states.BlochQubit.from_density(rho)
-    if choice == "affine":
-        return states.AffineMixed(rho)
-    raise UsageError(f"unknown parametrization {choice!r}")
+    return _CHARTS[choice](rho)
 
 
 def cmd_fisher(args) -> int:
@@ -292,8 +306,9 @@ def cmd_fisher(args) -> int:
 
 def _run_config(cls, path, what: str):
     """``cls(**obj)`` for the JSON object in the config file ``path``, its
-    ``povm`` operator-file path replaced by the POVM it holds.  A config
-    that the dataclass or the operator file rejects is a usage error."""
+    ``povm`` operator-file path replaced by the POVM it holds
+    (:func:`_povm_file`).  A config that the dataclass or the operator
+    file rejects is a usage error."""
     obj = _load(path)
     try:
         if not isinstance(obj, dict):
@@ -302,7 +317,7 @@ def _run_config(cls, path, what: str):
             if obj.get("scheme") != "custom":
                 raise ValueError('a "povm" file is read only with "scheme": '
                                  '"custom"')
-            obj = {**obj, "povm": opfile.obj_to_povm(_load(obj["povm"]))}
+            obj = {**obj, "povm": _povm_file(obj["povm"])}
         return cls(**obj)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {what} config: {exc}") from exc
@@ -359,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fisher.add_argument("--state", required=True,
                           help="'bloch:x,y,z', 'pure:a0,a1,...', or file")
     p_fisher.add_argument("--param", default="auto",
-                          choices=["auto", "pure", "bloch", "affine"])
+                          choices=["auto", *_CHARTS])
     p_fisher.add_argument("--mode", default="auto",
                           choices=["auto", *fisher._MODES])
     p_fisher.add_argument("--drop-threshold", type=_nonnegative,

@@ -32,6 +32,7 @@ POVMs alike, and gives a sweep's analytic columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,10 @@ SCHEMES = ("collective-sic", "sic-single", "mub-single", "custom")
 
 # Iteration cap that ends one MLE ascent.
 _MLE_MAX_ITER = 200
+
+# Offsets of the MLE's starts from s0: the first alone where the model is
+# affine, all four where it is quadratic (:func:`_scheme_setup`).
+_STARTS = np.vstack([np.zeros(3), 0.05 * np.eye(3)])
 
 
 def _validate_run(config) -> None:
@@ -327,8 +332,8 @@ def _check_counts(counts, size: int) -> np.ndarray:
     counts = np.asarray(counts, dtype=float).reshape(-1)
     if counts.size != size:
         raise ValueError(f"expected {size} outcome counts, got {counts.size}")
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ValueError("counts must be finite and nonnegative")
     if counts.sum() <= 0:
         raise ValueError("need at least one recorded outcome")
     return counts
@@ -379,8 +384,8 @@ def _mle_bloch(
     k eps |l|: l sums k observed terms n_k log p_k <= 0, so it is computed
     only to that, and no shorter step could show a rise.  A NaN
     prediction ends it too, and t reaches 0 within about 1075 halvings.
-    The ascent also ends when |g| falls to ``_tol.MLE_GRAD_TOL``, or
-    after ``_MLE_MAX_ITER`` iterations.
+    The ascent also ends when |g| falls to ``_tol.MLE_GRAD_TOL``, when d
+    is not finite, or after ``_MLE_MAX_ITER`` iterations.
 
     The model is restricted to the observed outcomes once, with the M_k
     also kept as rows of 9, so the curvature term is one product.  The
@@ -426,6 +431,8 @@ def _mle_bloch(
             d = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:  # G is singular, and b in its range
             d = np.linalg.lstsq(a, b, rcond=None)[0]
+        if not all(map(math.isfinite, d.tolist())):
+            break  # d is not finite (a list checks faster than an array)
         t = 1.0
         while True:  # backtrack along d to the first point that rises
             cand = _project(s + t * d, clip)
@@ -439,31 +446,18 @@ def _mle_bloch(
     return s, f
 
 
-def _mle_multistart(counts: np.ndarray, model: _QuadModel, s0: np.ndarray,
-                    clip: float) -> np.ndarray:
-    """Best :func:`_mle_bloch` solution of four ascents, from s0 and from
-    s0 moved by 0.05 along each axis, all projected into the clipped
-    ball: the start for models whose likelihood need not be concave."""
-    s0 = _project(s0, clip)
-    best, best_f = None, -np.inf
-    for init in (s0, *(_project(s0 + 0.05 * e, clip) for e in np.eye(3))):
-        s, f = _mle_bloch(counts, model, init, clip)
-        if f > best_f:
-            best, best_f = s, f
-    return best
-
-
 @dataclass
 class _Scheme:
     """What estimation needs from a POVM, built once per run or sweep:
     its Pauli model, which the MLE and a sweep's analytic columns read,
-    and the linear system that :func:`_linear_system` reads from the
-    model, with no eigendecomposition."""
+    the linear system that :func:`_linear_system` reads from the model,
+    with no eigendecomposition, and the MLE's starts."""
 
     povm: Povm
     model: _QuadModel
     linsys: _LinearSystem | None  # None: MLE starts from the centre
     mle: bool
+    starts: np.ndarray  # (m, 3) offsets of the MLE's starts from s0
 
 
 def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
@@ -471,9 +465,14 @@ def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
     the rows that the estimator reads identify the Bloch vector
     (:func:`_identifying`).  The linear estimator reads the rows of its
     linear system, and the MLE the model's linear part L, the
-    information at the centre.  The MLE starts from the linear estimate,
-    or from the centre when the POVM has no linear system: a two-copy
-    POVM with no square outcome, or with too few for the Bloch vector."""
+    information at the centre.  The MLE starts from s0, the linear
+    estimate, or the centre when the POVM has no linear system: a
+    two-copy POVM with no square outcome, or with too few for the Bloch
+    vector.  Where the model is affine (every quadratic part M is zero,
+    as for every single-copy POVM), the log-likelihood is concave on a
+    convex set, so one ascent from s0 finds its global maximizer.  A
+    quadratic model's likelihood need not be concave, so it also starts
+    from s0 + 0.05 e_i for each axis i."""
     if p.base_dim != 2:
         raise ValueError("simulation estimators are implemented for qubits")
     model = _quad_model(p)
@@ -486,29 +485,29 @@ def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
         if not mle:
             raise
         linsys = None
-    return _Scheme(p, model, linsys, mle)
+    starts = _STARTS if np.any(model.quad) else _STARTS[:1]
+    return _Scheme(p, model, linsys, mle, starts)
 
 
 def _estimate(counts: np.ndarray, setup: _Scheme,
               clip: float = _tol.INTERIOR_CLIP) -> np.ndarray:
     """Bloch estimates for a (trials, outcomes) count array: the linear
-    inversion projected into the unit ball, or the MLE from it over the
-    ball clipped at ``clip``, one trial at a time.
-
-    When the Pauli model is affine (every quadratic part M is zero, as
-    for every single-copy POVM), the log-likelihood is concave on a
-    convex set, so one :func:`_mle_bloch` ascent from the linear estimate
-    finds its global maximizer.  A two-copy model is quadratic and its
-    likelihood need not be concave, so it runs :func:`_mle_multistart`.
-    """
+    inversion projected into the unit ball, or the MLE over the ball
+    clipped at ``clip``, one trial at a time: one :func:`_mle_bloch`
+    ascent per start of the scheme, from s0 projected into the clipped
+    ball and moved by the start's offset (which the ascent projects
+    again), keeping the first of the highest likelihood."""
     s_lin = (np.zeros((len(counts), 3)) if setup.linsys is None
              else _linear_bloch(counts, setup.linsys))
     if not setup.mle:
         return _to_ball(s_lin)
-    ascent = (_mle_multistart if np.any(setup.model.quad)
-              else lambda *args: _mle_bloch(*args)[0])
-    return np.array([ascent(c, setup.model, s0, clip)
-                     for c, s0 in zip(counts, s_lin)])
+    estimates = []
+    for c, s0 in zip(counts, s_lin):
+        s0 = _project(s0, clip)
+        # max replaces its pick only by a strictly higher likelihood
+        estimates.append(max((_mle_bloch(c, setup.model, s0 + d, clip)
+                              for d in setup.starts), key=lambda a: a[1])[0])
+    return np.array(estimates)
 
 
 def estimate_linear_qubit(counts, p: Povm) -> DensityMatrix:
@@ -531,7 +530,7 @@ def estimate_mle_qubit(
     linear-inversion estimate, each step backtracked to the first point
     that raises the likelihood, with no gradient step: once for a
     single-copy POVM, whose likelihood is concave, and for a two-copy POVM
-    also from the three perturbed starts of :func:`_mle_multistart`,
+    also from the three perturbed starts that :func:`_scheme_setup` fixes,
     keeping the best.  The returned log-likelihood never falls below the
     linear start's.
     """

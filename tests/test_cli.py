@@ -398,20 +398,17 @@ class TestOverflow:
     # found by test_cli_properties.py: an overflow printed numpy's
     # RuntimeWarning and the request went on with infinities, to a
     # verdict (coherent), to NaN (the design slack that build reported)
-    # or to a misleading message (simulate)
+    # or to a misleading message (simulate); simulate on the scaled file,
+    # which is no POVM, exits 2 before any overflow
+    # (test_povm_file_that_is_not_a_measurement_is_usage_error)
     @pytest.mark.parametrize("make, argv", [
         (_scaled_collective_sic, ["verify", "coherent", "{}"]),
         (_scaled_collective_sic, ["verify", "tight-coherent", "{}"]),
         (_heavy_sic, ["verify", "sic", "{}"]),
-        (_scaled_collective_sic, ["simulate", "--config", "cfg.json"]),
     ])
-    def test_overflow_is_numerical_failure(self, capsys, tmp_path,
-                                           monkeypatch, make, argv):
-        monkeypatch.chdir(tmp_path)
+    def test_overflow_is_numerical_failure(self, capsys, tmp_path, make,
+                                           argv):
         path = make(str(tmp_path / "in.json"))
-        save_json({"scheme": "custom", "povm": path, "bloch": [0, 0, 0],
-                   "n_copies": 4, "n_trials": 2, "seed": 1,
-                   "estimator": "linear"}, "cfg.json")
         code, out, err = run(capsys, *(a.format(path) for a in argv))
         assert (code, out) == (3, None)
         assert err.startswith("numerical failure: overflow encountered")
@@ -596,7 +593,9 @@ class TestFisherCommand:
         assert code == 2
         assert "bad POVM file" in err
 
-    # each edit takes a built file's elements to a set that is no measurement
+    # each edit takes a built file's elements to a set that is no
+    # measurement; fisher --povm and a config's "povm" refuse it alike,
+    # before a state is sampled
     @pytest.mark.parametrize("name, edit", [
         # sum 2 * 1: the single-copy bound then reads "violated"
         ("sic-single", lambda m: 2.0 * m),
@@ -604,17 +603,31 @@ class TestFisherCommand:
         # complete, but 2 E_0 - E_1 has the eigenvalue -1/3
         ("mub-single", lambda m: np.concatenate(
             [[2.0 * m[0] - m[1], 2.0 * m[1] - m[0]], m[2:]])),
-    ], ids=["double-sic-single", "double-collective-sic", "mub-not-positive"])
+        # entries whose products in the Monte Carlo overflow
+        ("collective-sic", lambda m: 1e149 * m),
+        # sum 0.9 * 1
+        ("sic-single", lambda m: 0.9 * m),
+    ], ids=["double-sic-single", "double-collective-sic", "mub-not-positive",
+            "huge-sic", "sum-0.9"])
     def test_povm_file_that_is_not_a_measurement_is_usage_error(
             self, capsys, tmp_path, name, edit):
         path = str(tmp_path / "unfit.json")
         save_json(povm_to_obj(Povm(edit(NAMED_POVMS[name].elements),
                                    copies=NAMED_POVMS[name].copies,
                                    base_dim=2)), path)
-        code, out, err = run(capsys, "fisher", "--povm", path,
-                             "--state", "bloch:0,0,0")
-        assert (code, out) == (2, None)
-        assert "bad POVM file" in err and "not a POVM" in err
+        config = {"scheme": "custom", "povm": path, "n_copies": 4,
+                  "n_trials": 2, "seed": 1}
+        sim, sweep = str(tmp_path / "sim.json"), str(tmp_path / "sweep.json")
+        save_json({**config, "bloch": [0.0, 0.0, 0.0]}, sim)
+        save_json({**config, "radii": [0.0, 0.5]}, sweep)
+        rows = tmp_path / "rows.csv"
+        for argv in (["fisher", "--povm", path, "--state", "bloch:0,0,0"],
+                     ["simulate", "--config", sim],
+                     ["sweep", "--config", sweep, "--out", str(rows)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, None)
+            assert "bad POVM file" in err and "not a POVM" in err
+        assert not rows.exists()
 
     def test_bad_povm_spec(self, capsys):
         code, _, err = run(capsys, "fisher", "--povm", "unknown-name",

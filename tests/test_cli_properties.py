@@ -24,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fisym.cli import _BUILDS, _VERIFIERS, main
+from fisym.cli import _BUILDS, _CHARTS, _VERIFIERS, main
 from fisym.designs import OperatorSet, sic_d3, sic_qubit
+from fisym.fisher import _MODES
 from fisym.opfile import (matrix_to_json, operator_set_to_obj, povm_to_obj,
                           state_set_to_obj)
 from fisym.povm import NAMED_POVMS, Povm
@@ -134,10 +135,8 @@ def requests(draw):
         povm = draw(st.sampled_from(["a.json", *NAMED_POVMS]))
         state = draw(st.one_of(bloch_specs, st.just("a.json")))
         return ["fisher", "--povm", povm, "--state", state,
-                "--param", draw(st.sampled_from(["auto", "pure", "bloch",
-                                                 "affine"])),
-                "--mode", draw(st.sampled_from(["auto", "single-copy",
-                                                "two-copy", "pure-n"])),
+                "--param", draw(st.sampled_from(["auto", *_CHARTS])),
+                "--mode", draw(st.sampled_from(["auto", *_MODES])),
                 "--drop-threshold", draw(tols)], written
     config = {
         "scheme": draw(st.sampled_from(SCHEMES)),

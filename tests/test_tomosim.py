@@ -144,7 +144,10 @@ class TestIncompletePovm:
                                      estimator="linear", povm=p))
         assert str(exc.value) == incomplete_message(totals[1])
 
-    @pytest.mark.parametrize("p", incomplete_povms())
+    # the CLI refuses the 0.9-scaled file, p0, as no POVM (exit 2, in
+    # test_cli.py); the two-copy one is complete on the symmetric
+    # subspace, its target, and fails at the first incomplete state
+    @pytest.mark.parametrize("p", incomplete_povms()[1:], ids=["p1"])
     def test_cli_exits_3(self, capsys, tmp_path, p):
         povm_path = str(tmp_path / "povm.json")
         save_json(povm_to_obj(p), povm_path)
@@ -241,6 +244,16 @@ class TestLinearEstimator:
             estimate_linear_qubit(np.array([1.0, -2.0, 1.0, 1.0]), p)
         with pytest.raises(ValueError):
             estimate_linear_qubit(np.zeros(4), p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("estimate", [estimate_linear_qubit,
+                                          estimate_mle_qubit])
+    def test_non_finite_counts_are_refused(self, estimate, bad):
+        # the MLE dropped a NaN outcome as unobserved, and an infinite
+        # count printed numpy's "invalid value" warning
+        with pytest.raises(ValueError, match="finite"):
+            estimate(np.array([bad, 10.0, 10.0, 10.0]),
+                     scheme_povm("sic-single"))
 
 
 class TestMleEstimator:
@@ -388,9 +401,10 @@ class TestMleEstimator:
         assert np.linalg.norm(s - INTERIOR_CLIP * u) < 1e-9
 
     def test_non_finite_newton_step_ends_the_ascent(self, monkeypatch):
-        # an infinite d makes every trial point NaN (inf * 0 in the
-        # projection), which never rises; t halves to 0, where the
-        # predicted rise is NaN too, and the ascent ends where it started
+        # an infinite d made every trial point NaN (inf * 0 in the
+        # projection, with numpy's "invalid value" warning), which never
+        # rises, and t halved to 0 before the ascent ended where it
+        # started; it now ends there at once, with no trial point
         evals = [0]
         probs = tomosim._QuadModel.probs
 
@@ -403,12 +417,11 @@ class TestMleEstimator:
                             lambda a, b: np.full(3, np.inf))
         model = _quad_model(scheme_povm("collective-sic"))
         start = np.array([0.1, 0.2, -0.1])
-        with np.errstate(invalid="ignore"):
-            s, f = tomosim._mle_bloch(np.array([3.0, 1.0, 2.0, 0.0, 1.0]),
-                                      model, start, INTERIOR_CLIP)
+        s, f = tomosim._mle_bloch(np.array([3.0, 1.0, 2.0, 0.0, 1.0]),
+                                  model, start, INTERIOR_CLIP)
         assert np.array_equal(s, start) and np.isfinite(f)
         assert np.linalg.norm(s) <= INTERIOR_CLIP
-        assert evals[0] <= 1100  # the start and at most 1075 halvings
+        assert evals[0] == 1  # the start alone
 
     def test_newton_step_past_the_ball_is_halved_into_it(self):
         # three observed outcomes of a six-outcome POVM: l is nearly flat

@@ -13,10 +13,13 @@ fixed Bloch and pure states and for the built d = 3 POVMs at fixed state
 files; ``simulate`` and ``sweep`` for each scheme and estimator at small
 N, with a near-pure sweep and an oversized ``n_copies`` among them, and
 ``simulate`` with the MLE for each scheme at ``n_copies`` 10 and 40 over
-200 trials, at a mixed state and at radius 0.99; and the usage errors of
-``build`` (a missing ``--design`` or ``--source``, an unfit input file),
-an unknown ``build`` name and ``verify`` kind, and ``simulate`` and
-``sweep`` on collective-sic with an odd ``n_copies``.
+200 trials, at a mixed state and at radius 0.99; ``fisher`` with each
+``--param`` chart at pure and mixed states of d = 2 and 3, an unknown
+``--param`` and ``fisher --help``; ``simulate`` and ``sweep`` on custom
+files that are no POVM; and the usage errors of ``build`` (a missing
+``--design`` or ``--source``, an unfit input file), an unknown ``build``
+name and ``verify`` kind, and ``simulate`` and ``sweep`` on
+collective-sic with an odd ``n_copies``.
 
 Some requests are expected to differ from a tree older than the change
 that mended them, and only these:
@@ -48,6 +51,12 @@ that mended them, and only these:
   (``sim-odd.json``, ``sweep-odd.json``): exit 2, "bad simulation
   config" or "bad sweep config", where they used to exit 3 with
   "numerical failure" when the Monte Carlo started.
+- ``simulate`` and ``sweep`` on the custom files ``not-positive.json``
+  (an element with eigenvalue -1/3) and ``mub-0.9.json`` (complete to
+  0.9): exit 2, "bad POVM file ...: not a POVM", as ``fisher --povm``
+  says of them, where ``simulate`` on ``not-positive.json`` used to run
+  (exit 0) and the other three to exit 3 with "numerical failure" in the
+  Monte Carlo.
 
 Each request's output files are deleted before it runs, so a request
 that fails before writing shows no file rather than the last request's.
@@ -223,6 +232,33 @@ def _requests():
         requests.append((["build", *args, "--out", "unbuilt.json"],
                          ["unbuilt.json"]))
     requests.append((["verify", "bogus", "sic-qubit.json"], []))
+    # every chart of fisher --param, where it fits the state and where not
+    for param in ("auto", "pure", "bloch", "affine", "bogus"):
+        for povm, state in (("sic-single", "pure:0.6,0.8j"),
+                            ("sic-single", "bloch:0.3,-0.4,0.5"),
+                            ("twocopy-d3.json", "pure:0.6,0.8,0"),
+                            ("twocopy-d3.json", "mixed-d3.json")):
+            requests.append((["fisher", "--povm", povm, "--state", state,
+                              "--param", param], []))
+    requests.append((["fisher", "--help"], []))
+    # custom files that are no POVM: the six MUB projectors over 3 with
+    # the first two replaced by 2 E_0 - E_1 and 2 E_1 - E_0 (eigenvalues
+    # 2/3 and -1/3), and the six scaled to sum to 0.9
+    mub = [[[1, 1], [1, 1]], [[1, -1], [-1, 1]], [[1, -1j], [1j, 1]],
+           [[1, 1j], [-1j, 1]], [[2, 0], [0, 0]], [[0, 0], [0, 2]]]
+    unfit = {"not-positive.json": (1 / 6, [[[1, 3], [3, 1]],
+                                           [[1, -3], [-3, 1]], *mub[2:]]),
+             "mub-0.9.json": (0.9 / 6, mub)}
+    for povm, (scale, mats) in unfit.items():
+        inputs[povm] = {"dim": 2, "copies": 1, "elements": [
+            {"matrix": [[[scale * complex(x).real, scale * complex(x).imag]
+                         for x in row] for row in m]} for m in mats]}
+        base = {"scheme": "custom", "povm": povm, "estimator": "mle", **runs}
+        inputs[f"sim-{povm}"] = {**base, "bloch": [0.3, -0.2, 0.5]}
+        inputs[f"sweep-{povm}"] = {**base, "radii": [0.0, 0.4, 0.9]}
+        requests.append((["simulate", "--config", f"sim-{povm}"], []))
+        requests.append((["sweep", "--config", f"sweep-{povm}", "--out",
+                          "rows.csv"], ["rows.csv"]))
     odd = {"scheme": "collective-sic", "n_copies": 201, "n_trials": 5,
            "seed": 7}
     inputs["sim-odd.json"] = {**odd, "bloch": [0.3, -0.2, 0.5]}
