@@ -3,8 +3,6 @@ simulation for single-copy and collective two-copy schemes."""
 
 from .matcore import (
     antisym_projector,
-    hermitian_eig,
-    hs_inner,
     kron,
     mat_power,
     partial_trace,
@@ -18,12 +16,9 @@ from .states import (
     Parametrization,
     PureCanonical,
     PureState,
-    bloch_from_density,
-    bures_distance,
     density_from_bloch,
     fidelity,
     gell_mann_basis,
-    hs_distance,
     qfi_matrix,
     qubit_fidelity,
     sld,
@@ -83,7 +78,6 @@ from .tomosim import (
     estimate_linear_qubit,
     estimate_mle_qubit,
     run_simulation,
-    sample_outcomes,
     scheme_povm,
     sweep,
     write_sweep_csv,

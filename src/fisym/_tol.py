@@ -53,6 +53,12 @@ RANK_TOL = 1e-9
 # Residual allowed when verifying a symmetric-logarithmic-derivative solve.
 SLD_RESIDUAL_TOL = 1e-9
 
+# Step of the central differences in the finite-difference Fisher oracle.
+# Its truncation error is of order step^2 (1e-8) and its rounding of order
+# eps / step (2e-12), both below the 1e-6 at which the oracle is compared
+# with the analytic Fisher matrix.
+FD_STEP = 1e-4
+
 # Frame-potential slack below which a candidate certifies as a design.
 DESIGN_TOL = 1e-8
 

@@ -211,19 +211,13 @@ def cmd_build(args) -> int:
 
 def _povm_file(path) -> povm.Povm:
     """The POVM in the operator file ``path``, which must be positive and
-    complete to ``_tol.POVM_TOL`` (:func:`povm.validate_povm`): the one
+    complete to ``_tol.POVM_TOL`` (:func:`povm._require_povm`): the one
     reader of ``fisher --povm`` files and of a config's ``povm`` file."""
     try:
         p = opfile.obj_to_povm(_load(path))
+        povm._require_povm(p)
     except ValueError as exc:
         raise UsageError(f"bad POVM file {path}: {exc}") from exc
-    report = povm.validate_povm(p)
-    if not report.ok:
-        raise UsageError(
-            f"bad POVM file {path}: not a POVM (positivity violation "
-            f"{report.psd_violation:.3g}, completeness residual "
-            f"{report.completeness_residual:.3g}, tolerance "
-            f"{_tol.POVM_TOL:g})")
     return p
 
 

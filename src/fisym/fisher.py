@@ -150,7 +150,7 @@ def fisher_matrix(
 
 def fisher_fd_oracle(
     param: Parametrization, p: Povm,
-    step: float = 1e-4,
+    step: float = _tol.FD_STEP,
     drop_threshold: float = _tol.DROP_THRESHOLD,
 ) -> np.ndarray:
     """Classical Fisher matrix from finite differences only; an
@@ -282,6 +282,9 @@ def _symmetry_verdict(
     n_manifold = 2 * d - 2 if rho.is_pure() else d * d - 1
     target = bound / n_manifold
     fit = float(np.sum(j_mat * i_mat)) / float(np.sum(j_mat * j_mat))
+    # a floor, not a tolerance: for I = 0 (the trivial POVM) the weak
+    # residual is 0 / 1e-300 = 0, where 0 / 0 would raise
+    # ZeroDivisionError
     i_norm = max(float(np.linalg.norm(i_mat)), 1e-300)
     weak_residual = float(np.linalg.norm(i_mat - fit * j_mat)) / i_norm
     full_residual = (float(np.linalg.norm(i_mat - target * j_mat))

@@ -7,8 +7,6 @@ routines are used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _tol
@@ -21,10 +19,7 @@ __all__ = [
     "swap_operator",
     "sym_projector",
     "antisym_projector",
-    "EigenDecomposition",
-    "hermitian_eig",
     "mat_power",
-    "hs_inner",
 ]
 
 
@@ -130,28 +125,6 @@ def antisym_projector(d: int) -> np.ndarray:
     return 0.5 * (np.eye(d * d, dtype=complex) - swap_operator(d))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, aligned with eigenvalues
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, sorted descending."""
-    h = require_hermitian(a)
-    if h.ndim != 2:
-        raise ValueError(f"expected one matrix, got shape {h.shape}")
-    vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(vals)[::-1]
-    return EigenDecomposition(vals[order], vecs[:, order])
-
-
 def mat_power(
     a: np.ndarray, p: float, allow_pseudoinverse: bool = False
 ) -> np.ndarray:
@@ -162,8 +135,14 @@ def mat_power(
     or below ``NULL_TOL`` either raise or, with ``allow_pseudoinverse``,
     are excluded from inversion (pseudoinverse convention).
     """
-    dec = hermitian_eig(a)
-    vals = dec.eigenvalues.copy()
+    h = require_hermitian(a)
+    if h.ndim != 2:
+        raise ValueError(f"expected one matrix, got shape {h.shape}")
+    vals, v = np.linalg.eigh(h)
+    # descending: the order of the sum in the product below sets the
+    # result's last bits
+    order = np.argsort(vals)[::-1]
+    vals, v = vals[order], v[:, order]
     if np.any(vals < -_tol.NULL_TOL):
         raise ValueError(
             f"matrix has negative eigenvalue {vals.min():.3e}, not PSD"
@@ -179,14 +158,4 @@ def mat_power(
         vals = out
     else:
         vals = vals ** p
-    v = dec.eigenvectors
     return hermitian_part((v * vals) @ v.conj().T)
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A†B)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(a.conj() * b))

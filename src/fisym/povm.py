@@ -129,6 +129,19 @@ def validate_povm(p: Povm, tol: float = _tol.POVM_TOL) -> PovmReport:
     )
 
 
+def _require_povm(p: Povm) -> None:
+    """Raise ValueError, with the report's figures, unless
+    :func:`validate_povm` finds p positive and complete to
+    ``_tol.POVM_TOL``: the one check of a POVM from outside the library,
+    a file or a custom scheme's."""
+    report = validate_povm(p)
+    if not report.ok:
+        raise ValueError(
+            f"not a POVM (positivity violation {report.psd_violation:.3g}, "
+            f"completeness residual {report.completeness_residual:.3g}, "
+            f"tolerance {_tol.POVM_TOL:g})")
+
+
 def _kron_squares(ops: np.ndarray) -> np.ndarray:
     """A ⊗ A for every A in a (k, n, n) stack, as a (k, n², n²) stack."""
     k, n, _ = ops.shape

@@ -19,7 +19,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "density_from_bloch",
-    "bloch_from_density",
     "gell_mann_basis",
     "Parametrization",
     "PureCanonical",
@@ -30,8 +29,6 @@ __all__ = [
     "qfi_matrix",
     "fidelity",
     "qubit_fidelity",
-    "bures_distance",
-    "hs_distance",
 ]
 
 
@@ -188,13 +185,6 @@ def _bloch_states(bloch: np.ndarray) -> np.ndarray:
     _check_density(m, 0.5 * (1.0 + np.multiply.outer(
         np.linalg.norm(bloch, axis=-1), [1.0, -1.0])))
     return m
-
-
-def bloch_from_density(rho: DensityMatrix) -> np.ndarray:
-    """Bloch vector s_a = tr(rho sigma_a) of a qubit state."""
-    if rho.dim != 2:
-        raise ValueError("Bloch coordinates are defined for qubits only")
-    return np.array([np.trace(rho.matrix @ p).real for p in _PAULI])
 
 
 def gell_mann_basis(d: int) -> list[np.ndarray]:
@@ -475,14 +465,3 @@ def qubit_fidelity(s, t) -> np.ndarray:
     f = 0.5 * (1.0 + np.sum(s * t, axis=-1)
                + np.sqrt(mixedness(s) * mixedness(t)))
     return np.clip(f, 0.0, 1.0)
-
-
-def bures_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Bures distance sqrt(2 - 2 sqrt(F))."""
-    f = fidelity(rho, sigma)
-    return float(np.sqrt(max(2.0 - 2.0 * np.sqrt(f), 0.0)))
-
-
-def hs_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Hilbert-Schmidt (Frobenius) distance |rho - sigma|_F."""
-    return float(np.linalg.norm(rho.matrix - sigma.matrix))

@@ -40,7 +40,7 @@ import numpy as np
 from . import _tol
 from .fisher import _accumulate, _born, _nonnegative, fisher_matrix
 from .opfile import _integer, _number
-from .povm import NAMED_POVMS, Povm
+from .povm import NAMED_POVMS, Povm, _require_povm
 from .states import (
     _PAULI,
     _bloch_states,
@@ -58,7 +58,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "scheme_povm",
-    "sample_outcomes",
     "estimate_linear_qubit",
     "estimate_mle_qubit",
     "run_simulation",
@@ -85,12 +84,15 @@ def _validate_run(config) -> None:
     ``n_copies``, ``n_trials`` and ``seed`` become ints and
     ``interior_clip`` a float; a value that is not a JSON integer (a
     bool, a string, a fraction), or for the clip a JSON number, raises
-    ValueError."""
+    ValueError, as does a custom POVM that is not positive and complete
+    (:func:`povm._require_povm`)."""
     config.n_copies = _integer(config.n_copies)
     config.n_trials = _integer(config.n_trials)
     config.seed = _integer(config.seed)
     config.interior_clip = _number(config.interior_clip)
-    copies = scheme_povm(config.scheme, config.povm).copies
+    p = scheme_povm(config.scheme, config.povm)
+    if config.scheme == "custom":
+        _require_povm(p)
     if config.estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
     if config.n_trials < 1:
@@ -100,8 +102,8 @@ def _validate_run(config) -> None:
     if config.n_copies >= 2 ** 63:
         # the multinomial sampler takes a signed 64-bit count
         raise ValueError("n_copies must be below 2**63")
-    if config.n_copies % copies != 0:
-        raise ValueError(f"n_copies must be a positive multiple of {copies}")
+    if config.n_copies % p.copies != 0:
+        raise ValueError(f"n_copies must be a positive multiple of {p.copies}")
     if config.seed < 0:
         raise ValueError("seed must be nonnegative")
     if not (0.0 < config.interior_clip < 1.0):
@@ -235,13 +237,6 @@ def _sampling_probs(rhos: np.ndarray, p: Povm) -> np.ndarray:
         raise ValueError(f"outcome probabilities sum to {total[incomplete][0]}"
                          ", POVM is not complete for this state")
     return probs / total
-
-
-def sample_outcomes(
-    rho: DensityMatrix, p: Povm, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Multinomial counts for n measurements of rho with a complete POVM."""
-    return rng.multinomial(n, _sampling_probs(rho.matrix[None], p)[0])
 
 
 @dataclass

@@ -30,6 +30,13 @@ def random_full_rank(rng, dim, mix=0.2):
     return DensityMatrix(m)
 
 
+def bloch_of(rho):
+    """Bloch vector s_a = tr(rho sigma_a) of a qubit DensityMatrix."""
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                       [[1, 0], [0, -1]]])
+    return np.einsum("aij,ji->a", paulis, rho.matrix).real
+
+
 def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)

@@ -23,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 from fisym.designs import (OperatorSet, WeightedStateSet,
                            g2design_from_unitary_design, sic_qubit)
 from fisym.fisher import gm_value, optimal_fisher, wmse_bound
-from fisym.matcore import hermitian_eig, mat_power, require_hermitian
+from fisym.matcore import mat_power, require_hermitian
 from fisym.povm import NAMED_POVMS, Povm
 from fisym.states import (AffineMixed, DensityMatrix, PureCanonical,
                           PureState, density_from_bloch, qfi_matrix, sld)
@@ -38,7 +38,6 @@ def _traceless(rho):
 # name -> (valid matrix in the slot from a full-rank state rho, call)
 CASES = {
     "require_hermitian": (None, require_hermitian),
-    "hermitian_eig": (None, hermitian_eig),
     "mat_power": (None, lambda m: mat_power(m, -0.5)),
     "DensityMatrix": (None, DensityMatrix),
     "Povm": (None, lambda m: Povm([m], copies=1, base_dim=len(m))),

@@ -231,6 +231,16 @@ class TestFisherSymmetry:
         rep = fisher_symmetry_check(par, great_circle_qubit())
         assert rep.verdict == "not-fisher-symmetric"
 
+    def test_trivial_measurement_has_finite_residuals(self):
+        # {1} gives I = 0, which 0 J fits exactly: the weak residual is 0,
+        # not 0 / 0
+        par = BlochQubit([0.3, 0.0, 0.0])
+        rep = fisher_symmetry_check(par, Povm([np.eye(2)], copies=1,
+                                              base_dim=2))
+        assert rep.verdict == "weakly-fisher-symmetric"
+        assert (rep.scale_fit, rep.weak_residual, rep.full_residual) == (
+            0.0, 0.0, 1.0)
+
 
 class TestWmseBound:
     def test_scaled_qfi_weight_is_parameter_free(self, rng):

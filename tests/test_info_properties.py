@@ -43,7 +43,6 @@ from fisym.states import (
     DensityMatrix,
     PureCanonical,
     PureState,
-    bures_distance,
     density_from_bloch,
     fidelity,
     qfi_matrix,
@@ -378,4 +377,3 @@ def test_fidelity_accepts_every_density_matrix(data, d):
     rho, sigma = data.draw(accepted_states(d)), data.draw(accepted_states(d))
     f = fidelity(rho, sigma)
     assert 0.0 <= f <= 1.0
-    assert 0.0 <= bures_distance(rho, sigma) <= np.sqrt(2.0)

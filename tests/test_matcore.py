@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from fisym.matcore import (
-    EigenDecomposition,
     antisym_projector,
-    hermitian_eig,
     hermitian_part,
-    hs_inner,
     kron,
     mat_power,
     partial_trace,
@@ -147,38 +144,6 @@ class TestSwapAndProjectors:
             assert np.allclose(q, (d + 1) / 2 * np.eye(d))
 
 
-class TestEigenDecomposition:
-    def test_reconstruction_many_random(self, rng):
-        for _ in range(1000):
-            d = int(rng.integers(2, 17))
-            a = random_hermitian(rng, d)
-            dec = hermitian_eig(a)
-            scale = max(1.0, np.linalg.norm(a))
-            assert np.max(np.abs(dec.reconstruct() - a)) < 1e-10 * scale
-
-    def test_eigenvalues_descending(self, rng):
-        a = random_hermitian(rng, 8)
-        dec = hermitian_eig(a)
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-14)
-
-    def test_eigenvectors_orthonormal(self, rng):
-        a = random_hermitian(rng, 6)
-        dec = hermitian_eig(a)
-        u = dec.eigenvectors
-        assert np.allclose(u.conj().T @ u, np.eye(6))
-
-    def test_rejects_non_hermitian(self, rng):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        with pytest.raises(ValueError):
-            hermitian_eig(a)
-
-    def test_frozen_dataclass(self):
-        dec = hermitian_eig(np.diag([2.0, 1.0]))
-        assert isinstance(dec, EigenDecomposition)
-        with pytest.raises(AttributeError):
-            dec.eigenvalues = np.zeros(2)
-
-
 class TestMatPower:
     def test_inverse_of_scaled_identity(self):
         assert np.allclose(mat_power(np.eye(3) / 2, -1.0), 2 * np.eye(3))
@@ -206,18 +171,6 @@ class TestMatPower:
         p = np.array([[0.5, 0.5], [0.5, 0.5]])
         assert np.allclose(mat_power(p, 0.5), p)
 
-
-class TestHsInner:
-    def test_known_value(self):
-        a = np.diag([1.0, 2.0])
-        b = np.diag([3.0, 4.0])
-        assert hs_inner(a, b) == pytest.approx(11.0)
-
-    def test_conjugate_symmetry(self, rng):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-    def test_positive_on_nonzero(self, rng):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert hs_inner(a, a).real > 0
+    def test_stack_rejected(self):
+        with pytest.raises(ValueError, match="expected one matrix"):
+            mat_power(np.array([np.eye(2), np.eye(2)]), 0.5)

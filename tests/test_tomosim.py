@@ -3,14 +3,14 @@ import json
 
 import numpy as np
 import pytest
-from conftest import _sandwich, random_povm, random_two_copy_povm
+from conftest import _sandwich, bloch_of, random_povm, random_two_copy_povm
 
 from fisym import tomosim
 from fisym.cli import main
 from fisym.opfile import povm_to_obj, save_json
 from fisym.povm import (NAMED_POVMS, Povm, classify_coherent,
                         collective_sic_qubit,
-                        twocopy_design_povm)
+                        twocopy_design_povm, validate_povm)
 from fisym.designs import sic_qubit
 from fisym.states import BlochQubit, density_from_bloch
 from fisym.tomosim import (
@@ -22,7 +22,6 @@ from fisym.tomosim import (
     estimate_linear_qubit,
     estimate_mle_qubit,
     run_simulation,
-    sample_outcomes,
     scheme_povm,
     sweep,
     write_sweep_csv,
@@ -94,22 +93,6 @@ class TestQuadModel:
             assert np.max(np.abs(fd - g[:, a])) < 1e-6
 
 
-class TestSampling:
-    def test_counts_sum_and_determinism(self):
-        rho = density_from_bloch([0.2, 0.1, -0.3])
-        p = scheme_povm("sic-single")
-        a = sample_outcomes(rho, p, 1000, np.random.default_rng(7))
-        b = sample_outcomes(rho, p, 1000, np.random.default_rng(7))
-        assert a.sum() == 1000
-        assert np.array_equal(a, b)
-
-    def test_incomplete_povm_rejected(self):
-        rho = density_from_bloch([0.2, 0.1, -0.3])
-        with pytest.raises(ValueError):
-            sample_outcomes(rho, twocopy_design_povm(sic_qubit()), 100,
-                            np.random.default_rng(0))
-
-
 def incomplete_povms():
     """An informationally complete single-copy POVM scaled to sum to
     0.9, and the two-copy POVM of a 2-design that resolves the symmetric
@@ -124,8 +107,17 @@ def incomplete_message(total):
             "for this state")
 
 
+def not_a_povm_message(p):
+    report = validate_povm(p)
+    return (f"not a POVM (positivity violation {report.psd_violation:.3g}, "
+            f"completeness residual {report.completeness_residual:.3g}, "
+            "tolerance 1e-09)")
+
+
 class TestIncompletePovm:
-    # a sweep finds the first incomplete grid point as the per-point
+    # the configs refuse the 0.9-scaled POVM, p0, as no POVM; the
+    # two-copy one, p1, is complete on the symmetric subspace, its target,
+    # and a sweep finds the first incomplete grid point as the per-point
     # runs did, with the same message
     @pytest.mark.parametrize("p", incomplete_povms())
     def test_sweep_and_simulation_raise(self, p):
@@ -133,20 +125,22 @@ class TestIncompletePovm:
         totals = [outcome_probs(density_from_bloch([r, 0.0, 0.0]), p).sum()
                   for r in radii]
         first = next(t for t in totals if abs(t - 1.0) > 1e-9)
-        config = SweepConfig(scheme="custom", radii=radii, n_copies=100,
-                             n_trials=2, seed=1, estimator="linear", povm=p)
+        if validate_povm(p).ok:
+            messages = incomplete_message(first), incomplete_message(totals[1])
+        else:
+            messages = (not_a_povm_message(p),) * 2
         with pytest.raises(ValueError) as exc:
-            sweep(config)
-        assert str(exc.value) == incomplete_message(first)
+            sweep(SweepConfig(scheme="custom", radii=radii, n_copies=100,
+                              n_trials=2, seed=1, estimator="linear", povm=p))
+        assert str(exc.value) == messages[0]
         with pytest.raises(ValueError) as exc:
             run_simulation(SimConfig(scheme="custom", bloch=(radii[1], 0, 0),
                                      n_copies=100, n_trials=2, seed=1,
                                      estimator="linear", povm=p))
-        assert str(exc.value) == incomplete_message(totals[1])
+        assert str(exc.value) == messages[1]
 
     # the CLI refuses the 0.9-scaled file, p0, as no POVM (exit 2, in
-    # test_cli.py); the two-copy one is complete on the symmetric
-    # subspace, its target, and fails at the first incomplete state
+    # test_cli.py); the two-copy one fails at the first incomplete state
     @pytest.mark.parametrize("p", incomplete_povms()[1:], ids=["p1"])
     def test_cli_exits_3(self, capsys, tmp_path, p):
         povm_path = str(tmp_path / "povm.json")
@@ -160,6 +154,25 @@ class TestIncompletePovm:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: outcome probabilities "
                               "sum to ")
+
+
+class TestCustomPovmIsChecked:
+    @pytest.mark.parametrize("estimator", ["linear", "mle"])
+    def test_a_complete_set_with_a_negative_element_is_refused(
+            self, estimator):
+        # the six mub-single elements with E0, E1 replaced by 2 E0 - E1 and
+        # 2 E1 - E0: they sum to the identity, but have the eigenvalue -1/3
+        e = NAMED_POVMS["mub-single"].elements.copy()
+        e[:2] = 2.0 * e[:2] - e[1::-1]
+        p = Povm(e, copies=1, base_dim=2)
+        runs = {"scheme": "custom", "n_copies": 100, "n_trials": 2,
+                "seed": 1, "estimator": estimator, "povm": p}
+        with pytest.raises(ValueError) as exc:
+            run_simulation(SimConfig(bloch=(0.3, -0.2, 0.5), **runs))
+        assert str(exc.value) == not_a_povm_message(p)
+        with pytest.raises(ValueError) as exc:
+            sweep(SweepConfig(radii=(0.0, 0.5), **runs))
+        assert str(exc.value) == not_a_povm_message(p)
 
 
 def mixed_two_copy_povm():
@@ -268,18 +281,17 @@ class TestMleEstimator:
         p = scheme_povm("collective-sic")
         model = _quad_model(p)
         rho = density_from_bloch([0.6, 0.2, 0.1])
-        from fisym.states import bloch_from_density
 
         def loglik(counts, s):
             pr = np.clip(model.probs(s), 1e-300, None)
             return float(counts @ np.log(pr))
 
         for _ in range(10):
-            counts = sample_outcomes(rho, p, 200, rng).astype(float)
+            counts = rng.multinomial(200, outcome_probs(rho, p)).astype(float)
             lin = estimate_linear_qubit(counts, p)
             mle = estimate_mle_qubit(counts, p)
-            s_lin = bloch_from_density(lin)
-            s_mle = bloch_from_density(mle)
+            s_lin = bloch_of(lin)
+            s_mle = bloch_of(mle)
             assert loglik(counts, s_mle) >= loglik(counts, s_lin) - 1e-9
 
     def test_converges_where_the_gradient_ascent_stalled(self):
@@ -288,9 +300,7 @@ class TestMleEstimator:
         # 9.1e-5 from the maximizer in x
         p = scheme_povm("mub-single")
         counts = np.array([271.0, 80.0, 69.0, 249.0, 217.0, 114.0])
-        from fisym.states import bloch_from_density
-
-        s = bloch_from_density(estimate_mle_qubit(counts, p))
+        s = bloch_of(estimate_mle_qubit(counts, p))
         model = _quad_model(p)
         grad = (counts / model.probs(s)) @ model.grads(s)
         assert np.linalg.norm(grad) <= 1e-6 * counts.sum()
@@ -302,9 +312,7 @@ class TestMleEstimator:
         counts = np.array([500.0, 0.0, 0.0, 0.0])
         clip = 0.9
         est = estimate_mle_qubit(counts, p, interior_clip=clip)
-        from fisym.states import bloch_from_density
-
-        assert np.linalg.norm(bloch_from_density(est)) <= clip
+        assert np.linalg.norm(bloch_of(est)) <= clip
 
     @pytest.mark.parametrize("name, counts", [
         ("collective-sic", [500, 0, 0, 0, 0]),

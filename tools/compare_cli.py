@@ -15,8 +15,9 @@ N, with a near-pure sweep and an oversized ``n_copies`` among them, and
 ``simulate`` with the MLE for each scheme at ``n_copies`` 10 and 40 over
 200 trials, at a mixed state and at radius 0.99; ``fisher`` with each
 ``--param`` chart at pure and mixed states of d = 2 and 3, an unknown
-``--param`` and ``fisher --help``; ``simulate`` and ``sweep`` on custom
-files that are no POVM; and the usage errors of ``build`` (a missing
+``--param`` and ``fisher --help``; ``fisher`` on the one-element POVM
+{1}, whose Fisher matrix is 0, at a Bloch state; ``simulate`` and
+``sweep`` on custom files that are no POVM; and the usage errors of ``build`` (a missing
 ``--design`` or ``--source``, an unfit input file), an unknown ``build``
 name and ``verify`` kind, and ``simulate`` and ``sweep`` on
 collective-sic with an odd ``n_copies``.
@@ -241,6 +242,11 @@ def _requests():
             requests.append((["fisher", "--povm", povm, "--state", state,
                               "--param", param], []))
     requests.append((["fisher", "--help"], []))
+    # the trivial measurement {1}: I = 0, a zero weak residual
+    inputs["identity.json"] = {"dim": 2, "copies": 1, "elements": [
+        _state([[1.0, 0.0], [0.0, 1.0]])["elements"][0]]}
+    requests.append((["fisher", "--povm", "identity.json", "--state",
+                      "bloch:0.3,0,0"], []))
     # custom files that are no POVM: the six MUB projectors over 3 with
     # the first two replaced by 2 E_0 - E_1 and 2 E_1 - E_0 (eigenvalues
     # 2/3 and -1/3), and the six scaled to sum to 0.9
