@@ -79,13 +79,18 @@ _MLE_MAX_ITER = 200
 _STARTS = np.vstack([np.zeros(3), 0.05 * np.eye(3)])
 
 
+def _require_qubit(p: Povm) -> None:
+    if p.base_dim != 2:
+        raise ValueError("simulation estimators are implemented for qubits")
+
+
 def _validate_run(config) -> None:
     """Checks shared by :class:`SimConfig` and :class:`SweepConfig`.
     ``n_copies``, ``n_trials`` and ``seed`` become ints and
     ``interior_clip`` a float; a value that is not a JSON integer (a
     bool, a string, a fraction), or for the clip a JSON number, raises
     ValueError, as does a custom POVM that is not positive and complete
-    (:func:`povm._require_povm`)."""
+    (:func:`povm._require_povm`) or not on qubits."""
     config.n_copies = _integer(config.n_copies)
     config.n_trials = _integer(config.n_trials)
     config.seed = _integer(config.seed)
@@ -93,6 +98,7 @@ def _validate_run(config) -> None:
     p = scheme_povm(config.scheme, config.povm)
     if config.scheme == "custom":
         _require_povm(p)
+        _require_qubit(p)
     if config.estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
     if config.n_trials < 1:
@@ -337,14 +343,43 @@ def _check_counts(counts, size: int) -> np.ndarray:
 def _project(s: np.ndarray, clip: float) -> np.ndarray:
     """s if |s| <= clip, else s scaled onto the sphere of radius clip and
     then, where rounding left it outside, moved toward 0 an ulp per
-    coordinate at a time until |s| <= clip holds in floating point."""
-    r = np.linalg.norm(s)
+    coordinate at a time until |s| <= clip holds in floating point.
+    |s| is sqrt(s.s), which is how ``np.linalg.norm`` computes the norm of
+    a real vector, without its per-call cost."""
+    r = math.sqrt(s.dot(s))
     if r <= clip:
         return s
     s = s * (clip / r)
-    while np.linalg.norm(s) > clip:
+    while math.sqrt(s.dot(s)) > clip:
         s = np.nextafter(s, 0.0)
     return s
+
+
+def _ldl_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The solution d of A d = b for a symmetric 3 x 3 A, read from its
+    upper triangle, by the LDL^T factorization A = L D L^T, or None where
+    a pivot D_ii is not positive and finite.  A pivot is not so where A
+    is not positive definite (up to rounding) or not finite: a
+    non-finite entry reaches a pivot as inf, -inf or NaN.  So one pass
+    decides definiteness and solves, in Python floats, where numpy's
+    per-call cost on a 3 x 3 system would exceed its arithmetic many
+    times over."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = a.tolist()
+    b0, b1, b2 = b.tolist()
+    if not 0.0 < a00 < math.inf:
+        return None
+    l10, l20 = a01 / a00, a02 / a00
+    d1 = a11 - l10 * a01
+    if not 0.0 < d1 < math.inf:
+        return None
+    l21 = (a12 - l20 * a01) / d1
+    d2 = a22 - l20 * a02 - l21 * l21 * d1
+    if not 0.0 < d2 < math.inf:
+        return None
+    y1 = b1 - l10 * b0
+    x2 = (b2 - l20 * b0 - l21 * y1) / d2
+    x1 = y1 / d1 - l21 * x2
+    return np.array([b0 / a00 - l10 * x1 - l20 * x2, x1, x2])
 
 
 def _mle_bloch(
@@ -360,16 +395,18 @@ def _mle_bloch(
     Each iteration solves A d = b and backtracks along d: for
     t = 1, 1/2, 1/4, ... it takes the first trial point s + t d,
     projected onto the clipped ball, that raises l.  b is the gradient g
-    of l, and A is -Hess l where that is positive definite, and otherwise
-    the scoring matrix G = sum_k n_k grad p_k grad p_k^T / p_k^2 over the
-    observed outcomes.
+    of l, and A is the exact Hessian -Hess l where its LDL^T pivots are
+    positive (:func:`_ldl_solve`, which gives Newton's d in the same
+    pass), and otherwise the scoring matrix
+    G = sum_k n_k grad p_k grad p_k^T / p_k^2 over the observed outcomes.
     For an affine model the two are equal; for a quadratic one
     -Hess l = G - 2 sum_k (n_k / p_k) M_k, and Newton's step converges
     where scoring would crawl.  At the clip, with g pointing outward, the
     step is Newton's on the sphere: A and g restricted to its tangent
     plane, A plus the curvature term (g.s / |s|^2) of the constraint,
-    which makes that system definite.  So only G can be singular; g lies
-    in its range, and the minimum-norm least-squares d still ascends.
+    which makes that system definite, and it too is solved by
+    :func:`_ldl_solve`.  So only G can be singular; g lies in its range,
+    and the minimum-norm least-squares d of ``lstsq`` still ascends.
     Halving a far step along a flat direction of l brings the trial point
     back from the sphere into the ball, where d ascends.
 
@@ -380,7 +417,8 @@ def _mle_bloch(
     only to that, and no shorter step could show a rise.  A NaN
     prediction ends it too, and t reaches 0 within about 1075 halvings.
     The ascent also ends when |g| falls to ``_tol.MLE_GRAD_TOL``, when d
-    is not finite, or after ``_MLE_MAX_ITER`` iterations.
+    or the system A d = b is not finite, or after ``_MLE_MAX_ITER``
+    iterations.
 
     The model is restricted to the observed outcomes once, with the M_k
     also kept as rows of 9, so the curvature term is one product.  The
@@ -397,7 +435,7 @@ def _mle_bloch(
 
     def loglik(s):
         pr = obs.probs(s)
-        if np.any(pr <= 0.0):
+        if (pr <= 0.0).any():
             return -np.inf, pr
         return float(c_obs @ np.log(pr)), pr
 
@@ -411,21 +449,25 @@ def _mle_bloch(
         grads = obs.grads(s)
         w = c_obs / pr
         g = w @ grads
-        if np.linalg.norm(g) <= _tol.MLE_GRAD_TOL:
+        if math.sqrt(g.dot(g)) <= _tol.MLE_GRAD_TOL:
             break
         fisher = (grads.T * (w * w / c_obs)) @ grads
         hess = fisher - 2.0 * (w @ quad9).reshape(3, 3)
-        a = hess if np.linalg.eigvalsh(hess)[0] > 0.0 else fisher
+        d = _ldl_solve(hess, g)  # Newton's step, where -Hess l is definite
+        a = fisher if d is None else hess
         r2, b = s @ s, g
         if r2 >= (clip - _tol.CLIP_MARGIN) ** 2 and g @ s > 0.0:
             # pressed against the clip: a Newton step along the sphere
             tan = np.eye(3) - np.outer(s, s) / r2
             a = tan @ (a + (g @ s / r2) * np.eye(3)) @ tan + np.eye(3) - tan
             b = tan @ g
-        try:
-            d = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:  # G is singular, and b in its range
-            d = np.linalg.lstsq(a, b, rcond=None)[0]
+            d = _ldl_solve(a, b)
+        elif d is None:
+            d = _ldl_solve(a, b)
+        if d is None:  # G is singular, or the system is not finite
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                break  # lstsq's LAPACK would refuse it on stderr
+            d = np.linalg.lstsq(a, b, rcond=None)[0]  # b is in G's range
         if not all(map(math.isfinite, d.tolist())):
             break  # d is not finite (a list checks faster than an array)
         t = 1.0
@@ -468,8 +510,7 @@ def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
     convex set, so one ascent from s0 finds its global maximizer.  A
     quadratic model's likelihood need not be concave, so it also starts
     from s0 + 0.05 e_i for each axis i."""
-    if p.base_dim != 2:
-        raise ValueError("simulation estimators are implemented for qubits")
+    _require_qubit(p)
     model = _quad_model(p)
     mle = estimator == "mle"
     if mle:

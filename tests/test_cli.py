@@ -629,6 +629,27 @@ class TestFisherCommand:
             assert "bad POVM file" in err and "not a POVM" in err
         assert not rows.exists()
 
+    def test_povm_file_that_is_not_a_qubit_measurement_is_usage_error(
+            self, capsys, tmp_path):
+        # a d = 3 POVM is a measurement, but the estimators are for qubits;
+        # the configs refuse it, where the Monte Carlo used to exit 3
+        path = str(tmp_path / "tight.json")
+        assert run(capsys, "build", "tight-coherent-d3", "--out", path)[0] == 0
+        config = {"scheme": "custom", "povm": path, "n_copies": 4,
+                  "n_trials": 2, "seed": 1}
+        sim, sweep = str(tmp_path / "sim.json"), str(tmp_path / "sweep.json")
+        save_json({**config, "bloch": [0.0, 0.0, 0.0]}, sim)
+        save_json({**config, "radii": [0.0, 0.5]}, sweep)
+        rows = tmp_path / "rows.csv"
+        for argv, what in ((["simulate", "--config", sim], "simulation"),
+                           (["sweep", "--config", sweep, "--out", str(rows)],
+                            "sweep")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, None)
+            assert err.startswith(f"error: bad {what} config")
+            assert "implemented for qubits" in err
+        assert not rows.exists()
+
     def test_bad_povm_spec(self, capsys):
         code, _, err = run(capsys, "fisher", "--povm", "unknown-name",
                            "--state", "bloch:0,0,0")

@@ -7,7 +7,6 @@ from conftest import (
     random_full_rank,
     random_povm,
     random_pure,
-    random_rank_one_povm,
     random_two_copy_povm,
 )
 from fisym.designs import sic_qubit
@@ -31,13 +30,7 @@ from fisym.povm import (
     great_circle_qubit,
     twocopy_design_povm,
 )
-from fisym.states import (
-    AffineMixed,
-    BlochQubit,
-    DensityMatrix,
-    PureCanonical,
-    density_from_bloch,
-)
+from fisym.states import AffineMixed, BlochQubit, PureCanonical
 
 
 def sic_single_qubit():

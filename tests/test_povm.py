@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_two_copy_povm
 from fisym.designs import OperatorSet, WeightedStateSet, sic_d3, sic_qubit
-from fisym.matcore import antisym_projector, kron, sym_projector
+from fisym.matcore import kron, sym_projector
 from fisym.povm import (
     Povm,
     classify_coherent,

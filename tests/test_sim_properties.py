@@ -47,6 +47,13 @@ log-likelihood it returns must be that of the full model at the returned
 point, sum over n_k > 0 of n_k log p_k, for random one- and two-copy
 POVMs and counts with zeros, so no probabilities of an earlier point
 survive into the result.
+
+Each Newton system of the MLE is solved by ``tomosim._ldl_solve``, an
+LDL^T factorization in Python floats that also decides definiteness.
+For a symmetric A = Q diag(lambda) Q^T it must solve A d = b to a
+residual of rounding relative to |A| |d| where min lambda exceeds
+1e-8 max |lambda|, and return None where min lambda is below
+-1e-8 max |lambda| or A is not finite, at any scale.
 """
 
 import warnings
@@ -68,9 +75,9 @@ from fisym.states import (_PAULI, BlochQubit, _bloch_states,
                           tangent_ops)
 from fisym._tol import CLIP_MARGIN, INTERIOR_CLIP
 from fisym.tomosim import (SCHEMES, _analytic_columns, _estimate,
-                           _linear_bloch, _linear_system, _mle_bloch,
-                           _quad_model, _sampling_probs, _scheme_setup,
-                           asymptotic_metrics, scheme_povm)
+                           _ldl_solve, _linear_bloch, _linear_system,
+                           _mle_bloch, _quad_model, _sampling_probs,
+                           _scheme_setup, asymptotic_metrics, scheme_povm)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -344,6 +351,57 @@ def test_linear_system_keeps_the_sym_power_classes(p, s):
     # the least-squares solve turns rounding into cond(rows) times as much
     tol = max(1e-12, 1e-14 * np.linalg.cond(system.rows))
     assert np.max(np.abs(_linear_bloch(probs[None], system)[0] - s)) <= tol
+
+
+@st.composite
+def symmetric_systems(draw):
+    """A = Q diag(lambda) Q^T with Q the rotation of a unit quaternion and
+    the lambda of any sign, max |lambda| = c, and b = c v with v in
+    [-1, 1]^3, at a scale c of 1e-100 to 1e100."""
+    w, x, y, z = draw(hnp.arrays(float, 4, elements=unit))
+    norm2 = w * w + x * x + y * y + z * z
+    assume(norm2 > 0.01)
+    q = np.eye(3) + 2.0 / norm2 * np.array(
+        [[-y * y - z * z, x * y - z * w, x * z + y * w],
+         [x * y + z * w, -x * x - z * z, y * z - x * w],
+         [x * z - y * w, y * z + x * w, -x * x - y * y]])
+    lam = draw(hnp.arrays(float, 3, elements=unit))
+    assume(np.any(lam != 0.0))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    lam = scale * (lam / np.max(np.abs(lam)))
+    b = scale * draw(hnp.arrays(float, 3, elements=unit))
+    return q @ np.diag(lam) @ q.T, lam, b
+
+
+@settings(max_examples=300)
+@given(system=symmetric_systems())
+@example(system=(np.diag([1.0, 3e-8, 2.0]), np.array([1.0, 3e-8, 2.0]),
+                 np.array([1.0, -1.0, 0.5])))
+@example(system=(np.array([[1e-9, 1.0, 0.0], [1.0, 1e-9, 0.0],
+                           [0.0, 0.0, 1.0]]),
+                 np.array([1.0 + 1e-9, -1.0 + 1e-9, 1.0]),
+                 np.array([1.0, 0.0, 0.0])))
+def test_ldl_solve_decides_definiteness_and_solves(system):
+    a, lam, b = system
+    d = _ldl_solve(a, b)
+    top = np.max(np.abs(lam))
+    if lam.min() > 1e-8 * top:
+        assert d is not None
+        residual = np.linalg.norm(a @ d - b)
+        assert residual <= 1e-13 * np.linalg.norm(a, 2) * np.linalg.norm(d)
+    elif lam.min() < -1e-8 * top:
+        assert d is None
+
+
+@settings(max_examples=50)
+@given(system=symmetric_systems())
+def test_ldl_solve_refuses_a_non_finite_system(system):
+    a, _, b = system
+    for i, j in zip(*np.tril_indices(3)):
+        for value in (np.nan, np.inf, -np.inf):
+            bad = a.copy()
+            bad[i, j] = bad[j, i] = value
+            assert _ldl_solve(bad, b) is None
 
 
 def _kkt_residuals(p, counts):

@@ -9,8 +9,8 @@ from fisym import tomosim
 from fisym.cli import main
 from fisym.opfile import povm_to_obj, save_json
 from fisym.povm import (NAMED_POVMS, Povm, classify_coherent,
-                        collective_sic_qubit,
-                        twocopy_design_povm, validate_povm)
+                        minimal_tight_coherent_d3, twocopy_design_povm,
+                        validate_povm)
 from fisym.designs import sic_qubit
 from fisym.states import BlochQubit, density_from_bloch
 from fisym.tomosim import (
@@ -173,6 +173,19 @@ class TestCustomPovmIsChecked:
         with pytest.raises(ValueError) as exc:
             sweep(SweepConfig(radii=(0.0, 0.5), **runs))
         assert str(exc.value) == not_a_povm_message(p)
+
+    @pytest.mark.parametrize("estimator", ["linear", "mle"])
+    def test_a_measurement_beyond_qubits_is_refused_at_construction(
+            self, estimator):
+        # the 18-element tight coherent POVM of d = 3 is a measurement,
+        # but the estimators are for qubits
+        p = minimal_tight_coherent_d3()
+        runs = {"scheme": "custom", "n_copies": 100, "n_trials": 2,
+                "seed": 1, "estimator": estimator, "povm": p}
+        for config in (lambda: SimConfig(bloch=(0.0, 0.0, 0.0), **runs),
+                       lambda: SweepConfig(radii=(0.0, 0.5), **runs)):
+            with pytest.raises(ValueError, match="implemented for qubits"):
+                config()
 
 
 def mixed_two_copy_povm():
@@ -385,20 +398,17 @@ class TestMleEstimator:
     def test_singular_newton_system_falls_back_to_the_gradient(
             self, monkeypatch):
         # all counts on one collective-SIC outcome: from this start A is
-        # singular and solve raises; b lies in the range of A, so the
-        # minimum-norm least-squares step still ascends, and the ascent
-        # reaches the maximizer at the clip
+        # singular, so a pivot of its LDL^T is not positive; b lies in the
+        # range of A, so the minimum-norm least-squares step still ascends,
+        # and the ascent reaches the maximizer at the clip
         singular = []
-        solve = np.linalg.solve
+        lstsq = np.linalg.lstsq
 
-        def counted_solve(a, b):
-            try:
-                return solve(a, b)
-            except np.linalg.LinAlgError:
-                singular.append(a)
-                raise
+        def counted_lstsq(a, b, rcond):
+            singular.append(a)
+            return lstsq(a, b, rcond=rcond)
 
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
         model = _quad_model(scheme_povm("collective-sic"))
         counts = np.array([0.0, 7.0, 0.0, 0.0, 0.0])
         u = np.array([1.0, -1.0, -1.0]) / np.sqrt(3.0)
@@ -421,7 +431,7 @@ class TestMleEstimator:
             return probs(model, s)
 
         monkeypatch.setattr(tomosim._QuadModel, "probs", counted_probs)
-        monkeypatch.setattr(np.linalg, "solve",
+        monkeypatch.setattr(tomosim, "_ldl_solve",
                             lambda a, b: np.full(3, np.inf))
         model = _quad_model(scheme_povm("collective-sic"))
         start = np.array([0.1, 0.2, -0.1])
@@ -430,6 +440,29 @@ class TestMleEstimator:
         assert np.array_equal(s, start) and np.isfinite(f)
         assert np.linalg.norm(s) <= INTERIOR_CLIP
         assert evals[0] == 1  # the start alone
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_newton_system_ends_the_ascent(self, monkeypatch,
+                                                      value):
+        # gradients that are not finite make A d = b not finite, and no
+        # pivot of A positive and finite; lstsq must not see the system:
+        # on NaN it prints LAPACK's "On entry to DLASCL" to the process's
+        # stderr and raises, and on inf it does not return
+        grads = tomosim._QuadModel.grads
+
+        def lstsq(*args, **kwargs):
+            raise AssertionError("lstsq on a system that is not finite")
+
+        monkeypatch.setattr(tomosim._QuadModel, "grads",
+                            lambda model, s: np.full_like(grads(model, s),
+                                                          value))
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        model = _quad_model(scheme_povm("collective-sic"))
+        start = np.array([0.1, 0.2, -0.1])
+        with np.errstate(invalid="ignore"):  # inf - inf in the products
+            s, f = tomosim._mle_bloch(np.array([3.0, 1.0, 2.0, 0.0, 1.0]),
+                                      model, start, INTERIOR_CLIP)
+        assert np.array_equal(s, start) and np.isfinite(f)
 
     def test_newton_step_past_the_ball_is_halved_into_it(self):
         # three observed outcomes of a six-outcome POVM: l is nearly flat

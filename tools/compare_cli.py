@@ -17,7 +17,8 @@ N, with a near-pure sweep and an oversized ``n_copies`` among them, and
 ``--param`` chart at pure and mixed states of d = 2 and 3, an unknown
 ``--param`` and ``fisher --help``; ``fisher`` on the one-element POVM
 {1}, whose Fisher matrix is 0, at a Bloch state; ``simulate`` and
-``sweep`` on custom files that are no POVM; and the usage errors of ``build`` (a missing
+``sweep`` on custom files that are no POVM and on the qutrit POVM
+``tight-coherent-d3.json``; and the usage errors of ``build`` (a missing
 ``--design`` or ``--source``, an unfit input file), an unknown ``build``
 name and ``verify`` kind, and ``simulate`` and ``sweep`` on
 collective-sic with an odd ``n_copies``.
@@ -58,6 +59,18 @@ that mended them, and only these:
   says of them, where ``simulate`` on ``not-positive.json`` used to run
   (exit 0) and the other three to exit 3 with "numerical failure" in the
   Monte Carlo.
+- ``simulate`` and ``sweep`` on the qutrit POVM ``tight-coherent-d3.json``
+  (``sim-d3.json``, ``sweep-d3.json``): exit 2, "bad simulation config"
+  or "bad sweep config", "simulation estimators are implemented for
+  qubits", where they used to exit 3 with "numerical failure".
+- ``simulate`` with the MLE at ``n_copies`` 10 and 40 (16 requests) and
+  the two MLE sweeps, ``sweep-collective-sic-mle.json`` and
+  ``sweep-custom-mle.json``, against a tree that decided definiteness
+  with ``eigvalsh`` and solved Newton's system with ``solve``: the
+  numbers move by at most 1e-8 relative (7.6e-9 measured).  The 3 x 3
+  LDL^T in Python floats rounds differently, and where ascents from two
+  starts end about 1e-9 apart with likelihoods equal to the rounding of
+  l, that rounding decides which one is kept.
 
 Each request's output files are deleted before it runs, so a request
 that fails before writing shows no file rather than the last request's.
@@ -265,6 +278,13 @@ def _requests():
         requests.append((["simulate", "--config", f"sim-{povm}"], []))
         requests.append((["sweep", "--config", f"sweep-{povm}", "--out",
                           "rows.csv"], ["rows.csv"]))
+    # a measurement, but on a qutrit: the estimators are for qubits
+    d3 = {"scheme": "custom", "povm": "tight-coherent-d3.json", **runs}
+    inputs["sim-d3.json"] = {**d3, "bloch": [0.3, -0.2, 0.5]}
+    inputs["sweep-d3.json"] = {**d3, "radii": [0.0, 0.4]}
+    requests.append((["simulate", "--config", "sim-d3.json"], []))
+    requests.append((["sweep", "--config", "sweep-d3.json", "--out",
+                      "rows.csv"], ["rows.csv"]))
     odd = {"scheme": "collective-sic", "n_copies": 201, "n_trials": 5,
            "seed": 7}
     inputs["sim-odd.json"] = {**odd, "bloch": [0.3, -0.2, 0.5]}
