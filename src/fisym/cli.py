@@ -302,15 +302,13 @@ def _run_config(cls, path, what: str):
     """``cls(**obj)`` for the JSON object in the config file ``path``, its
     ``povm`` operator-file path replaced by the POVM it holds
     (:func:`_povm_file`).  A config that the dataclass or the operator
-    file rejects is a usage error."""
+    file rejects is a usage error; the dataclass checks the whole run,
+    its POVM included, before any trial."""
     obj = _load(path)
     try:
         if not isinstance(obj, dict):
             raise TypeError("config must be a JSON object")
         if "povm" in obj:
-            if obj.get("scheme") != "custom":
-                raise ValueError('a "povm" file is read only with "scheme": '
-                                 '"custom"')
             obj = {**obj, "povm": _povm_file(obj["povm"])}
         return cls(**obj)
     except (TypeError, ValueError, OverflowError) as exc:

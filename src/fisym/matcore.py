@@ -125,15 +125,12 @@ def antisym_projector(d: int) -> np.ndarray:
     return 0.5 * (np.eye(d * d, dtype=complex) - swap_operator(d))
 
 
-def mat_power(
-    a: np.ndarray, p: float, allow_pseudoinverse: bool = False
-) -> np.ndarray:
+def mat_power(a: np.ndarray, p: float) -> np.ndarray:
     """Hermitian matrix power A^p through the spectral decomposition.
 
     Eigenvalues in [-``_tol.NULL_TOL``, 0) are clipped to zero.  More
-    negative ones reject the input as not PSD.  For p < 0, eigenvalues at
-    or below ``NULL_TOL`` either raise or, with ``allow_pseudoinverse``,
-    are excluded from inversion (pseudoinverse convention).
+    negative ones reject the input as not PSD.  For p < 0, an eigenvalue
+    at or below ``NULL_TOL`` rejects it as singular.
     """
     h = require_hermitian(a)
     if h.ndim != 2:
@@ -148,14 +145,6 @@ def mat_power(
             f"matrix has negative eigenvalue {vals.min():.3e}, not PSD"
         )
     vals = np.clip(vals, 0.0, None)
-    if p < 0:
-        null = vals <= _tol.NULL_TOL
-        if np.any(null) and not allow_pseudoinverse:
-            raise ValueError("matrix is singular at this tolerance; "
-                             "pass allow_pseudoinverse to skip the null space")
-        out = np.zeros_like(vals)
-        out[~null] = vals[~null] ** p
-        vals = out
-    else:
-        vals = vals ** p
-    return hermitian_part((v * vals) @ v.conj().T)
+    if p < 0 and np.any(vals <= _tol.NULL_TOL):
+        raise ValueError("matrix is singular at this tolerance")
+    return hermitian_part((v * vals ** p) @ v.conj().T)

@@ -44,7 +44,6 @@ from .states import DensityMatrix
 
 __all__ = [
     "matrix_to_json",
-    "json_to_matrix",
     "povm_to_obj",
     "obj_to_povm",
     "state_set_to_obj",
@@ -97,12 +96,6 @@ def _stack(matrices: list) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def json_to_matrix(obj) -> np.ndarray:
-    """Complex matrix from nested rows of [re, im] pairs: the stack of
-    one that :func:`_stack` reads."""
-    return _stack([obj])[0]
 
 
 def _column(obj, key: str, convert):

@@ -25,9 +25,10 @@ Born-rule contraction for their sampling probabilities, one count
 matrix over every grid point and trial, one least-squares solve for all
 linear estimates, and the error metrics in closed form from Bloch
 vectors, stacked and reduced along the trial axis in one pass.  The
-scheme is set up once, from its Pauli-basis model alone: the model
-serves the MLE, gives the linear system of single-copy and two-copy
-POVMs alike, and gives a sweep's analytic columns.
+scheme is set up once, when its config is checked, from its Pauli-basis
+model alone: the model serves the MLE, gives the linear system of
+single-copy and two-copy POVMs alike, and gives a sweep's analytic
+columns.
 """
 
 from __future__ import annotations
@@ -79,26 +80,21 @@ _MLE_MAX_ITER = 200
 _STARTS = np.vstack([np.zeros(3), 0.05 * np.eye(3)])
 
 
-def _require_qubit(p: Povm) -> None:
-    if p.base_dim != 2:
-        raise ValueError("simulation estimators are implemented for qubits")
-
-
 def _validate_run(config) -> None:
-    """Checks shared by :class:`SimConfig` and :class:`SweepConfig`.
-    ``n_copies``, ``n_trials`` and ``seed`` become ints and
-    ``interior_clip`` a float; a value that is not a JSON integer (a
-    bool, a string, a fraction), or for the clip a JSON number, raises
-    ValueError, as does a custom POVM that is not positive and complete
-    (:func:`povm._require_povm`) or not on qubits."""
-    config.n_copies = _integer(config.n_copies)
-    config.n_trials = _integer(config.n_trials)
-    config.seed = _integer(config.seed)
-    config.interior_clip = _number(config.interior_clip)
+    """Checks shared by :class:`SimConfig` and :class:`SweepConfig`, and
+    the run's set-up.  ``n_copies``, ``n_trials`` and ``seed`` become
+    ints; a value that is not a JSON integer (a bool, a string, a
+    fraction) raises ValueError, as does a scheme and POVM that
+    :func:`scheme_povm` refuses, a custom POVM that is not positive and
+    complete (:func:`povm._require_povm`), and one that
+    :func:`_scheme_setup` refuses.  The scheme is set up here, once per
+    config, and kept in ``config._setup`` for the run; the config is
+    frozen, so neither goes stale."""
+    for name in ("n_copies", "n_trials", "seed"):
+        object.__setattr__(config, name, _integer(getattr(config, name)))
     p = scheme_povm(config.scheme, config.povm)
     if config.scheme == "custom":
         _require_povm(p)
-        _require_qubit(p)
     if config.estimator not in ("mle", "linear"):
         raise ValueError("estimator must be 'mle' or 'linear'")
     if config.n_trials < 1:
@@ -112,18 +108,17 @@ def _validate_run(config) -> None:
         raise ValueError(f"n_copies must be a positive multiple of {p.copies}")
     if config.seed < 0:
         raise ValueError("seed must be nonnegative")
-    if not (0.0 < config.interior_clip < 1.0):
-        raise ValueError("interior_clip must be in (0, 1)")
+    object.__setattr__(config, "_setup", _scheme_setup(p, config.estimator))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """One Monte Carlo experiment; its fields are the keys of a
     ``fisym simulate`` config file.
 
     ``n_copies`` is the total number of input copies per trial; it must be
-    divisible by the POVM's copy count.  ``interior_clip`` bounds estimate
-    Bloch radii away from 1 so Bures distances stay finite.
+    divisible by the POVM's copy count.  ``povm`` is the POVM of the scheme
+    "custom", and only of it.
     """
 
     scheme: str
@@ -133,12 +128,12 @@ class SimConfig:
     seed: int
     estimator: str = "mle"
     povm: Povm | None = None
-    interior_clip: float = _tol.INTERIOR_CLIP
+    _setup: _Scheme = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate_run(self)
-        self.bloch = tuple(float(x) for x in _bloch_vector(
-            [_number(x) for x in self.bloch]))
+        bloch = _bloch_vector([_number(x) for x in self.bloch])
+        object.__setattr__(self, "bloch", tuple(map(float, bloch)))
 
 
 @dataclass
@@ -175,11 +170,14 @@ class SimResult:
 
 
 def scheme_povm(scheme: str, custom: Povm | None = None) -> Povm:
-    """Resolve a scheme to a POVM of ``povm.NAMED_POVMS`` or to ``custom``."""
+    """Resolve a scheme to a POVM of ``povm.NAMED_POVMS`` or to ``custom``,
+    which the scheme "custom" needs and no other scheme takes."""
     if scheme == "custom":
         if custom is None:
             raise ValueError("custom scheme needs an explicit POVM")
         return custom
+    if custom is not None:
+        raise ValueError('a "povm" file is read only with "scheme": "custom"')
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     return NAMED_POVMS[scheme]
@@ -485,7 +483,7 @@ def _mle_bloch(
 
 @dataclass
 class _Scheme:
-    """What estimation needs from a POVM, built once per run or sweep:
+    """What estimation needs from a POVM, built once per config:
     its Pauli model, which the MLE and a sweep's analytic columns read,
     the linear system that :func:`_linear_system` reads from the model,
     with no eigendecomposition, and the MLE's starts."""
@@ -510,7 +508,8 @@ def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
     convex set, so one ascent from s0 finds its global maximizer.  A
     quadratic model's likelihood need not be concave, so it also starts
     from s0 + 0.05 e_i for each axis i."""
-    _require_qubit(p)
+    if p.base_dim != 2:
+        raise ValueError("simulation estimators are implemented for qubits")
     model = _quad_model(p)
     mle = estimator == "mle"
     if mle:
@@ -525,18 +524,19 @@ def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
     return _Scheme(p, model, linsys, mle, starts)
 
 
-def _estimate(counts: np.ndarray, setup: _Scheme,
-              clip: float = _tol.INTERIOR_CLIP) -> np.ndarray:
+def _estimate(counts: np.ndarray, setup: _Scheme) -> np.ndarray:
     """Bloch estimates for a (trials, outcomes) count array: the linear
     inversion projected into the unit ball, or the MLE over the ball
-    clipped at ``clip``, one trial at a time: one :func:`_mle_bloch`
-    ascent per start of the scheme, from s0 projected into the clipped
-    ball and moved by the start's offset (which the ascent projects
-    again), keeping the first of the highest likelihood."""
+    clipped at ``_tol.INTERIOR_CLIP``, which keeps Bures distances
+    finite, one trial at a time: one :func:`_mle_bloch` ascent per start
+    of the scheme, from s0 projected into the clipped ball and moved by
+    the start's offset (which the ascent projects again), keeping the
+    first of the highest likelihood."""
     s_lin = (np.zeros((len(counts), 3)) if setup.linsys is None
              else _linear_bloch(counts, setup.linsys))
     if not setup.mle:
         return _to_ball(s_lin)
+    clip = _tol.INTERIOR_CLIP
     estimates = []
     for c, s0 in zip(counts, s_lin):
         s0 = _project(s0, clip)
@@ -557,9 +557,7 @@ def estimate_linear_qubit(counts, p: Povm) -> DensityMatrix:
                                         _scheme_setup(p, "linear"))[0])
 
 
-def estimate_mle_qubit(
-    counts, p: Povm, interior_clip: float = _tol.INTERIOR_CLIP
-) -> DensityMatrix:
+def estimate_mle_qubit(counts, p: Povm) -> DensityMatrix:
     """Maximum-likelihood qubit estimate over the clipped Bloch ball.
 
     The projected damped-Newton ascent of :func:`_mle_bloch` from the
@@ -571,15 +569,15 @@ def estimate_mle_qubit(
     linear start's.
     """
     counts = _check_counts(counts, p.size)
-    return density_from_bloch(_estimate(
-        counts[None], _scheme_setup(p, "mle"), interior_clip)[0])
+    return density_from_bloch(_estimate(counts[None],
+                                        _scheme_setup(p, "mle"))[0])
 
 
 _ERROR_FIELDS = ("scaled_mse", "scaled_msb", "scaled_infidelity",
                  "mse_stderr", "msb_stderr", "infidelity_stderr")
 
 
-def _simulate(setup: _Scheme, config, bloch: np.ndarray, seeds) -> list[dict]:
+def _simulate(config, bloch: np.ndarray, seeds) -> list[dict]:
     """Monte Carlo runs at the states of a (g, 3) array of Bloch vectors,
     point a with seed ``seeds[a]``, as one batch.
 
@@ -595,9 +593,10 @@ def _simulate(setup: _Scheme, config, bloch: np.ndarray, seeds) -> list[dict]:
     infidelities of every estimate from its point's vector are stacked,
     and one mean and one standard deviation along the trial axis reduce
     them.  ``config`` (a :class:`SimConfig` or :class:`SweepConfig`) gives
-    the copies, trials and clip.  Returns, per point, the fields of
-    :class:`SimResult` other than ``config``.
+    the scheme it set up, the copies and the trials.  Returns, per point,
+    the fields of :class:`SimResult` other than ``config``.
     """
+    setup = config._setup
     p = setup.povm
     n_meas = config.n_copies // p.copies
     probs = _sampling_probs(_bloch_states(bloch), p)
@@ -609,9 +608,8 @@ def _simulate(setup: _Scheme, config, bloch: np.ndarray, seeds) -> list[dict]:
     words = stream_states(seeds, np.arange(nt))
     counts = np.array([[seeded_rng(w).multinomial(n_meas, pr) for w in ws]
                        for ws, pr in zip(words, probs)])
-    clip = config.interior_clip
-    s_hat = _estimate(counts.reshape(-1, p.size).astype(float), setup,
-                      clip).reshape(len(bloch), nt, 3)
+    s_hat = _estimate(counts.reshape(-1, p.size).astype(float),
+                      setup).reshape(len(bloch), nt, 3)
     radii = np.linalg.norm(s_hat, axis=-1)
     if not (np.all(np.isfinite(s_hat))
             and np.all(radii <= 1.0 + _tol.NORM_TOL)):
@@ -628,7 +626,8 @@ def _simulate(setup: _Scheme, config, bloch: np.ndarray, seeds) -> list[dict]:
     # rows in _ERROR_FIELDS order: the means, then their standard errors
     fields = np.concatenate([means, n * errors.std(axis=-1, ddof=1)
                              / np.sqrt(nt) if nt > 1 else 0.0 * means])
-    n_clipped = np.count_nonzero(radii >= clip - _tol.CLIP_MARGIN, axis=1)
+    n_clipped = np.count_nonzero(
+        radii >= _tol.INTERIOR_CLIP - _tol.CLIP_MARGIN, axis=1)
     totals = counts.sum(axis=1)
     return [{**dict(zip(_ERROR_FIELDS, map(float, fields[:, a]))),
              "n_clipped": int(n_clipped[a]), "counts_total": totals[a]}
@@ -641,10 +640,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     Deterministic in the seed: trial i uses the RNG stream keyed by
     (seed, i) regardless of how many trials run.
     """
-    setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
-                          config.estimator)
     return SimResult(config=config, **_simulate(
-        setup, config, np.array([config.bloch]), [config.seed])[0])
+        config, np.array([config.bloch]), [config.seed])[0])
 
 
 def _inverse_fisher(i_mats: np.ndarray) -> np.ndarray:
@@ -663,17 +660,14 @@ def asymptotic_metrics(param: Parametrization, p: Povm, weight="hs") -> float:
     chart, with I from :func:`fisher.fisher_matrix`.
 
     ``weight`` selects the Hilbert-Schmidt matrix W_ab = tr(t_a t_b)
-    ('hs'), the Bures matrix J/4 ('msb', J the quantum Fisher matrix of
+    ('hs') or the Bures matrix J/4 ('msb', J the quantum Fisher matrix of
     :func:`states.qfi_matrix`, whose tangents the chart checked when it
-    was built), or any explicit matrix; only the selected one is
-    computed.  :func:`sweep` evaluates the same quantities for the
-    Bloch chart in closed form.
+    was built); only the selected one is computed.  :func:`sweep`
+    evaluates the same quantities for the Bloch chart in closed form.
     """
     i_inv = _inverse_fisher(fisher_matrix(param, p)[None])[0]
     tangents = tangent_ops(param)
-    if not isinstance(weight, str):
-        w = np.asarray(weight, dtype=float)
-    elif weight == "hs":
+    if weight == "hs":
         w = np.einsum("aij,bji->ab", tangents, tangents).real
     elif weight == "msb":
         w = _qfi(param.base(), tangents) / 4.0
@@ -715,7 +709,7 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
             copies * (tr_inv + radial / (1.0 - r * r)) / 4.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     """Bloch-radius sweep of one scheme at fixed direction; its fields
     are the keys of a ``fisym sweep`` config file."""
@@ -728,18 +722,18 @@ class SweepConfig:
     direction: tuple = (1.0, 0.0, 0.0)
     estimator: str = "mle"
     povm: Povm | None = None
-    interior_clip: float = _tol.INTERIOR_CLIP
+    _setup: _Scheme = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate_run(self)
-        self.direction = tuple(_unit_vector(np.array(
-            [_number(x) for x in self.direction]).reshape(3), "direction"))
+        object.__setattr__(self, "direction", tuple(_unit_vector(np.array(
+            [_number(x) for x in self.direction]).reshape(3), "direction")))
         radii = tuple(_number(s) for s in self.radii)
         if not radii:
             raise ValueError("need at least one radius")
         if not all(0.0 <= s < 1.0 for s in radii):
             raise ValueError("radii must lie in [0, 1)")
-        self.radii = radii
+        object.__setattr__(self, "radii", radii)
 
 
 SWEEP_COLUMNS = ("s", "scheme", "scaled_mse", "mse_stderr",
@@ -753,21 +747,20 @@ def sweep(config: SweepConfig) -> list[dict]:
     its trials draw from the streams keyed by (that seed, i) and each row
     equals an independent :func:`run_simulation` there.  Rows carry the
     scaled Monte Carlo errors next to the asymptotic values
-    t * tr(W I^{-1}).  The scheme is set up once for the whole grid, and
-    the whole grid is one Monte Carlo batch (:func:`_simulate`): one
-    stack of states, one count matrix for every point and trial and one
-    estimate pass.  The analytic columns come from ``setup.model``, the
-    scheme's Pauli model, for the whole grid at once
-    (:func:`_analytic_columns`), with one batched singular-I check and
+    t * tr(W I^{-1}).  The scheme, set up when the config was checked,
+    serves the whole grid, and the whole grid is one Monte Carlo batch
+    (:func:`_simulate`): one stack of states, one count matrix for every
+    point and trial and one estimate pass.  The analytic columns come
+    from ``setup.model``, the scheme's Pauli model, for the whole grid at
+    once (:func:`_analytic_columns`), with one batched singular-I check and
     one batched inverse; they equal :func:`asymptotic_metrics` of the
     point's :class:`BlochQubit` chart to rounding.  No step builds a
     :class:`DensityMatrix` or classifies the POVM's elements.
     """
-    setup = _scheme_setup(scheme_povm(config.scheme, config.povm),
-                          config.estimator)
+    setup = config._setup
     bloch = np.outer(config.radii, config.direction)
-    sims = _simulate(setup, config, bloch, [config.seed + 99991 * idx
-                                            for idx in range(len(bloch))])
+    sims = _simulate(config, bloch, [config.seed + 99991 * idx
+                                     for idx in range(len(bloch))])
     mse, msb = _analytic_columns(setup.model, bloch, setup.povm.copies)
     return [{
         "s": s,

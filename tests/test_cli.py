@@ -12,7 +12,7 @@ import fisym
 from fisym import cli, fisher, states
 from fisym.cli import _choose_param, _parse_state, main
 from fisym.designs import OperatorSet, WeightedStateSet, mub, sic_qubit
-from fisym.opfile import (json_to_matrix, load_json, matrix_to_json,
+from fisym.opfile import (_stack, load_json, matrix_to_json,
                           operator_set_to_obj, povm_to_obj, save_json,
                           state_set_to_obj)
 from fisym.povm import NAMED_POVMS, Povm
@@ -108,7 +108,7 @@ class TestBuildVerify:
         path = str(tmp_path / "tc18.json")
         run(capsys, "build", "tight-coherent-d3", "--out", path)
         obj = load_json(path)
-        e = json_to_matrix(obj["elements"][0]["matrix"])
+        e = _stack([obj["elements"][0]["matrix"]])[0]
         marginal = e.reshape(3, 3, 3, 3).trace(axis1=0, axis2=2)
         psi = np.linalg.eigh(marginal)[1][:, -1]
         a = np.linalg.qr(np.column_stack([psi, np.eye(3)[:, :2]]))[0][:, 1]

@@ -26,7 +26,6 @@ from fisym.designs import OperatorSet, WeightedStateSet, sic_d3, sic_qubit
 from fisym.matcore import mat_power
 from fisym.opfile import (
     _stack,
-    json_to_matrix,
     load_json,
     matrix_to_json,
     obj_to_density,
@@ -214,7 +213,7 @@ def test_stack_reads_and_writes_every_part_bit_for_bit(matrices):
         complex).reshape(k, n, n)
     got = _stack(json.loads(json.dumps(matrices)))
     assert _bits(got) == _bits(expected)
-    assert _bits(got) == _bits(np.array([json_to_matrix(m)
+    assert _bits(got) == _bits(np.array([_stack([m])[0]
                                          for m in matrices]))
     # writer -> JSON text -> reader, and the writer's floats are those of
     # float() of each part, signed zeros included

@@ -6,7 +6,7 @@ from fisym.designs import (OperatorSet, WeightedStateSet, mub_state_set,
                            sic_d3, sic_qubit)
 from fisym.matcore import require_hermitian
 from fisym.opfile import (
-    json_to_matrix,
+    _stack,
     load_json,
     matrix_to_json,
     obj_to_operator_set,
@@ -23,18 +23,18 @@ from fisym.povm import collective_sic_qubit, twocopy_design_povm
 class TestMatrixCodec:
     def test_roundtrip(self, rng):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(json_to_matrix(matrix_to_json(m)), m)
+        assert np.array_equal(_stack([matrix_to_json(m)])[0], m)
 
     def test_malformed_entries(self):
         with pytest.raises(ValueError):
-            json_to_matrix([[1.0, 2.0]])
+            _stack([[[1.0, 2.0]]])
         with pytest.raises(ValueError):
-            json_to_matrix([[[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]]])
+            _stack([[[[1.0, 0.0]], [[1.0, 0.0]], [[1.0, 0.0]]]])
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_entries_rejected(self, x):
         with pytest.raises(ValueError, match="finite"):
-            json_to_matrix([[[1.0, 0.0], [0.0, x]], [[0.0, 0.0], [1.0, 0.0]]])
+            _stack([[[[1.0, 0.0], [0.0, x]], [[0.0, 0.0], [1.0, 0.0]]]])
 
 
 class TestPovmFiles:
@@ -185,8 +185,8 @@ class TestStackedStateSetReader:
         phases = np.exp(2j * np.pi * rng.uniform(size=s.size))
         obj = state_set_to_obj(WeightedStateSet(
             s.vectors * phases[:, None], s.weights))
-        expected = np.array([_vector_from_projector(json_to_matrix(
-            e["matrix"])) for e in obj["elements"]])
+        expected = np.array([_vector_from_projector(_stack(
+            [e["matrix"]])[0]) for e in obj["elements"]])
         got = obj_to_state_set(obj).vectors
         assert got.view(np.uint64).tolist() == expected.view(
             np.uint64).tolist()

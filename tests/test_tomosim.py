@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -54,6 +55,9 @@ class TestSchemePovm:
     def test_custom_requires_povm(self):
         with pytest.raises(ValueError):
             scheme_povm("custom")
+        # and only the scheme "custom" takes one
+        with pytest.raises(ValueError, match='only with "scheme": "custom"'):
+            scheme_povm("sic-single", z_basis_povm())
         p = scheme_povm("custom", z_basis_povm())
         assert p.size == 2
 
@@ -319,14 +323,6 @@ class TestMleEstimator:
         assert np.linalg.norm(grad) <= 1e-6 * counts.sum()
         assert abs(s[0] - 0.544160) < 1e-6
 
-    def test_estimate_respects_clip(self):
-        p = scheme_povm("sic-single")
-        # all mass on one outcome pulls the estimate to the boundary
-        counts = np.array([500.0, 0.0, 0.0, 0.0])
-        clip = 0.9
-        est = estimate_mle_qubit(counts, p, interior_clip=clip)
-        assert np.linalg.norm(bloch_of(est)) <= clip
-
     @pytest.mark.parametrize("name, counts", [
         ("collective-sic", [500, 0, 0, 0, 0]),
         ("collective-sic", [0, 0, 0, 500, 0]),
@@ -519,7 +515,7 @@ class TestNotInformationallyComplete:
     @pytest.mark.parametrize("estimator", ["linear", "mle"])
     @pytest.mark.parametrize("p", not_ic_povms(),
                              ids=["z-basis", "great-circle"])
-    def test_cli_exits_3_before_any_trial(self, capsys, tmp_path,
+    def test_cli_exits_2_before_any_trial(self, capsys, tmp_path,
                                           monkeypatch, p, estimator):
         def no_trials(*args):
             raise AssertionError("the Monte Carlo ran")
@@ -529,15 +525,18 @@ class TestNotInformationallyComplete:
         save_json(povm_to_obj(p), povm_path)
         run = {"scheme": "custom", "povm": povm_path, "n_copies": 100,
                "n_trials": 2, "seed": 1, "estimator": estimator}
-        for command, extra in (("simulate", {"bloch": [0.3, 0.0, 0.0]}),
-                               ("sweep", {"radii": [0.0, 0.5]})):
+        for command, what, extra in (
+                ("simulate", "simulation", {"bloch": [0.3, 0.0, 0.0]}),
+                ("sweep", "sweep", {"radii": [0.0, 0.5]})):
             config = tmp_path / f"{command}.json"
             config.write_text(json.dumps({**run, **extra}))
             argv = [command, "--config", str(config)]
             if command == "sweep":
                 argv += ["--out", str(tmp_path / "rows.csv")]
-            assert main(argv) == 3
-            assert capsys.readouterr().err == f"numerical failure: {NOT_IC}\n"
+            # refused with the config, as a usage error
+            assert main(argv) == 2
+            assert (capsys.readouterr().err
+                    == f"error: bad {what} config: {NOT_IC}\n")
 
     def test_mle_starts_from_the_centre_without_a_linear_system(self):
         # no square outcome, or two square outcomes, whose rows have rank 2
@@ -607,10 +606,20 @@ class TestRunSimulation:
         {"bloch": (float("inf"), 0.0, 0.0)},
         {"bloch": (1.0, 1.0, 0.0)},
         {"n_copies": 401},
+        {"scheme": "sic-single", "povm": NAMED_POVMS["collective-sic"]},
     ])
     def test_config_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             self.base_config(**bad)
+
+    def test_configs_are_frozen(self):
+        # a field set after construction would skip the checks and leave
+        # the scheme's set-up stale
+        for config in (self.base_config(), SweepConfig(
+                scheme="collective-sic", radii=(0.5,), n_copies=400,
+                n_trials=1, seed=0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                config.estimator = "linear"
 
     def test_to_dict_serializable(self):
         r = run_simulation(self.base_config(n_trials=3))
@@ -688,13 +697,6 @@ class TestAsymptoticMetrics:
         assert asymptotic_metrics(par, p, "hs") == pytest.approx(4.5)
         assert asymptotic_metrics(par, p, "msb") == pytest.approx(2.25)
 
-    def test_explicit_weight_matrix(self):
-        par = BlochQubit([0.0, 0.0, 0.0])
-        p = scheme_povm("sic-single")
-        byname = asymptotic_metrics(par, p, "hs")
-        bymatrix = asymptotic_metrics(par, p, 0.5 * np.eye(3))
-        assert byname == pytest.approx(bymatrix)
-
     def test_singular_information_rejected(self):
         par = BlochQubit([0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
@@ -746,7 +748,8 @@ class TestSweep:
     def test_rows_match_independent_runs(self, scheme, estimator, seed,
                                          n_trials):
         # one batch per sweep must not change any grid point
-        custom = random_povm(np.random.default_rng(7), 2, 5)
+        custom = (random_povm(np.random.default_rng(7), 2, 5)
+                  if scheme == "custom" else None)
         config = SweepConfig(scheme=scheme, radii=(0.0, 0.4, 0.8),
                              n_copies=300, n_trials=n_trials, seed=seed,
                              direction=(1.0, -1.0, 0.5), estimator=estimator,
@@ -805,8 +808,8 @@ class TestSweep:
         {"scheme": "custom"},
         {"estimator": "nope"},
         {"n_trials": 0},
-        {"interior_clip": 1.0},
-        {"interior_clip": 0.0},
+        {"povm": NAMED_POVMS["sic-single"]},
+        {"scheme": "custom", "povm": z_basis_povm()},
         {"n_copies": 0},
         {"seed": -1},
         {"radii": (float("nan"),)},

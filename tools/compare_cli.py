@@ -18,7 +18,9 @@ N, with a near-pure sweep and an oversized ``n_copies`` among them, and
 ``--param`` and ``fisher --help``; ``fisher`` on the one-element POVM
 {1}, whose Fisher matrix is 0, at a Bloch state; ``simulate`` and
 ``sweep`` on custom files that are no POVM and on the qutrit POVM
-``tight-coherent-d3.json``; and the usage errors of ``build`` (a missing
+``tight-coherent-d3.json``; ``simulate`` and ``sweep`` that name
+``sic-single`` and also a valid ``povm`` file, which only ``custom``
+takes; and the usage errors of ``build`` (a missing
 ``--design`` or ``--source``, an unfit input file), an unknown ``build``
 name and ``verify`` kind, and ``simulate`` and ``sweep`` on
 collective-sic with an odd ``n_copies``.
@@ -28,9 +30,11 @@ that mended them, and only these:
 
 - ``simulate`` and ``sweep`` with the MLE on the custom POVMs
   ``z-basis.json`` and ``great-circle.json``, whose Bloch rows have rank
-  1 and 2: they exit 3, "POVM is not informationally complete for the
-  Bloch vector", where the MLE used to estimate from the centre (and a
-  sweep to fail after its Monte Carlo, on a singular Fisher matrix);
+  1 and 2: they exit 2, "bad simulation config" or "bad sweep config",
+  "POVM is not informationally complete for the Bloch vector", where
+  they used to exit 3 with that message as a numerical failure, and
+  before that the MLE estimated from the centre (and a sweep failed
+  after its Monte Carlo, on a singular Fisher matrix);
 - ``fisher`` at ``pure:1e308,1e308`` and ``pure:1e-320,1e-320``: a
   report, where the norm used to overflow or underflow and the state was
   refused;
@@ -292,6 +296,13 @@ def _requests():
     requests.append((["simulate", "--config", "sim-odd.json"], []))
     requests.append((["sweep", "--config", "sweep-odd.json", "--out",
                       "odd.csv"], ["odd.csv"]))
+    # a named scheme takes no POVM file, not even a valid one
+    named = {"scheme": "sic-single", "povm": "sic-single.json", **runs}
+    inputs["sim-named-povm.json"] = {**named, "bloch": [0.3, -0.2, 0.5]}
+    inputs["sweep-named-povm.json"] = {**named, "radii": [0.0, 0.4]}
+    requests.append((["simulate", "--config", "sim-named-povm.json"], []))
+    requests.append((["sweep", "--config", "sweep-named-povm.json", "--out",
+                      "rows.csv"], ["rows.csv"]))
     return inputs, requests
 
 
