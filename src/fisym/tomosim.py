@@ -203,17 +203,20 @@ def _pauli_coeffs(elements, copies: int = 1) -> np.ndarray:
 
 @dataclass
 class _QuadModel:
-    """Outcome probabilities as p(s) = c + L s + s^T M s over Bloch space."""
+    """Outcome probabilities as p(s) = c + L s + s^T M s over Bloch space,
+    with each M_k symmetric.  ``quad`` holds the M_k as a (k, 3, 3)
+    stack, or, in the MLE's restriction to the observed outcomes, as
+    their (3k, 3) rows, for which M s is one 2-D product."""
 
     c: np.ndarray
     lin: np.ndarray
     quad: np.ndarray
 
-    def probs(self, s: np.ndarray) -> np.ndarray:
-        return self.c + self.lin @ s + np.einsum("kab,a,b->k", self.quad, s, s)
-
-    def grads(self, s: np.ndarray) -> np.ndarray:
-        return self.lin + 2.0 * self.quad @ s
+    def evaluate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """p(s) = c + (L + M s) s and M s, shape (k, 3), from one product
+        M s; the gradients of p at s are then L + 2 M s."""
+        ms = self.quad.dot(s).reshape(-1, 3)
+        return self.c + (self.lin + ms).dot(s), ms
 
 
 def _quad_model(p: Povm) -> _QuadModel:
@@ -418,46 +421,57 @@ def _mle_bloch(
     or the system A d = b is not finite, or after ``_MLE_MAX_ITER``
     iterations.
 
-    The model is restricted to the observed outcomes once, with the M_k
-    also kept as rows of 9, so the curvature term is one product.  The
-    model is evaluated once per trial point: l comes with its
-    probabilities, and an accepted point's probabilities give the next
-    iteration's weights and gradient.  Returns the point and its
+    The model is restricted to the observed outcomes once, and laid out
+    there for one product per term: the M_k as (3k, 3) rows, so that
+    :meth:`_QuadModel.evaluate` forms M s in one product; -2 M_k as rows
+    of 9, so that -Hess l = G + w (-2 M) with w = n / p is one product;
+    and 1 / sqrt(n), so that G = U^T U with U = grad p (w / sqrt(n)).
+    The model is evaluated once per trial point: that one M s gives its
+    probabilities p = c + (L + M s) s, which l comes with, and, once the
+    point is accepted, the gradients L + 2 M s and the weights of the
+    next iteration.  The scalar tests (p > 0, |g|, s.s and g.s) run on
+    Python floats, as :func:`_ldl_solve` does, where numpy's per-call
+    cost would exceed the arithmetic.  Returns the point and its
     log-likelihood.
     """
     observed = counts > 0
     c_obs = counts[observed]
+    quad = model.quad[observed]
     obs = _QuadModel(model.c[observed], model.lin[observed],
-                     model.quad[observed])
-    quad9 = obs.quad.reshape(-1, 9)
+                     quad.reshape(-1, 3))
+    neg_quad9 = -2.0 * quad.reshape(-1, 9)
+    inv_root = 1.0 / np.sqrt(c_obs)
 
     def loglik(s):
-        pr = obs.probs(s)
-        if (pr <= 0.0).any():
-            return -np.inf, pr
-        return float(c_obs @ np.log(pr)), pr
+        pr, ms = obs.evaluate(s)
+        if min(pr.tolist()) <= 0.0:
+            return -math.inf, pr, ms
+        return float(c_obs.dot(np.log(pr))), pr, ms
 
     s = _project(init, clip)
-    f, pr = loglik(s)
-    if not np.isfinite(f):
+    f, pr, ms = loglik(s)
+    if not math.isfinite(f):
         s = np.zeros(3)
-        f, pr = loglik(s)
+        f, pr, ms = loglik(s)
     rounding = c_obs.size * np.finfo(float).eps  # of l, relative to |l|
     for _ in range(_MLE_MAX_ITER):
-        grads = obs.grads(s)
+        grads = obs.lin + 2.0 * ms
         w = c_obs / pr
-        g = w @ grads
-        if math.sqrt(g.dot(g)) <= _tol.MLE_GRAD_TOL:
+        g = w.dot(grads)
+        g0, g1, g2 = g.tolist()
+        if math.hypot(g0, g1, g2) <= _tol.MLE_GRAD_TOL:
             break
-        fisher = (grads.T * (w * w / c_obs)) @ grads
-        hess = fisher - 2.0 * (w @ quad9).reshape(3, 3)
+        u = grads.T * (w * inv_root)
+        fisher = u.dot(u.T)
+        hess = fisher + w.dot(neg_quad9).reshape(3, 3)
         d = _ldl_solve(hess, g)  # Newton's step, where -Hess l is definite
-        a = fisher if d is None else hess
-        r2, b = s @ s, g
-        if r2 >= (clip - _tol.CLIP_MARGIN) ** 2 and g @ s > 0.0:
+        a, b = (fisher if d is None else hess), g
+        s0, s1, s2 = s.tolist()
+        r2, gs = s0 * s0 + s1 * s1 + s2 * s2, g0 * s0 + g1 * s1 + g2 * s2
+        if r2 >= (clip - _tol.CLIP_MARGIN) ** 2 and gs > 0.0:
             # pressed against the clip: a Newton step along the sphere
             tan = np.eye(3) - np.outer(s, s) / r2
-            a = tan @ (a + (g @ s / r2) * np.eye(3)) @ tan + np.eye(3) - tan
+            a = tan @ (a + (gs / r2) * np.eye(3)) @ tan + np.eye(3) - tan
             b = tan @ g
             d = _ldl_solve(a, b)
         elif d is None:
@@ -471,13 +485,13 @@ def _mle_bloch(
         t = 1.0
         while True:  # backtrack along d to the first point that rises
             cand = _project(s + t * d, clip)
-            fc, pc = loglik(cand)
+            fc, pc, mc = loglik(cand)
             if fc > f:
                 break
-            if t <= 0.125 and not 0.5 * t * (b @ d) > rounding * abs(f):
+            if t <= 0.125 and not 0.5 * t * b.dot(d) > rounding * abs(f):
                 return s, f  # any rise left is rounding of l
             t *= 0.5
-        s, f, pr = cand, fc, pc
+        s, f, pr, ms = cand, fc, pc, mc
     return s, f
 
 
@@ -530,8 +544,10 @@ def _estimate(counts: np.ndarray, setup: _Scheme) -> np.ndarray:
     clipped at ``_tol.INTERIOR_CLIP``, which keeps Bures distances
     finite, one trial at a time: one :func:`_mle_bloch` ascent per start
     of the scheme, from s0 projected into the clipped ball and moved by
-    the start's offset (which the ascent projects again), keeping the
-    first of the highest likelihood."""
+    the start's offset (which the ascent projects again).  It keeps the
+    end of the first start whose log-likelihood is within k eps |l| of
+    the highest l, the rounding of l on which an ascent stops, so
+    rounding does not pick among ends that tie to within it."""
     s_lin = (np.zeros((len(counts), 3)) if setup.linsys is None
              else _linear_bloch(counts, setup.linsys))
     if not setup.mle:
@@ -540,9 +556,11 @@ def _estimate(counts: np.ndarray, setup: _Scheme) -> np.ndarray:
     estimates = []
     for c, s0 in zip(counts, s_lin):
         s0 = _project(s0, clip)
-        # max replaces its pick only by a strictly higher likelihood
-        estimates.append(max((_mle_bloch(c, setup.model, s0 + d, clip)
-                              for d in setup.starts), key=lambda a: a[1])[0])
+        ends = [_mle_bloch(c, setup.model, s0 + d, clip)
+                for d in setup.starts]
+        top = max(f for _, f in ends)
+        floor = top - np.count_nonzero(c) * np.finfo(float).eps * abs(top)
+        estimates.append(next(s for s, f in ends if f >= floor))
     return np.array(estimates)
 
 
@@ -565,8 +583,9 @@ def estimate_mle_qubit(counts, p: Povm) -> DensityMatrix:
     that raises the likelihood, with no gradient step: once for a
     single-copy POVM, whose likelihood is concave, and for a two-copy POVM
     also from the three perturbed starts that :func:`_scheme_setup` fixes,
-    keeping the best.  The returned log-likelihood never falls below the
-    linear start's.
+    keeping the first whose likelihood is within rounding of the best
+    (:func:`_estimate`).  The returned log-likelihood never falls below
+    the linear start's.
     """
     counts = _check_counts(counts, p.size)
     return density_from_bloch(_estimate(counts[None],
@@ -665,14 +684,14 @@ def asymptotic_metrics(param: Parametrization, p: Povm, weight="hs") -> float:
     was built); only the selected one is computed.  :func:`sweep`
     evaluates the same quantities for the Bloch chart in closed form.
     """
+    if not (isinstance(weight, str) and weight in ("hs", "msb")):
+        raise ValueError(f"unknown weight {weight!r}")
     i_inv = _inverse_fisher(fisher_matrix(param, p)[None])[0]
     tangents = tangent_ops(param)
     if weight == "hs":
         w = np.einsum("aij,bji->ab", tangents, tangents).real
-    elif weight == "msb":
-        w = _qfi(param.base(), tangents) / 4.0
     else:
-        raise ValueError(f"unknown weight {weight!r}")
+        w = _qfi(param.base(), tangents) / 4.0
     return float(p.copies * np.trace(w @ i_inv))
 
 

@@ -4,7 +4,10 @@ the batched trial loop.
 The MLE works on ``tomosim._quad_model``, the Born rule of a qubit POVM
 written as a quadratic in the Bloch vector.  It must reproduce the
 probabilities and gradients of ``fisher`` for any complete single-copy or
-two-copy POVM, swap-symmetric or not.
+two-copy POVM, swap-symmetric or not.  Its one evaluation takes one
+product M s and gives p = c + (L + M s) s, to 1e-13 of the Born rule,
+and M s, whose L + 2 M s must match the gradients and central
+differences of p, with M stacked or laid out as the MLE's (3k, 3) rows.
 
 ``run_simulation`` scores every trial with ``states.qubit_fidelity``, the
 closed form of Hubner (Phys. Lett. A 163, 239 (1992)), instead of the
@@ -76,8 +79,9 @@ from fisym.states import (_PAULI, BlochQubit, _bloch_states,
 from fisym._tol import CLIP_MARGIN, INTERIOR_CLIP
 from fisym.tomosim import (SCHEMES, _analytic_columns, _estimate,
                            _ldl_solve, _linear_bloch, _linear_system,
-                           _mle_bloch, _quad_model, _sampling_probs,
-                           _scheme_setup, asymptotic_metrics, scheme_povm)
+                           _mle_bloch, _quad_model, _QuadModel,
+                           _sampling_probs, _scheme_setup,
+                           asymptotic_metrics, scheme_povm)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -198,8 +202,18 @@ def test_quad_model_matches_born_rule(p, s):
     model = _quad_model(p)
     par = BlochQubit(s)
     _, grads = _probs_and_grads(par.base(), tangent_ops(par), p)
-    assert np.max(np.abs(model.probs(s) - outcome_probs(par.base(), p))) <= 1e-12
-    assert np.max(np.abs(model.grads(s) - grads)) <= 1e-12
+    pr, ms = model.evaluate(s)
+    assert np.max(np.abs(pr - outcome_probs(par.base(), p))) <= 1e-13
+    assert np.max(np.abs(model.lin + 2.0 * ms - grads)) <= 1e-12
+    # the MLE's layout of M, its (3k, 3) rows, gives the same evaluation
+    rows = _QuadModel(model.c, model.lin, model.quad.reshape(-1, 3))
+    for stacked, laid_out in zip((pr, ms), rows.evaluate(s)):
+        assert np.max(np.abs(stacked - laid_out)) <= 1e-15
+    # central differences of a quadratic are exact but for rounding
+    h = 1e-5
+    for a, e in enumerate(h * np.eye(3)):
+        fd = (model.evaluate(s + e)[0] - model.evaluate(s - e)[0]) / (2 * h)
+        assert np.max(np.abs(fd - (model.lin + 2.0 * ms)[:, a])) <= 1e-9
 
 
 @st.composite
@@ -281,8 +295,9 @@ def test_grid_probabilities_match_each_point(p, bloch, on_sphere):
        bloch=bloch_grids(), threshold=st.sampled_from([1e-12, 0.05, 0.3]))
 def test_accumulate_stack_matches_each_point(p, bloch, threshold):
     model = _quad_model(p)
-    probs = np.array([np.clip(model.probs(s), 0.0, None) for s in bloch])
-    grads = np.array([model.grads(s) for s in bloch])
+    evals = [model.evaluate(s) for s in bloch]
+    probs = np.array([np.clip(pr, 0.0, None) for pr, _ in evals])
+    grads = np.array([model.lin + 2.0 * ms for _, ms in evals])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stack, dropped = _accumulate(probs, grads, threshold)
@@ -381,14 +396,22 @@ def symmetric_systems(draw):
                            [0.0, 0.0, 1.0]]),
                  np.array([1.0 + 1e-9, -1.0 + 1e-9, 1.0]),
                  np.array([1.0, 0.0, 0.0])))
+@example(system=(np.array([[1e67, 0.0, 0.0], [0.0, 1e67, 7.76266755e50],
+                           [0.0, -7.15426829e50, 1e67]]),
+                 np.array([1e67, 1e67, 1e67]),
+                 np.full(3, 3.00801447e-134)))
 def test_ldl_solve_decides_definiteness_and_solves(system):
     a, lam, b = system
     d = _ldl_solve(a, b)
     top = np.max(np.abs(lam))
     if lam.min() > 1e-8 * top:
         assert d is not None
-        residual = np.linalg.norm(a @ d - b)
-        assert residual <= 1e-13 * np.linalg.norm(a, 2) * np.linalg.norm(d)
+        # d and b in units of d's largest entry: d can be so small (1e-201
+        # at the last example) that its squared norm underflows to 0
+        unit = np.max(np.abs(d)) or 1.0
+        residual = np.linalg.norm(a @ (d / unit) - b / unit)
+        assert residual <= (1e-13 * np.linalg.norm(a, 2)
+                            * np.linalg.norm(d / unit))
     elif lam.min() < -1e-8 * top:
         assert d is None
 
@@ -413,7 +436,8 @@ def _kkt_residuals(p, counts):
     assert np.all(np.isfinite(s))
     assert np.linalg.norm(s) <= INTERIOR_CLIP
     observed = counts > 0
-    g = (counts[observed] / model.probs(s)[observed]) @ model.grads(s)[observed]
+    pr, ms = model.evaluate(s)
+    g = (counts[observed] / pr[observed]) @ (model.lin + 2.0 * ms)[observed]
     r = np.linalg.norm(s)
     if r < INTERIOR_CLIP - CLIP_MARGIN:
         return np.linalg.norm(g), None
@@ -462,7 +486,7 @@ def test_mle_loglik_is_the_full_model_at_the_estimate(p, start, data):
         assume(False)
     s, loglik = _mle_bloch(counts, model, start, INTERIOR_CLIP)
     observed = counts > 0
-    full = counts[observed] @ np.log(model.probs(s)[observed])
+    full = counts[observed] @ np.log(model.evaluate(s)[0][observed])
     assert loglik == pytest.approx(full, rel=1e-12)
 
 
