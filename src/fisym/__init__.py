@@ -75,8 +75,6 @@ from .tomosim import (
     SimResult,
     SweepConfig,
     asymptotic_metrics,
-    estimate_linear_qubit,
-    estimate_mle_qubit,
     run_simulation,
     scheme_povm,
     sweep,

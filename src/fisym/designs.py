@@ -74,10 +74,6 @@ class WeightedStateSet:
         v = self.vectors
         return v[:, :, None] * v.conj()[:, None, :]
 
-    def weighted_sum(self) -> np.ndarray:
-        """sum_xi w_xi |psi_xi><psi_xi|."""
-        return np.einsum("k,kij->ij", self.weights, self.projectors())
-
     def rescaled(self, total_weight: float) -> "WeightedStateSet":
         c = total_weight / self.weights.sum()
         return WeightedStateSet(self.vectors, self.weights * c)

@@ -148,11 +148,7 @@ def fisher_matrix(
     return _accumulate(probs, grads, drop_threshold)[0]
 
 
-def fisher_fd_oracle(
-    param: Parametrization, p: Povm,
-    step: float = _tol.FD_STEP,
-    drop_threshold: float = _tol.DROP_THRESHOLD,
-) -> np.ndarray:
+def fisher_fd_oracle(param: Parametrization, p: Povm) -> np.ndarray:
     """Classical Fisher matrix from finite differences only; an
     independent cross-check for :func:`fisher_matrix`.
 
@@ -160,9 +156,10 @@ def fisher_fd_oracle(
     I_ab = 4 sum_xi (d_a sqrt p_xi)(d_b sqrt p_xi) over positive-probability
     outcomes.  The square root keeps the truncation error uniform even
     where a probability approaches zero; the two expressions are
-    identical wherever p_xi > 0.
+    identical wherever p_xi > 0.  The step is ``_tol.FD_STEP``, and
+    outcomes at or below ``_tol.DROP_THRESHOLD`` are left out.
     """
-    n = param.n_params
+    n, step = param.n_params, _tol.FD_STEP
     probs = outcome_probs(param.base(), p)
     roots = np.zeros((p.size, n))
     for a in range(n):
@@ -172,8 +169,7 @@ def fisher_fd_oracle(
         theta[a] = -step
         minus = np.sqrt(outcome_probs(param.density(theta), p))
         roots[:, a] = (plus - minus) / (2.0 * step)
-    kept = probs > drop_threshold
-    g = roots[kept]
+    g = roots[probs > _tol.DROP_THRESHOLD]
     i_mat = 4.0 * g.T @ g
     return 0.5 * (i_mat + i_mat.T)
 

@@ -149,10 +149,11 @@ def _kron_squares(ops: np.ndarray) -> np.ndarray:
         k, n * n, n * n)
 
 
-def _design_elements(design, tol: float) -> tuple[np.ndarray, WeightedStateSet]:
+def _design_elements(design) -> tuple[np.ndarray, WeightedStateSet]:
     """Elements w_xi (psi psi)^(x2) of :func:`twocopy_design_povm` and the
-    rescaled design they come from."""
-    cert = projective_2design_check(design, tol)
+    rescaled design they come from, which must certify as a projective
+    2-design to ``_tol.DESIGN_TOL``."""
+    cert = projective_2design_check(design, _tol.DESIGN_TOL)
     if not cert.is_design:
         raise ValueError(
             f"state set is not a projective 2-design (slack {cert.slack:.3e})")
@@ -162,16 +163,14 @@ def _design_elements(design, tol: float) -> tuple[np.ndarray, WeightedStateSet]:
             * _kron_squares(scaled.projectors())), scaled
 
 
-def twocopy_design_povm(
-    design: WeightedStateSet, tol: float = _tol.DESIGN_TOL
-) -> Povm:
+def twocopy_design_povm(design: WeightedStateSet) -> Povm:
     """Symmetric-subspace POVM {w_xi (psi psi)^(x2)} from a 2-design.
 
     The weights are rescaled so they sum to d(d+1)/2, which makes the
     elements resolve the symmetric projector.  The input must certify as a
-    projective 2-design.
+    projective 2-design to ``_tol.DESIGN_TOL``.
     """
-    elements, scaled = _design_elements(design, tol)
+    elements, scaled = _design_elements(design)
     return Povm(elements, copies=2, base_dim=design.dim, subspace="symmetric",
                 source_design=scaled)
 
@@ -208,7 +207,7 @@ def collective_sic_qubit() -> Povm:
     """Five-outcome collective qubit measurement saturating the two-copy
     information bound: four elements (3/4)(psi psi)^(x2) over the
     tetrahedral SIC plus the singlet projector."""
-    elements, scaled = _design_elements(sic_qubit(), _tol.DESIGN_TOL)
+    elements, scaled = _design_elements(sic_qubit())
     return Povm(np.concatenate([elements, _singlet()[None]]), copies=2,
                 base_dim=2, source_design=scaled)
 
@@ -329,7 +328,6 @@ def _check_rank_profile(ops: OperatorSet, rank: int, tol: float) -> None:
 def tight_coherent_from_designs(
     sym_ops: OperatorSet,
     antisym_ops: OperatorSet,
-    tol: float = _tol.DESIGN_TOL,
 ) -> Povm:
     """Assemble a tight coherent two-copy POVM from two seed designs.
 
@@ -342,10 +340,11 @@ def tight_coherent_from_designs(
 
     The rank profiles are checked by the identity A^2 = (tr A / r) A,
     r = 1 or 2, to ``_tol.RANK_TOL`` |A|_F^2, whose residual grows
-    linearly with a seed's distance from its profile; the sums to ``tol``
-    times d, and the design certificates to ``tol``.
+    linearly with a seed's distance from its profile; the sums to
+    ``_tol.DESIGN_TOL`` times d, and the design certificates to
+    ``_tol.DESIGN_TOL``.
     """
-    d = sym_ops.dim
+    d, tol = sym_ops.dim, _tol.DESIGN_TOL
     if antisym_ops.dim != d:
         raise ValueError("seed designs must share one dimension")
     _check_rank_profile(sym_ops, 1, _tol.RANK_TOL)

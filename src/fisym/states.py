@@ -71,9 +71,6 @@ class PureState:
     def projector(self) -> np.ndarray:
         return np.outer(self.vector, self.vector.conj())
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.vector, other.vector))
-
 
 def _check_density(m: np.ndarray, vals: np.ndarray) -> None:
     """The rule of :class:`DensityMatrix` for a Hermitian matrix, or a
@@ -121,9 +118,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
-
     def rank(self) -> int:
         """The numerical rank: the count of eigenvalues above
         ``_tol.RANK_TOL``."""
@@ -132,9 +126,6 @@ class DensityMatrix:
     def is_pure(self) -> bool:
         """Whether the numerical rank is 1."""
         return self.rank() == 1
-
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[-1])
 
     @staticmethod
     def from_pure(psi: PureState) -> "DensityMatrix":
@@ -293,16 +284,11 @@ class PureCanonical(Parametrization):
             base = DensityMatrix.from_pure(PureState(v0 / np.linalg.norm(v0)))
         super().__init__(base, np.concatenate([ket + bra, 1j * (ket - bra)]))
 
-    def state_vector(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(self.n_params)
-        d = self.dim
-        c = theta[: d - 1] + 1j * theta[d - 1:]
-        coeff = np.concatenate([[1.0 + 0j], c])
-        v = self._basis @ coeff
-        return v / np.linalg.norm(v)
-
     def density(self, theta: np.ndarray) -> DensityMatrix:
-        v = self.state_vector(theta)
+        theta = np.asarray(theta, dtype=float).reshape(self.n_params)
+        re, im = np.split(theta, 2)  # theta_j and theta_{j + d - 1}
+        v = self._basis @ np.concatenate([[1.0 + 0j], re + 1j * im])
+        v = v / np.linalg.norm(v)
         return DensityMatrix(np.outer(v, v.conj()))
 
 

@@ -48,9 +48,7 @@ from .states import (
     _bloch_vector,
     _qfi,
     _unit_vector,
-    DensityMatrix,
     Parametrization,
-    density_from_bloch,
     qubit_fidelity,
     tangent_ops,
 )
@@ -59,8 +57,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "scheme_povm",
-    "estimate_linear_qubit",
-    "estimate_mle_qubit",
     "run_simulation",
     "asymptotic_metrics",
     "SweepConfig",
@@ -330,17 +326,6 @@ def _to_ball(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _check_counts(counts, size: int) -> np.ndarray:
-    counts = np.asarray(counts, dtype=float).reshape(-1)
-    if counts.size != size:
-        raise ValueError(f"expected {size} outcome counts, got {counts.size}")
-    if not np.all(np.isfinite(counts) & (counts >= 0)):
-        raise ValueError("counts must be finite and nonnegative")
-    if counts.sum() <= 0:
-        raise ValueError("need at least one recorded outcome")
-    return counts
-
-
 def _project(s: np.ndarray, clip: float) -> np.ndarray:
     """s if |s| <= clip, else s scaled onto the sphere of radius clip and
     then, where rounding left it outside, moved toward 0 an ulp per
@@ -564,34 +549,6 @@ def _estimate(counts: np.ndarray, setup: _Scheme) -> np.ndarray:
     return np.array(estimates)
 
 
-def estimate_linear_qubit(counts, p: Povm) -> DensityMatrix:
-    """Least-squares Bloch inversion of observed frequencies.
-
-    Exact frequencies reproduce the exact state.  The result is projected
-    into the Bloch ball.  Used as initialization and as a baseline.
-    """
-    counts = _check_counts(counts, p.size)
-    return density_from_bloch(_estimate(counts[None],
-                                        _scheme_setup(p, "linear"))[0])
-
-
-def estimate_mle_qubit(counts, p: Povm) -> DensityMatrix:
-    """Maximum-likelihood qubit estimate over the clipped Bloch ball.
-
-    The projected damped-Newton ascent of :func:`_mle_bloch` from the
-    linear-inversion estimate, each step backtracked to the first point
-    that raises the likelihood, with no gradient step: once for a
-    single-copy POVM, whose likelihood is concave, and for a two-copy POVM
-    also from the three perturbed starts that :func:`_scheme_setup` fixes,
-    keeping the first whose likelihood is within rounding of the best
-    (:func:`_estimate`).  The returned log-likelihood never falls below
-    the linear start's.
-    """
-    counts = _check_counts(counts, p.size)
-    return density_from_bloch(_estimate(counts[None],
-                                        _scheme_setup(p, "mle"))[0])
-
-
 _ERROR_FIELDS = ("scaled_mse", "scaled_msb", "scaled_infidelity",
                  "mse_stderr", "msb_stderr", "infidelity_stderr")
 
@@ -701,9 +658,11 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
     'hs' and 'msb', at every row of a (g, 3) array of Bloch vectors.
 
     The chart's tangents are σ/2, along which the model's gradient is
-    L + 2 M s, so the I of every point follows from the model alone:
-    ``fisher._accumulate`` takes the whole grid's probabilities and
-    gradients as one stack, with the drop rule and regularity warning of
+    L + 2 M s, so the I of every point follows from the model alone, in
+    the form of :meth:`_QuadModel.evaluate`: one product M s for the
+    whole grid gives the probabilities p = c + (L + M s) s and the
+    gradients L + 2 M s, which ``fisher._accumulate`` takes as one stack,
+    with the drop rule and regularity warning of
     :func:`fisher.fisher_matrix`.  The weights are 1/2 and J/4 with
     J = 1 + s s^T / (1 - |s|^2) (Braunstein and Caves, PRL 72, 3439
     (1994)).  A state with (1 - |s|)/2 at or below ``_tol.RANK_TOL``
@@ -713,9 +672,10 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
     tangent leaves its support, and the SLD solve of the general path
     raises there as well.
     """
-    probs = _nonnegative(model.c + bloch @ model.lin.T + np.einsum(
-        "kab,ga,gb->gk", model.quad, bloch, bloch))
-    grads = model.lin + 2.0 * np.einsum("kab,gb->gka", model.quad, bloch)
+    ms = np.einsum("kab,gb->gka", model.quad, bloch)
+    probs = _nonnegative(model.c + np.einsum("gka,ga->gk", model.lin + ms,
+                                             bloch))
+    grads = model.lin + 2.0 * ms
     i_inv = _inverse_fisher(_accumulate(probs, grads, _tol.DROP_THRESHOLD)[0])
     r = np.linalg.norm(bloch, axis=1)
     if np.any((1.0 - r) / 2.0 <= _tol.RANK_TOL):
@@ -767,20 +727,22 @@ def sweep(config: SweepConfig) -> list[dict]:
     equals an independent :func:`run_simulation` there.  Rows carry the
     scaled Monte Carlo errors next to the asymptotic values
     t * tr(W I^{-1}).  The scheme, set up when the config was checked,
-    serves the whole grid, and the whole grid is one Monte Carlo batch
-    (:func:`_simulate`): one stack of states, one count matrix for every
-    point and trial and one estimate pass.  The analytic columns come
-    from ``setup.model``, the scheme's Pauli model, for the whole grid at
-    once (:func:`_analytic_columns`), with one batched singular-I check and
+    serves the whole grid.  The analytic columns come first, from
+    ``setup.model``, the scheme's Pauli model, for the whole grid at once
+    (:func:`_analytic_columns`), with one batched singular-I check and
     one batched inverse; they equal :func:`asymptotic_metrics` of the
-    point's :class:`BlochQubit` chart to rounding.  No step builds a
+    point's :class:`BlochQubit` chart to rounding, and a grid that they
+    refuse, such as one with a near-pure radius, raises before any trial
+    runs.  Then the whole grid is one Monte Carlo batch
+    (:func:`_simulate`): one stack of states, one count matrix for every
+    point and trial and one estimate pass.  No step builds a
     :class:`DensityMatrix` or classifies the POVM's elements.
     """
     setup = config._setup
     bloch = np.outer(config.radii, config.direction)
+    mse, msb = _analytic_columns(setup.model, bloch, setup.povm.copies)
     sims = _simulate(config, bloch, [config.seed + 99991 * idx
                                      for idx in range(len(bloch))])
-    mse, msb = _analytic_columns(setup.model, bloch, setup.povm.copies)
     return [{
         "s": s,
         "scheme": config.scheme,

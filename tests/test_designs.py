@@ -44,7 +44,9 @@ class TestWeightedStateSet:
         assert np.allclose(res.vectors, des.vectors)
 
     def test_weighted_sum_identity(self):
-        assert np.allclose(sic_qubit().weighted_sum(), np.eye(2))
+        des = sic_qubit()
+        assert np.allclose(np.einsum("k,kij->ij", des.weights,
+                                     des.projectors()), np.eye(2))
 
 
 class TestOperatorSet:
@@ -76,7 +78,8 @@ class TestSicSets:
             des = sic_d3(phi)
             assert des.size == 9
             assert overlap_residual(des, 0.25) < 1e-12
-            assert np.allclose(des.weighted_sum(), np.eye(3))
+            assert np.allclose(np.einsum("k,kij->ij", des.weights,
+                                         des.projectors()), np.eye(3))
 
     def test_d3_warns_outside_range(self):
         with pytest.warns(UserWarning):
@@ -113,7 +116,8 @@ class TestMub:
     def test_state_set_is_2design(self, d):
         des = mub_state_set(d)
         assert des.size == d * (d + 1)
-        assert np.allclose(des.weighted_sum(), np.eye(d))
+        assert np.allclose(np.einsum("k,kij->ij", des.weights,
+                                     des.projectors()), np.eye(d))
         cert = projective_2design_check(des)
         assert cert.is_design
         assert cert.slack == pytest.approx(0.0, abs=1e-12)

@@ -55,7 +55,8 @@ class TestOutcomeProbs:
         # the symmetric part of rho (x) rho carries (1 + tr rho^2)/2
         rho = random_full_rank(rng, 2)
         probs = outcome_probs(rho, twocopy_design_povm(sic_qubit()))
-        assert probs.sum() == pytest.approx((1 + rho.purity()) / 2, abs=1e-12)
+        purity = np.sum(np.abs(rho.matrix) ** 2)
+        assert probs.sum() == pytest.approx((1 + purity) / 2, abs=1e-12)
 
     def test_dimension_mismatch(self, rng):
         rho = random_full_rank(rng, 3)

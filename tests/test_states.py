@@ -43,10 +43,10 @@ class TestStateTypes:
     def test_purity_and_is_pure(self, rng):
         psi = random_pure(rng, 3)
         rho = DensityMatrix.from_pure(psi)
-        assert rho.purity() == pytest.approx(1.0)
+        assert np.sum(np.abs(rho.matrix) ** 2) == pytest.approx(1.0)
         assert rho.is_pure()
         mixed = DensityMatrix.maximally_mixed(3)
-        assert mixed.purity() == pytest.approx(1.0 / 3.0)
+        assert np.sum(np.abs(mixed.matrix) ** 2) == pytest.approx(1.0 / 3.0)
         assert not mixed.is_pure()
 
 
@@ -55,7 +55,6 @@ class TestStateTypes:
         vals, v = rho.eigenvalues, rho.eigenvectors
         assert np.all(np.diff(vals) <= 0)
         assert np.allclose((v * vals) @ v.conj().T, rho.matrix, atol=1e-14)
-        assert rho.min_eigenvalue() == vals[-1]
         for a in (rho.matrix, vals, v):
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -355,7 +354,8 @@ class TestDistances:
         phi = random_pure(rng, 3)
         f = fidelity(DensityMatrix.from_pure(psi), DensityMatrix.from_pure(phi))
         # square-rooted roundoff eigenvalues limit the attainable accuracy
-        assert f == pytest.approx(abs(psi.overlap(phi)) ** 2, abs=1e-7)
+        overlap = np.vdot(psi.vector, phi.vector)
+        assert f == pytest.approx(abs(overlap) ** 2, abs=1e-7)
 
     def test_qubit_fidelity_closed_form(self, rng):
         for _ in range(10):

@@ -11,7 +11,8 @@ paths.  The requests are every ``build``; every ``verify`` kind on every
 built file at three ``--tol`` values; ``fisher`` for each named POVM at
 fixed Bloch and pure states and for the built d = 3 POVMs at fixed state
 files; ``simulate`` and ``sweep`` for each scheme and estimator at small
-N, with a near-pure sweep and an oversized ``n_copies`` among them, and
+N, with a near-pure sweep and an oversized ``n_copies`` among them, a
+linear sweep of each named scheme along the direction (1, -1, 0.5), and
 ``simulate`` with the MLE for each scheme at ``n_copies`` 10 and 40 over
 200 trials, at a mixed state and at radius 0.99; ``fisher`` with each
 ``--param`` chart at pure and mixed states of d = 2 and 3, an unknown
@@ -89,6 +90,14 @@ that mended them, and only these:
   highest, the first start's is now kept, so that rounding no longer
   decides the pick.  Against such a tree, every other output is
   byte-identical.
+- the linear sweeps along (1, -1, 0.5), ``sweep-collective-sic-off-axis``
+  and ``sweep-sic-single-off-axis`` (``sweep-mub-single-off-axis`` is
+  identical), against a tree whose analytic columns evaluated
+  c + L s + s^T M s and L + 2 M s with an einsum each: ``analytic_mse``
+  and ``analytic_msb`` move by at most 1e-14 relative, and no other
+  column moves.  One product M s now gives p = c + (L + M s) s and the
+  gradients L + 2 M s, as in the MLE, and rounds differently off the
+  axis.
 
 Each request's output files are deleted before it runs, so a request
 that fails before writing shows no file rather than the last request's.
@@ -221,6 +230,14 @@ def _requests():
             requests.append((["simulate", "--config", f"sim-{tag}.json"], []))
             requests.append((["sweep", "--config", f"sweep-{tag}.json",
                               "--out", "rows.csv"], ["rows.csv"]))
+        if scheme != "custom":
+            # off the axis, where the terms of the Pauli model differ
+            inputs[f"sweep-{scheme}-off-axis.json"] = {
+                "scheme": scheme, "estimator": "linear", **runs,
+                "radii": [0.0, 0.4, 0.9], "direction": [1, -1, 0.5]}
+            requests.append((["sweep", "--config",
+                              f"sweep-{scheme}-off-axis.json", "--out",
+                              "rows.csv"], ["rows.csv"]))
         # small N, where an MLE ascent reaches the rare ends of its rules
         for n in (10, 40):
             for where, state in (("mixed", [0.3, -0.2, 0.5]),
