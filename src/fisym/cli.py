@@ -194,7 +194,7 @@ _BUILDS = {
         povm.twocopy_design_povm,
         _given(a.design, "twocopy-design needs --design FILE")),
     "companion": lambda a: _povm_from_files(
-        lambda s: povm.companion_povm(povm.twocopy_design_povm(s)),
+        povm.companion_povm,
         _given(a.source, "companion needs --source FILE, a projective "
                          "2-design state set such as sic-qubit writes")),
     "tight-coherent-d3": lambda a: _povm_from_files(
@@ -299,16 +299,17 @@ def cmd_fisher(args) -> int:
 # -------------------------------------------------------------- simulate
 
 def _run_config(cls, path, what: str):
-    """``cls(**obj)`` for the JSON object in the config file ``path``, its
-    ``povm`` operator-file path replaced by the POVM it holds
-    (:func:`_povm_file`).  A config that the dataclass or the operator
-    file rejects is a usage error; the dataclass checks the whole run,
-    its POVM included, before any trial."""
+    """``cls(**obj)`` for the JSON object in the config file ``path``.
+    With the scheme "custom", its ``povm`` operator-file path is replaced
+    by the POVM it holds (:func:`_povm_file`); any other scheme passes a
+    ``povm`` on unread, for the dataclass to refuse.  A config that the
+    dataclass or the operator file rejects is a usage error; the dataclass
+    checks the whole run, its POVM included, before any trial."""
     obj = _load(path)
     try:
         if not isinstance(obj, dict):
             raise TypeError("config must be a JSON object")
-        if "povm" in obj:
+        if obj.get("scheme") == "custom" and "povm" in obj:
             obj = {**obj, "povm": _povm_file(obj["povm"])}
         return cls(**obj)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -134,18 +134,15 @@ def _accumulate(
     return 0.5 * (i_mat + i_mat.swapaxes(-1, -2)), dropped
 
 
-def fisher_matrix(
-    param: Parametrization, p: Povm,
-    drop_threshold: float = _tol.DROP_THRESHOLD,
-) -> np.ndarray:
+def fisher_matrix(param: Parametrization, p: Povm) -> np.ndarray:
     """Classical Fisher matrix of a POVM at the chart basepoint.
 
-    Outcomes with probability at or below ``drop_threshold`` are excluded;
-    if such an outcome has a non-negligible probability gradient a
-    regularity warning is emitted.
+    Outcomes with probability at or below ``_tol.DROP_THRESHOLD`` are
+    excluded; if such an outcome has a non-negligible probability gradient
+    a regularity warning is emitted.
     """
     probs, grads = _probs_and_grads(param.base(), tangent_ops(param), p)
-    return _accumulate(probs, grads, drop_threshold)[0]
+    return _accumulate(probs, grads, _tol.DROP_THRESHOLD)[0]
 
 
 def fisher_fd_oracle(param: Parametrization, p: Povm) -> np.ndarray:
@@ -221,14 +218,14 @@ class GmVerdict:
 
 
 def _gm_verdict(
-    i_mat: np.ndarray, j_mat: np.ndarray, bound: float, mode: str, tol: float
+    i_mat: np.ndarray, j_mat: np.ndarray, bound: float, mode: str
 ) -> GmVerdict:
     value = _gm(j_mat, i_mat)
     margin = bound - value
-    scale = max(1.0, bound)
-    if margin < -tol * scale:
+    slack = _tol.GM_TOL * max(1.0, bound)
+    if margin < -slack:
         verdict = "violated"
-    elif abs(margin) <= tol * scale:
+    elif abs(margin) <= slack:
         verdict = "equality"
     else:
         verdict = "strict"
@@ -237,9 +234,7 @@ def _gm_verdict(
 
 
 def gm_check(
-    param: Parametrization, p: Povm,
-    mode: str | None = None,
-    tol: float = _tol.GM_TOL,
+    param: Parametrization, p: Povm, mode: str | None = None
 ) -> GmVerdict:
     """Evaluate tr(J^{-1} I) and compare with the applicable bound.
 
@@ -248,9 +243,9 @@ def gm_check(
     other basepoints the single- or two-copy bound matching the POVM.  J
     is solved as in :func:`states.sld` at every rank; a tangent that
     leaves the support of the basepoint raises ValueError.  Equality
-    holds within ``tol`` times max(1, bound).
+    holds within ``_tol.GM_TOL`` times max(1, bound).
     """
-    return fisher_report(param, p, mode=mode, tol=tol).gm
+    return fisher_report(param, p, mode=mode).gm
 
 
 @dataclass(frozen=True)
@@ -271,8 +266,7 @@ class SymmetryReport:
 
 
 def _symmetry_verdict(
-    i_mat: np.ndarray, j_mat: np.ndarray, rho: DensityMatrix,
-    bound: float, tol: float,
+    i_mat: np.ndarray, j_mat: np.ndarray, rho: DensityMatrix, bound: float
 ) -> SymmetryReport:
     d = rho.dim
     n_manifold = 2 * d - 2 if rho.is_pure() else d * d - 1
@@ -285,9 +279,9 @@ def _symmetry_verdict(
     weak_residual = float(np.linalg.norm(i_mat - fit * j_mat)) / i_norm
     full_residual = (float(np.linalg.norm(i_mat - target * j_mat))
                      / (target * float(np.linalg.norm(j_mat))))
-    if full_residual <= tol:
+    if full_residual <= _tol.SYMMETRY_TOL:
         verdict = "fisher-symmetric"
-    elif weak_residual <= tol:
+    elif weak_residual <= _tol.SYMMETRY_TOL:
         verdict = "weakly-fisher-symmetric"
     else:
         verdict = "not-fisher-symmetric"
@@ -300,12 +294,10 @@ def _symmetry_verdict(
     )
 
 
-def fisher_symmetry_check(
-    param: Parametrization, p: Povm,
-    tol: float = _tol.SYMMETRY_TOL,
-) -> SymmetryReport:
-    """Classify a measurement as Fisher symmetric, weakly so, or neither."""
-    return fisher_report(param, p, symmetry_tol=tol).symmetry
+def fisher_symmetry_check(param: Parametrization, p: Povm) -> SymmetryReport:
+    """Classify a measurement as Fisher symmetric, weakly so, or neither:
+    a Frobenius-relative residual at most ``_tol.SYMMETRY_TOL``."""
+    return fisher_report(param, p).symmetry
 
 
 def _wmse_parts(
@@ -386,19 +378,18 @@ def fisher_report(
     param: Parametrization, p: Povm,
     mode: str | None = None,
     drop_threshold: float = _tol.DROP_THRESHOLD,
-    tol: float = _tol.GM_TOL,
-    symmetry_tol: float = _tol.SYMMETRY_TOL,
 ) -> FisherReport:
     """Full information report: Fisher matrices, bound check, symmetry.
 
     The tangents, rho, I and J are computed once, and both verdicts are
     derived from the returned ``i_matrix`` and ``j_matrix``: outcomes at
     or below ``drop_threshold`` are left out of I for the bound check and
-    the symmetry test alike.  ``tol`` is the relative margin for equality
-    with the bound (as in :func:`gm_check`), ``symmetry_tol`` the residual
-    allowed by the symmetry test (as in :func:`fisher_symmetry_check`).
-    The symmetry target always uses the bound of the inferred mode, so
-    an explicit ``mode`` changes only the bound check.
+    the symmetry test alike.  ``_tol.GM_TOL`` is the relative margin for
+    equality with the bound (as in :func:`gm_check`), ``_tol.SYMMETRY_TOL``
+    the residual allowed by the symmetry test (as in
+    :func:`fisher_symmetry_check`).  The symmetry target always uses the
+    bound of the inferred mode, so an explicit ``mode`` changes only the
+    bound check.
     """
     rho = param.base()
     tangents = tangent_ops(param)
@@ -408,11 +399,9 @@ def fisher_report(
     natural = _infer_mode(rho, p)
     if mode is None:
         mode = natural
-    gm = _gm_verdict(i_mat, j_mat, gm_bound(mode, rho.dim, p.copies), mode,
-                     tol)
+    gm = _gm_verdict(i_mat, j_mat, gm_bound(mode, rho.dim, p.copies), mode)
     symmetry = _symmetry_verdict(i_mat, j_mat, rho,
-                                 gm_bound(natural, rho.dim, p.copies),
-                                 symmetry_tol)
+                                 gm_bound(natural, rho.dim, p.copies))
     return FisherReport(
         dim=rho.dim,
         copies=p.copies,

@@ -14,7 +14,7 @@ forming a generalized 2-design of purity (3d + 1)/(4d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class Povm:
     copies: int
     base_dim: int
     subspace: str | None = None
-    source_design: WeightedStateSet | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.copies not in (1, 2):
@@ -149,18 +148,21 @@ def _kron_squares(ops: np.ndarray) -> np.ndarray:
         k, n * n, n * n)
 
 
-def _design_elements(design) -> tuple[np.ndarray, WeightedStateSet]:
-    """Elements w_xi (psi psi)^(x2) of :func:`twocopy_design_povm` and the
-    rescaled design they come from, which must certify as a projective
-    2-design to ``_tol.DESIGN_TOL``."""
+def _scaled_design(design: WeightedStateSet) -> WeightedStateSet:
+    """``design`` with its weights rescaled to sum to d(d+1)/2; it must
+    certify as a projective 2-design to ``_tol.DESIGN_TOL``."""
     cert = projective_2design_check(design, _tol.DESIGN_TOL)
     if not cert.is_design:
         raise ValueError(
             f"state set is not a projective 2-design (slack {cert.slack:.3e})")
     d = design.dim
-    scaled = design.rescaled(d * (d + 1) / 2.0)
-    return (scaled.weights[:, None, None]
-            * _kron_squares(scaled.projectors())), scaled
+    return design.rescaled(d * (d + 1) / 2.0)
+
+
+def _design_elements(design: WeightedStateSet) -> np.ndarray:
+    """Elements w_xi (psi psi)^(x2) of :func:`twocopy_design_povm`."""
+    scaled = _scaled_design(design)
+    return scaled.weights[:, None, None] * _kron_squares(scaled.projectors())
 
 
 def twocopy_design_povm(design: WeightedStateSet) -> Povm:
@@ -170,9 +172,8 @@ def twocopy_design_povm(design: WeightedStateSet) -> Povm:
     elements resolve the symmetric projector.  The input must certify as a
     projective 2-design to ``_tol.DESIGN_TOL``.
     """
-    elements, scaled = _design_elements(design)
-    return Povm(elements, copies=2, base_dim=design.dim, subspace="symmetric",
-                source_design=scaled)
+    return Povm(_design_elements(design), copies=2, base_dim=design.dim,
+                subspace="symmetric")
 
 
 def _rank_one_povm(states: WeightedStateSet) -> Povm:
@@ -181,19 +182,17 @@ def _rank_one_povm(states: WeightedStateSet) -> Povm:
                 copies=1, base_dim=states.dim)
 
 
-def companion_povm(p: Povm) -> Povm:
-    """Single-copy POVM {2 w_xi / (d + 1) |psi_xi><psi_xi|}.
-
-    Defined only for POVMs whose symmetric part came from a 2-design (the
-    builder records that design); its statistics are recoverable from the
-    two-copy statistics through <psi|rho|psi> = sqrt(p_xi / w_xi).
+def companion_povm(design: WeightedStateSet) -> Povm:
+    """Single-copy companion {2 w_xi / (d + 1) |psi_xi><psi_xi|} of
+    :func:`twocopy_design_povm`, built from the same 2-design rescaled as
+    there, so w_xi is the weight of its element w_xi (psi psi)^(x2).  Its
+    statistics are recoverable from the two-copy statistics through
+    <psi|rho|psi> = sqrt(p_xi / w_xi).  The input must certify as a
+    projective 2-design to ``_tol.DESIGN_TOL``.
     """
-    if p.source_design is None:
-        raise ValueError("companion is defined only for POVMs built from a "
-                         "projective 2-design")
-    design = p.source_design
+    scaled = _scaled_design(design)
     return _rank_one_povm(WeightedStateSet(
-        design.vectors, 2.0 * design.weights / (p.base_dim + 1)))
+        scaled.vectors, 2.0 * scaled.weights / (design.dim + 1)))
 
 
 def _singlet() -> np.ndarray:
@@ -207,9 +206,8 @@ def collective_sic_qubit() -> Povm:
     """Five-outcome collective qubit measurement saturating the two-copy
     information bound: four elements (3/4)(psi psi)^(x2) over the
     tetrahedral SIC plus the singlet projector."""
-    elements, scaled = _design_elements(sic_qubit())
-    return Povm(np.concatenate([elements, _singlet()[None]]), copies=2,
-                base_dim=2, source_design=scaled)
+    return Povm(np.concatenate([_design_elements(sic_qubit()),
+                                _singlet()[None]]), copies=2, base_dim=2)
 
 
 def great_circle_qubit() -> Povm:

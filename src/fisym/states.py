@@ -72,19 +72,6 @@ class PureState:
         return np.outer(self.vector, self.vector.conj())
 
 
-def _check_density(m: np.ndarray, vals: np.ndarray) -> None:
-    """The rule of :class:`DensityMatrix` for a Hermitian matrix, or a
-    stack of them, with descending eigenvalues ``vals``: a trace within
-    ``_tol.TRACE_TOL`` of 1 and a spectrum within ``_tol.PSD_TOL`` of
-    [0, 1]."""
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    if np.any(np.abs(tr - 1.0) > _tol.TRACE_TOL):
-        raise ValueError(f"trace {tr} is not 1")
-    if np.any((vals[..., -1] < -_tol.PSD_TOL)
-              | (vals[..., 0] > 1.0 + _tol.PSD_TOL)):
-        raise ValueError(f"spectrum {vals} is outside [0, 1]")
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace positive-semidefinite matrix and its spectrum.
@@ -107,9 +94,13 @@ class DensityMatrix:
         m = matcore.require_hermitian(self.matrix)
         if m.ndim != 2:
             raise ValueError(f"expected one matrix, got shape {m.shape}")
+        tr = np.trace(m).real
+        if abs(tr - 1.0) > _tol.TRACE_TOL:
+            raise ValueError(f"trace {tr} is not 1")
         vals, vecs = np.linalg.eigh(m)
         vals, vecs = vals[::-1], np.ascontiguousarray(vecs[:, ::-1])
-        _check_density(m, vals)
+        if vals[-1] < -_tol.PSD_TOL or vals[0] > 1.0 + _tol.PSD_TOL:
+            raise ValueError(f"spectrum {vals} is outside [0, 1]")
         for f, a in zip(fields(self), (m, vals, vecs)):
             a.flags.writeable = False
             object.__setattr__(self, f.name, a)
@@ -165,17 +156,6 @@ def _bloch_matrices(bloch: np.ndarray) -> np.ndarray:
 def density_from_bloch(s) -> DensityMatrix:
     """Qubit state (1 + s·σ)/2 from a finite Bloch vector with |s| <= 1."""
     return DensityMatrix(_bloch_matrices(_bloch_vector(s)))
-
-
-def _bloch_states(bloch: np.ndarray) -> np.ndarray:
-    """The states (1 + s·σ)/2 of a (g, 3) array of Bloch vectors as one
-    checked (g, 2, 2) stack, the matrices :func:`density_from_bloch` would
-    hold, held to the rule of :class:`DensityMatrix` in one pass.  A
-    qubit's spectrum is (1 ± |s|)/2, so none is decomposed."""
-    m = matcore.require_hermitian(_bloch_matrices(bloch))
-    _check_density(m, 0.5 * (1.0 + np.multiply.outer(
-        np.linalg.norm(bloch, axis=-1), [1.0, -1.0])))
-    return m
 
 
 def gell_mann_basis(d: int) -> list[np.ndarray]:
@@ -275,7 +255,6 @@ class PureCanonical(Parametrization):
 
     def __init__(self, basepoint: PureState,
                  base: DensityMatrix | None = None):
-        self.basepoint = basepoint
         self._basis = b = _adapted_basis(basepoint.vector)
         v0, vj = b[:, 0], b[:, 1:].T
         ket = vj[:, :, None] * v0.conj()  # |j'><0'|

@@ -44,7 +44,7 @@ from .opfile import _integer, _number
 from .povm import NAMED_POVMS, Povm, _require_povm
 from .states import (
     _PAULI,
-    _bloch_states,
+    _bloch_matrices,
     _bloch_vector,
     _qfi,
     _unit_vector,
@@ -309,7 +309,7 @@ def _linear_bloch(counts: np.ndarray, sys: _LinearSystem) -> np.ndarray:
     freqs = counts / counts.sum(axis=1, keepdims=True)
     target = freqs[:, sys.indices]
     if sys.squares is not None:
-        target = np.sqrt(np.clip(target, 0.0, None) / sys.squares)
+        target = np.sqrt(target / sys.squares)
     s, *_ = np.linalg.lstsq(sys.rows, (target - sys.offset).T, rcond=None)
     return s.T
 
@@ -557,9 +557,10 @@ def _simulate(config, bloch: np.ndarray, seeds) -> list[dict]:
     """Monte Carlo runs at the states of a (g, 3) array of Bloch vectors,
     point a with seed ``seeds[a]``, as one batch.
 
-    Every stage runs once for the batch.  The states are one checked
-    (g, 2, 2) stack (``states._bloch_states``), whose Born probabilities
-    tr(rho^(xt) E) come from one contraction (:func:`_sampling_probs`).
+    Every stage runs once for the batch.  The states are one (g, 2, 2)
+    stack (``states._bloch_matrices``) of the vectors that ``config``
+    checked, whose Born probabilities tr(rho^(xt) E) come from one
+    contraction (:func:`_sampling_probs`).
     Trial i at a point draws its counts from the RNG stream keyed by that
     point's (seed, i), seeded from :func:`_streams.stream_states`, which
     hashes the seeds of every stream of the batch in one pass.  The
@@ -575,7 +576,7 @@ def _simulate(config, bloch: np.ndarray, seeds) -> list[dict]:
     setup = config._setup
     p = setup.povm
     n_meas = config.n_copies // p.copies
-    probs = _sampling_probs(_bloch_states(bloch), p)
+    probs = _sampling_probs(_bloch_matrices(bloch), p)
 
     # numpy.random is imported on the first draw, not with fisym
     from ._streams import seeded_rng, stream_states

@@ -888,6 +888,24 @@ def test_config_must_be_an_object(capsys, tmp_path, command, content):
     assert "JSON object" in err
 
 
+@pytest.mark.parametrize("command, what, point", [
+    ("simulate", "simulation", {"bloch": [0.5, 0.0, 0.0]}),
+    ("sweep", "sweep", {"radii": [0.5]})])
+@pytest.mark.parametrize("povm", ["missing.json", 3])
+def test_named_scheme_refuses_povm_before_reading_it(
+        capsys, tmp_path, command, what, point, povm):
+    # the config's own rule is the error, not the file that it names
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"scheme": "sic-single", "n_copies": 200, "n_trials": 3, "seed": 5,
+         "povm": povm, **point}))
+    code, _, err = run(capsys, command, "--config", str(config), "--out",
+                       str(tmp_path / "out"))
+    assert code == 2
+    assert err == (f'error: bad {what} config: a "povm" file is read only '
+                   'with "scheme": "custom"\n')
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "sic", "{dir}"),
     ("verify", "povm", "{latin1}"),

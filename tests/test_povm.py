@@ -5,6 +5,7 @@ from conftest import random_two_copy_povm
 from fisym.designs import OperatorSet, WeightedStateSet, sic_d3, sic_qubit
 from fisym.matcore import kron, sym_projector
 from fisym.povm import (
+    NAMED_POVMS,
     Povm,
     classify_coherent,
     collective_sic_qubit,
@@ -111,24 +112,22 @@ class TestTwoCopyDesignPovm:
 
 class TestCompanion:
     def test_qubit_companion_weights(self):
-        comp = companion_povm(twocopy_design_povm(sic_qubit()))
+        comp = companion_povm(sic_qubit())
         assert comp.copies == 1
         traces = [np.trace(e).real for e in comp.elements]
         assert np.allclose(traces, 0.5)
         assert validate_povm(comp).ok
 
     def test_d3_companion_complete(self):
-        comp = companion_povm(twocopy_design_povm(sic_d3(0.0)))
+        comp = companion_povm(sic_d3(0.0))
         assert validate_povm(comp).ok
 
-    def test_collective_sic_keeps_provenance(self):
-        comp = companion_povm(collective_sic_qubit())
+    def test_companion_of_sic_is_sic_single(self):
+        # the companion of the design behind collective-sic
+        comp = companion_povm(sic_qubit())
         assert comp.size == 4
-        assert validate_povm(comp).ok
-
-    def test_hand_built_povm_rejected(self):
-        with pytest.raises(ValueError):
-            companion_povm(bell_basis_povm())
+        assert np.allclose(comp.elements, NAMED_POVMS["sic-single"].elements,
+                           rtol=0.0, atol=1e-15)
 
 
 class TestBuiltinPovms:
@@ -162,7 +161,7 @@ class TestClassifyCoherent:
     def test_sym_power_witness_matches_design(self):
         p = twocopy_design_povm(sic_qubit())
         rep = classify_coherent(p)
-        for c, v in zip(rep.classes, p.source_design.vectors):
+        for c, v in zip(rep.classes, sic_qubit().vectors):
             assert c.kind == "sym-power"
             assert abs(np.vdot(c.states[0], v)) == pytest.approx(1.0, abs=1e-10)
 
@@ -195,7 +194,7 @@ class TestClassifyCoherent:
 class TestMarginalQ:
     def test_sym_power_element(self):
         p = twocopy_design_povm(sic_qubit())
-        v = p.source_design.vectors[0]
+        v = sic_qubit().vectors[0]
         q = marginal_Q(p.elements[0])
         assert np.allclose(q, 1.5 * np.outer(v, v.conj()))
 

@@ -5,7 +5,9 @@ once.  Coherence is a property of each element alone and is covariant
 under local unitaries: conjugating a coherent POVM by U ⊗ U and
 reordering its elements must reorder the kinds and weights the same way,
 carry every sym-power witness psi to U psi (up to a phase), and keep a
-tight coherent POVM tight.
+tight coherent POVM tight.  The single-copy companion of a two-copy
+design POVM is built from the same 2-design, so it follows the design
+under any unitary and refuses a state set that is no 2-design.
 
 An element is classified by two identities of its marginal, which hold
 on its class only and whose residual grows linearly with the distance
@@ -21,13 +23,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fisym.designs import WeightedStateSet, mub_state_set, sic_d3, sic_qubit
 from fisym.matcore import antisym_projector, sym_projector
 from fisym.povm import (
     Povm,
     classify_coherent,
     collective_sic_qubit,
+    companion_povm,
     minimal_tight_coherent_d3,
     tight_coherent_check,
+    twocopy_design_povm,
+    validate_povm,
 )
 from fisym.tomosim import _linear_system, _quad_model
 
@@ -70,6 +76,28 @@ def test_classification_follows_local_unitary_and_order(data):
             assert abs(overlap - 1.0) <= 1e-10
     assert tight_coherent_check(q).ok
 
+
+DESIGNS = [sic_qubit(), sic_d3(0.0), mub_state_set(2), mub_state_set(3)]
+
+
+@SETTINGS
+@given(st.data())
+def test_companion_follows_its_rotated_design(data):
+    design = data.draw(st.sampled_from(DESIGNS))
+    d = design.dim
+    u = data.draw(unitaries(d))
+    rotated = WeightedStateSet(design.vectors @ u.T, design.weights)
+    comp = companion_povm(rotated)
+    assert comp.copies == 1 and comp.base_dim == d
+    assert validate_povm(comp).ok
+    traces = np.trace(comp.elements, axis1=1, axis2=2).real
+    two = np.trace(twocopy_design_povm(rotated).elements, axis1=1,
+                   axis2=2).real
+    assert np.allclose(traces, 2.0 / (d + 1) * two, rtol=0.0, atol=1e-12)
+    # one state short of the design is not even a 1-design
+    with pytest.raises(ValueError, match="not a projective 2-design"):
+        companion_povm(WeightedStateSet(rotated.vectors[1:],
+                                        rotated.weights[1:]))
 
 
 def _near_class_element(kind, u, g, eps):

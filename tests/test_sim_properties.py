@@ -81,7 +81,7 @@ from fisym.fisher import (_accumulate, _probs_and_grads, fisher_matrix,
                           outcome_probs)
 from fisym.matcore import mat_power
 from fisym.povm import NAMED_POVMS, Povm, classify_coherent
-from fisym.states import (_PAULI, BlochQubit, _bloch_states,
+from fisym.states import (_PAULI, BlochQubit, _bloch_matrices,
                           density_from_bloch, fidelity, qubit_fidelity,
                           tangent_ops)
 from fisym._tol import CLIP_MARGIN, INTERIOR_CLIP
@@ -290,7 +290,7 @@ def test_grid_probabilities_match_each_point(p, bloch, on_sphere):
         r = np.linalg.norm(top)
         bloch = np.vstack([bloch, top / r if r > 1e-3 else [0.0, 1.0, 0.0]])
     rhos = [density_from_bloch(s) for s in bloch]
-    stack = _bloch_states(bloch)
+    stack = _bloch_matrices(bloch)
     assert stack.tobytes() == np.array([r.matrix for r in rhos]).tobytes()
     # the per-point sampling probabilities: Born rule, renormalized
     expected = [pr / pr.sum() for pr in (outcome_probs(r, p) for r in rhos)]

@@ -3,25 +3,26 @@ compare their outputs byte for byte.
 
 Usage: python tools/compare_cli.py OLD_SRC NEW_SRC
 
-OLD_SRC and NEW_SRC are directories that hold the ``fisym`` package, such
-as the ``src`` directory of two checkouts.  Each tree runs every request
-through ``fisym.cli.main`` in one subprocess, in an empty working
-directory of its own, so the requests name their files by relative
-paths.  The requests are every ``build``; every ``verify`` kind on every
-built file at three ``--tol`` values; ``fisher`` for each named POVM at
-fixed Bloch and pure states and for the built d = 3 POVMs at fixed state
-files; ``simulate`` and ``sweep`` for each scheme and estimator at small
-N, with a near-pure sweep and an oversized ``n_copies`` among them, a
-linear sweep of each named scheme along the direction (1, -1, 0.5), and
-``simulate`` with the MLE for each scheme at ``n_copies`` 10 and 40 over
-200 trials, at a mixed state and at radius 0.99; ``fisher`` with each
-``--param`` chart at pure and mixed states of d = 2 and 3, an unknown
-``--param`` and ``fisher --help``; ``fisher`` on the one-element POVM
-{1}, whose Fisher matrix is 0, at a Bloch state; ``simulate`` and
-``sweep`` on custom files that are no POVM and on the qutrit POVM
-``tight-coherent-d3.json``; ``simulate`` and ``sweep`` that name
-``sic-single`` and also a valid ``povm`` file, which only ``custom``
-takes; and the usage errors of ``build`` (a missing
+OLD_SRC and NEW_SRC are directories that hold the ``fisym`` package,
+such as the ``src`` directory of two checkouts.  Each tree runs every
+request through ``fisym.cli.main`` in one subprocess, in an empty
+working directory of its own, so the requests name their files by
+relative paths.  The requests are every ``build``, the companion built
+from the qubit SIC and from the d = 3 SIC and MUB files among them;
+every ``verify`` kind on every built file at three ``--tol`` values;
+``fisher`` for each named POVM at fixed Bloch and pure states and for
+the built d = 3 POVMs at fixed state files; ``simulate`` and ``sweep``
+for each scheme and estimator at small N, with a near-pure sweep and an
+oversized ``n_copies`` among them, a linear sweep of each named scheme
+along the direction (1, -1, 0.5), and ``simulate`` with the MLE for each
+scheme at ``n_copies`` 10 and 40 over 200 trials, at a mixed state and
+at radius 0.99; ``fisher`` with each ``--param`` chart at pure and mixed
+states of d = 2 and 3, an unknown ``--param`` and ``fisher --help``;
+``fisher`` on the one-element POVM {1}, whose Fisher matrix is 0, at a
+Bloch state; ``simulate`` and ``sweep`` on custom files that are no POVM
+and on the qutrit POVM ``tight-coherent-d3.json``; ``simulate`` and
+``sweep`` that name ``sic-single`` and also a valid ``povm`` file, which
+only ``custom`` takes; and the usage errors of ``build`` (a missing
 ``--design`` or ``--source``, an unfit input file), an unknown ``build``
 name and ``verify`` kind, and ``simulate`` and ``sweep`` on
 collective-sic with an odd ``n_copies``.
@@ -185,6 +186,8 @@ def _requests():
         "twocopy-qubit.json": ["twocopy-design", "--design", "sic-qubit.json"],
         "twocopy-d3.json": ["twocopy-design", "--design", "sic-d3.json"],
         "companion.json": ["companion", "--source", "sic-qubit.json"],
+        "companion-d3.json": ["companion", "--source", "sic-d3.json"],
+        "companion-mub3.json": ["companion", "--source", "mub3.json"],
         "tight-coherent-d3.json": ["tight-coherent-d3"],
         "tight-coherent-d3-two.json": ["tight-coherent-d3", "--sic1",
                                        "sic-d3.json", "--sic2",
