@@ -70,11 +70,6 @@ TIGHT_PURITY_TOL = 1e-8
 # its global phase; the first one does.
 PHASE_ANCHOR_TOL = 1e-8
 
-# Magnitudes within this of an operator's largest entry tie for fixing its
-# global phase (the first one does), so the drift of repeated products
-# cannot switch the anchor entry.
-PHASE_TIE_TOL = 1e-6
-
 # POVM completeness / positivity reporting threshold.
 POVM_TOL = 1e-9
 

@@ -72,8 +72,7 @@ def _finite_float(text: str) -> float:
 
 
 def _nonnegative(text: str) -> float:
-    """argparse type of ``--tol`` and ``--drop-threshold``: a finite
-    number, at least 0."""
+    """argparse type of ``verify --tol``: a finite number, at least 0."""
     x = _finite_float(text)
     if x < 0.0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative number, "
@@ -290,8 +289,7 @@ def cmd_fisher(args) -> int:
                          f"base dimension {p.base_dim}")
     param = _choose_param(rho, args.param)
     mode = None if args.mode == "auto" else args.mode
-    report = fisher.fisher_report(param, p, mode=mode,
-                                  drop_threshold=args.drop_threshold)
+    report = fisher.fisher_report(param, p, mode=mode)
     _emit(report.to_dict())
     return 0
 
@@ -300,16 +298,17 @@ def cmd_fisher(args) -> int:
 
 def _run_config(cls, path, what: str):
     """``cls(**obj)`` for the JSON object in the config file ``path``.
-    With the scheme "custom", its ``povm`` operator-file path is replaced
-    by the POVM it holds (:func:`_povm_file`); any other scheme passes a
-    ``povm`` on unread, for the dataclass to refuse.  A config that the
-    dataclass or the operator file rejects is a usage error; the dataclass
-    checks the whole run, its POVM included, before any trial."""
+    With the scheme "custom", a ``povm`` operator-file path is replaced by
+    the POVM it holds (:func:`_povm_file`); a null ``povm``, like any
+    ``povm`` of another scheme, passes on unread for the dataclass to
+    refuse.  A config that the dataclass or the operator file rejects is
+    a usage error; the dataclass checks the whole run, its POVM included,
+    before any trial."""
     obj = _load(path)
     try:
         if not isinstance(obj, dict):
             raise TypeError("config must be a JSON object")
-        if obj.get("scheme") == "custom" and "povm" in obj:
+        if obj.get("scheme") == "custom" and obj.get("povm") is not None:
             obj = {**obj, "povm": _povm_file(obj["povm"])}
         return cls(**obj)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -370,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["auto", *_CHARTS])
     p_fisher.add_argument("--mode", default="auto",
                           choices=["auto", *fisher._MODES])
-    p_fisher.add_argument("--drop-threshold", type=_nonnegative,
-                          default=_tol.DROP_THRESHOLD)
     p_fisher.set_defaults(func=cmd_fisher)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo tomography run")

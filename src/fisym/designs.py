@@ -372,37 +372,15 @@ def g2design_from_unitary_design(
 def clifford_group_qubit() -> list[np.ndarray]:
     """The 24 single-qubit Clifford unitaries, one per phase class.
 
-    Generated as the closure of the Hadamard and phase gates; each element
-    is normalized so its first nonzero entry is real positive.
+    Each is P U for a Pauli P in {1, X, Y, Z} and a U in {1, S, H, HS,
+    SH, HSH}: the six U permute the Pauli axes in all six ways, and the
+    Paulis add the sign patterns.
     """
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     s = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-    def canonical(u: np.ndarray) -> np.ndarray:
-        # rotate the first maximal-magnitude entry to the positive real
-        # axis; stable under the drift accumulated by repeated products
-        flat = u.reshape(-1)
-        mags = np.abs(flat)
-        idx = int(np.nonzero(mags >= mags.max() - _tol.PHASE_TIE_TOL)[0][0])
-        entry = flat[idx]
-        return u * (entry.conj() / abs(entry))
-
-    def key(u: np.ndarray) -> bytes:
-        return (np.round(u, 6) + 0.0).tobytes()  # +0.0 clears negative zeros
-
-    group = {key(canonical(np.eye(2, dtype=complex))): canonical(np.eye(2, dtype=complex))}
-    frontier = list(group.values())
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for g in (h, s):
-                v = canonical(g @ u)
-                k = key(v)
-                if k not in group:
-                    group[k] = v
-                    nxt.append(v)
-        frontier = nxt
-    members = list(group.values())
-    if len(members) != 24:
-        raise RuntimeError(f"Clifford closure produced {len(members)} elements")
-    return members
+    one = np.eye(2, dtype=complex)
+    paulis = (one, np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]], dtype=complex),
+              np.diag([1, -1]).astype(complex))
+    return [p @ u for p in paulis
+            for u in (one, s, h, h @ s, s @ h, h @ s @ h)]

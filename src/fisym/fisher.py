@@ -94,18 +94,13 @@ def outcome_probs(rho: DensityMatrix, p: Povm) -> np.ndarray:
     return _probs_and_grads(rho, (), p)[0]
 
 
-def _kept(probs: np.ndarray, grads: np.ndarray, drop_threshold: float):
-    """The mask of outcomes above ``drop_threshold`` for (..., k)
+def _kept(probs: np.ndarray, grads: np.ndarray):
+    """The mask of outcomes above ``_tol.DROP_THRESHOLD`` for (..., k)
     probabilities with (..., k, n) gradients, one point or a grid of
     them, and (outcome, probability, largest |derivative|) of each
     dropped one, in order.  A dropped outcome whose derivative exceeds
-    ``_tol.REGULARITY_DERIV_TOL`` warns that I may be ill defined.  A
-    negative (or NaN) threshold raises: it would keep zero-probability
-    outcomes, which the sums divide by."""
-    if not drop_threshold >= 0.0:
-        raise ValueError(f"drop threshold must be nonnegative, got "
-                         f"{drop_threshold!r}")
-    kept = probs > drop_threshold
+    ``_tol.REGULARITY_DERIV_TOL`` warns that I may be ill defined."""
+    kept = probs > _tol.DROP_THRESHOLD
     dropped = []
     for at in zip(*np.nonzero(~kept)):
         xi, dp_max = at[-1], float(np.abs(grads[at]).max())
@@ -119,7 +114,7 @@ def _kept(probs: np.ndarray, grads: np.ndarray, drop_threshold: float):
 
 
 def _accumulate(
-    probs: np.ndarray, grads: np.ndarray, drop_threshold: float
+    probs: np.ndarray, grads: np.ndarray
 ) -> tuple[np.ndarray, list]:
     """Classical Fisher matrices, symmetrized, of (..., k) probabilities
     with (..., k, n) gradients, shape (..., n, n), over the outcomes that
@@ -127,7 +122,7 @@ def _accumulate(
     gradient is divided by its probability and a dropped one's becomes
     zero, so a stack of points is one batched product whose matrices are,
     bit for bit, those of each point on its own."""
-    kept, dropped = _kept(probs, grads, drop_threshold)
+    kept, dropped = _kept(probs, grads)
     scaled = np.divide(grads, probs[..., None], out=np.zeros_like(grads),
                        where=kept[..., None])
     i_mat = scaled.swapaxes(-1, -2) @ grads
@@ -142,7 +137,7 @@ def fisher_matrix(param: Parametrization, p: Povm) -> np.ndarray:
     a regularity warning is emitted.
     """
     probs, grads = _probs_and_grads(param.base(), tangent_ops(param), p)
-    return _accumulate(probs, grads, _tol.DROP_THRESHOLD)[0]
+    return _accumulate(probs, grads)[0]
 
 
 def fisher_fd_oracle(param: Parametrization, p: Povm) -> np.ndarray:
@@ -272,11 +267,10 @@ def _symmetry_verdict(
     n_manifold = 2 * d - 2 if rho.is_pure() else d * d - 1
     target = bound / n_manifold
     fit = float(np.sum(j_mat * i_mat)) / float(np.sum(j_mat * j_mat))
-    # a floor, not a tolerance: for I = 0 (the trivial POVM) the weak
-    # residual is 0 / 1e-300 = 0, where 0 / 0 would raise
-    # ZeroDivisionError
-    i_norm = max(float(np.linalg.norm(i_mat)), 1e-300)
-    weak_residual = float(np.linalg.norm(i_mat - fit * j_mat)) / i_norm
+    # I = 0 (the trivial POVM) is c J with c = 0: its weak residual is 0
+    i_norm = float(np.linalg.norm(i_mat))
+    weak_residual = (float(np.linalg.norm(i_mat - fit * j_mat)) / i_norm
+                     if i_norm else 0.0)
     full_residual = (float(np.linalg.norm(i_mat - target * j_mat))
                      / (target * float(np.linalg.norm(j_mat))))
     if full_residual <= _tol.SYMMETRY_TOL:
@@ -375,26 +369,23 @@ class FisherReport:
 
 
 def fisher_report(
-    param: Parametrization, p: Povm,
-    mode: str | None = None,
-    drop_threshold: float = _tol.DROP_THRESHOLD,
+    param: Parametrization, p: Povm, mode: str | None = None
 ) -> FisherReport:
     """Full information report: Fisher matrices, bound check, symmetry.
 
     The tangents, rho, I and J are computed once, and both verdicts are
     derived from the returned ``i_matrix`` and ``j_matrix``: outcomes at
-    or below ``drop_threshold`` are left out of I for the bound check and
-    the symmetry test alike.  ``_tol.GM_TOL`` is the relative margin for
-    equality with the bound (as in :func:`gm_check`), ``_tol.SYMMETRY_TOL``
-    the residual allowed by the symmetry test (as in
-    :func:`fisher_symmetry_check`).  The symmetry target always uses the
-    bound of the inferred mode, so an explicit ``mode`` changes only the
-    bound check.
+    or below ``_tol.DROP_THRESHOLD`` are left out of I (by :func:`_kept`,
+    the one drop rule) for the bound check and the symmetry test alike.
+    ``_tol.GM_TOL`` is the relative margin for equality with the bound
+    (as in :func:`gm_check`), ``_tol.SYMMETRY_TOL`` the residual allowed
+    by the symmetry test (as in :func:`fisher_symmetry_check`).  The
+    symmetry target always uses the bound of the inferred mode, so an
+    explicit ``mode`` changes only the bound check.
     """
     rho = param.base()
     tangents = tangent_ops(param)
-    i_mat, dropped = _accumulate(*_probs_and_grads(rho, tangents, p),
-                                 drop_threshold)
+    i_mat, dropped = _accumulate(*_probs_and_grads(rho, tangents, p))
     j_mat = _qfi(rho, tangents)
     natural = _infer_mode(rho, p)
     if mode is None:

@@ -677,7 +677,7 @@ def _analytic_columns(model: _QuadModel, bloch: np.ndarray,
     probs = _nonnegative(model.c + np.einsum("gka,ga->gk", model.lin + ms,
                                              bloch))
     grads = model.lin + 2.0 * ms
-    i_inv = _inverse_fisher(_accumulate(probs, grads, _tol.DROP_THRESHOLD)[0])
+    i_inv = _inverse_fisher(_accumulate(probs, grads)[0])
     r = np.linalg.norm(bloch, axis=1)
     if np.any((1.0 - r) / 2.0 <= _tol.RANK_TOL):
         raise ValueError(f"Bloch radius {float(r.max())!r} is pure to within "

@@ -493,30 +493,39 @@ class TestFisherCommand:
         assert code == 0
         assert report["n_params"] == 3
 
-    @pytest.mark.filterwarnings("ignore:outcome .* dropped")
     def test_drop_threshold_reaches_verdicts(self, capsys):
-        code, report, _ = run(capsys, "fisher", "--povm", "sic-single",
-                              "--state", "bloch:0,0,0.9",
-                              "--drop-threshold", "0.2")
+        # at |0> the great-circle outcome |1><1|/2 has probability and
+        # derivative 0 and is dropped; the verdicts use the I returned
+        code, report, _ = run(capsys, "fisher", "--povm", "great-circle",
+                              "--state", "pure:1,0")
         assert code == 0
-        assert len(report["dropped_outcomes"]) == 2
+        assert report["dropped_outcomes"] == [
+            {"index": 1, "probability": 0.0, "max_derivative": 0.0}]
         i_mat = np.array(report["i_matrix"])
         j_mat = np.array(report["j_matrix"])
         fit = np.sum(j_mat * i_mat) / np.sum(j_mat * j_mat)
-        assert fit == pytest.approx(0.0268, abs=1e-4)
+        assert fit == pytest.approx(0.25, rel=1e-12)
         assert report["symmetry"]["scale_fit"] == pytest.approx(fit, rel=1e-9)
         assert report["gm"]["value"] == pytest.approx(
             np.trace(np.linalg.solve(j_mat, i_mat)), rel=1e-9)
 
-    @pytest.mark.filterwarnings("ignore:outcome .* dropped")
+    def test_drop_threshold_is_not_an_option(self, capsys):
+        # the drop rule is the constant _tol.DROP_THRESHOLD
+        with pytest.raises(SystemExit) as exc:
+            main(["fisher", "--povm", "sic-single", "--state",
+                  "bloch:0,0,0.9", "--drop-threshold", "0.2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_options_do_not_leak_into_next_call(self, capsys):
         # main() reuses one parser; a non-default option must not stick
-        argv = ["fisher", "--povm", "sic-single", "--state", "bloch:0,0,0.9"]
-        raised = run(capsys, *argv, "--drop-threshold", "0.2")[1]
+        argv = ["fisher", "--povm", "collective-sic", "--state",
+                "bloch:0.3,0.1,0"]
+        single = run(capsys, *argv, "--mode", "single-copy")[1]
         plain = run(capsys, *argv)[1]
-        assert len(raised["dropped_outcomes"]) == 2
-        assert plain["dropped_outcomes"] == []
-        assert plain == run(capsys, *argv, "--drop-threshold", "1e-12")[1]
+        assert single["gm"]["mode"] == "single-copy"
+        assert plain["gm"]["mode"] == "two-copy"
+        assert plain == run(capsys, *argv, "--mode", "auto")[1]
 
     @pytest.mark.parametrize("spec", ["bloch:nan,0,0", "bloch:0,inf,0",
                                       "bloch:2,0,0", "bloch:1e308,1e308,0",
@@ -655,15 +664,6 @@ class TestFisherCommand:
                            "--state", "bloch:0,0,0")
         assert code == 2
         assert all(name in err for name in NAMED_POVMS)
-
-    @pytest.mark.parametrize("threshold", ["-1", "-1e-300"])
-    def test_negative_drop_threshold_is_usage_error(self, capsys, threshold):
-        # it would keep zero-probability outcomes and divide by them
-        with pytest.raises(SystemExit) as exc:
-            main(["fisher", "--povm", "great-circle", "--state", "pure:1,0",
-                  f"--drop-threshold={threshold}"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
 
     def test_pure_chart_needs_pure_state(self, capsys):
         code, _, err = run(capsys, "fisher", "--povm", "sic-single",
@@ -904,6 +904,24 @@ def test_named_scheme_refuses_povm_before_reading_it(
     assert code == 2
     assert err == (f'error: bad {what} config: a "povm" file is read only '
                    'with "scheme": "custom"\n')
+
+
+@pytest.mark.parametrize("command, what, point", [
+    ("simulate", "simulation", {"bloch": [0.5, 0.0, 0.0]}),
+    ("sweep", "sweep", {"radii": [0.5]})])
+def test_custom_scheme_with_null_povm_is_refused_by_its_config(
+        capsys, tmp_path, command, what, point):
+    # JSON null is no file name: the config says what it lacks, as it does
+    # when the key is absent
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"scheme": "custom", "n_copies": 200, "n_trials": 3, "seed": 5,
+         "povm": None, **point}))
+    code, _, err = run(capsys, command, "--config", str(config), "--out",
+                       str(tmp_path / "out"))
+    assert code == 2
+    assert err == (f"error: bad {what} config: custom scheme needs an "
+                   "explicit POVM\n")
 
 
 @pytest.mark.parametrize("argv", [

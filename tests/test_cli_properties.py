@@ -136,8 +136,7 @@ def requests(draw):
         state = draw(st.one_of(bloch_specs, st.just("a.json")))
         return ["fisher", "--povm", povm, "--state", state,
                 "--param", draw(st.sampled_from(["auto", *_CHARTS])),
-                "--mode", draw(st.sampled_from(["auto", *_MODES])),
-                "--drop-threshold", draw(tols)], written
+                "--mode", draw(st.sampled_from(["auto", *_MODES]))], written
     config = {
         "scheme": draw(st.sampled_from(SCHEMES)),
         "n_copies": draw(st.sampled_from([2, 4, 100])),

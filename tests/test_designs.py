@@ -239,7 +239,19 @@ class TestCliffordOrbit:
         group = clifford_group_qubit()
         assert len(group) == 24
         for u in group:
+            assert u.dtype == complex and u.shape == (2, 2)
             assert np.allclose(u @ u.conj().T, np.eye(2))
+        # |tr U^dag V| = 2 exactly when U = V up to phase: 24 classes
+        stack = np.array(group)
+        overlap = np.abs(np.einsum("aij,bij->ab", stack.conj(), stack))
+        assert np.allclose(np.diag(overlap), 2.0)
+        assert np.all(overlap[~np.eye(24, dtype=bool)] < 2.0 - 1e-6)
+        # every product of two members is a member up to phase
+        for u in group:
+            for v in group:
+                uv = u @ v
+                hits = np.abs(np.einsum("aij,ij->a", stack.conj(), uv))
+                assert np.sum(hits > 2.0 - 1e-9) == 1
 
     def test_orbit_of_projector_is_design(self):
         group = clifford_group_qubit()

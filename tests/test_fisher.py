@@ -24,7 +24,6 @@ from fisym.fisher import (
     outcome_probs,
     wmse_bound,
 )
-from fisym.tomosim import scheme_povm
 from fisym.povm import (
     Povm,
     collective_sic_qubit,
@@ -109,16 +108,6 @@ class TestFisherMatrix:
             warnings.simplefilter("error")
             i_mat = fisher_matrix(par, great_circle_qubit())
         assert i_mat.shape == (2, 2)
-
-    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, float("nan")])
-    def test_negative_drop_threshold_rejected(self, threshold):
-        # it would keep the zero-probability outcomes of a pure state and
-        # divide by them
-        from fisym.states import PureState
-
-        par = PureCanonical(PureState(np.array([1.0, 0.0], dtype=complex)))
-        with pytest.raises(ValueError, match="nonnegative"):
-            fisher_report(par, great_circle_qubit(), drop_threshold=threshold)
 
     def test_irregular_outcome_warns(self):
         # in the mixed chart a vanishing probability with nonzero
@@ -291,17 +280,18 @@ class TestFisherReport:
         text = json.dumps(rep.to_dict())
         assert "i_matrix" in json.loads(text)
 
-    @pytest.mark.filterwarnings("ignore:outcome .* dropped")
     def test_verdicts_use_report_drop_threshold(self):
-        # a high drop threshold removes two outcomes; both verdicts must be
-        # computed from the Fisher matrix the report returns
-        par = BlochQubit([0.0, 0.0, 0.9])
-        p = scheme_povm("sic-single")
-        rep = fisher_report(par, p, drop_threshold=0.2)
-        assert len(rep.dropped) == 2
+        # at |0> in the pure chart the great-circle outcome |1><1|/2 falls
+        # below _tol.DROP_THRESHOLD; both verdicts must be computed from
+        # the Fisher matrix the report returns
+        from fisym.states import PureState
+
+        par = PureCanonical(PureState(np.array([1.0, 0.0], dtype=complex)))
+        p = great_circle_qubit()
+        rep = fisher_report(par, p)
+        assert [xi for xi, _, _ in rep.dropped] == [1]
         i_mat, j_mat = rep.i_matrix, rep.j_matrix
-        ref = _accumulate(*_probs_and_grads(par.base(), tangent_ops(par), p),
-                          0.2)[0]
+        ref = _accumulate(*_probs_and_grads(par.base(), tangent_ops(par), p))[0]
         assert np.max(np.abs(i_mat - ref)) < 1e-14
         assert rep.gm.value == pytest.approx(gm_value(j_mat, i_mat), rel=1e-12)
         fit = np.sum(j_mat * i_mat) / np.sum(j_mat * j_mat)

@@ -300,16 +300,16 @@ def test_grid_probabilities_match_each_point(p, bloch, on_sphere):
 @settings(max_examples=200)
 @given(p=st.one_of(qubit_povms(),
                    st.sampled_from([NAMED_POVMS[s] for s in SCHEMES[:-1]])),
-       bloch=bloch_grids(), threshold=st.sampled_from([1e-12, 0.05, 0.3]))
-def test_accumulate_stack_matches_each_point(p, bloch, threshold):
+       bloch=bloch_grids())
+def test_accumulate_stack_matches_each_point(p, bloch):
     model = _quad_model(p)
     evals = [model.evaluate(s) for s in bloch]
     probs = np.array([np.clip(pr, 0.0, None) for pr, _ in evals])
     grads = np.array([model.lin + 2.0 * ms for _, ms in evals])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        stack, dropped = _accumulate(probs, grads, threshold)
-        points = [_accumulate(pr, g, threshold) for pr, g in zip(probs, grads)]
+        stack, dropped = _accumulate(probs, grads)
+        points = [_accumulate(pr, g) for pr, g in zip(probs, grads)]
     assert stack.shape == (len(bloch), 3, 3)
     assert stack.tobytes() == np.array([i for i, _ in points]).tobytes()
     assert dropped == [d for _, ds in points for d in ds]

@@ -99,6 +99,10 @@ that mended them, and only these:
   column moves.  One product M s now gives p = c + (L + M s) s and the
   gradients L + 2 M s, as in the MLE, and rounds differently off the
   axis.
+- ``fisher --help`` and the four ``fisher --param bogus`` requests,
+  against a tree whose ``fisher`` took ``--drop-threshold``: their usage
+  text no longer shows ``[--drop-threshold DROP_THRESHOLD]``, which is
+  all that differs.
 
 Each request's output files are deleted before it runs, so a request
 that fails before writing shows no file rather than the last request's.
