@@ -24,15 +24,19 @@ batch and none per grid point: one checked stack of states, one
 Born-rule contraction for their sampling probabilities, one count
 matrix over every grid point and trial, one least-squares solve for all
 linear estimates, and the error metrics in closed form from Bloch
-vectors, stacked and reduced along the trial axis in one pass.  The
-scheme is set up once, when its config is checked, from its Pauli-basis
-model alone: the model serves the MLE, gives the linear system of
-single-copy and two-copy POVMs alike, and gives a sweep's analytic
-columns.
+vectors, stacked and reduced along the trial axis in one pass.  A
+scheme is set up from its Pauli-basis model alone: the model serves the
+MLE, gives the linear system of single-copy and two-copy POVMs alike,
+and gives a sweep's analytic columns.  A named scheme is set up once per
+process and estimator and shared, read-only, by every config that names
+it; a custom POVM is set up when its config is checked.  The MLE
+restricts the model to a trial's observed outcomes once, for all of the
+trial's starts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,9 +75,21 @@ SCHEMES = ("collective-sic", "sic-single", "mub-single", "custom")
 # Iteration cap that ends one MLE ascent.
 _MLE_MAX_ITER = 200
 
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a as a contiguous array (a itself if it is one), made read-only:
+    a scheme's set-up may be shared by every run of the process."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
 # Offsets of the MLE's starts from s0: the first alone where the model is
 # affine, all four where it is quadratic (:func:`_scheme_setup`).
-_STARTS = np.vstack([np.zeros(3), 0.05 * np.eye(3)])
+_STARTS = _read_only(np.vstack([np.zeros(3), 0.05 * np.eye(3)]))
+
+# Machine epsilon, the relative rounding of one float64 operation.
+_EPS = float(np.finfo(float).eps)
 
 
 def _validate_run(config) -> None:
@@ -83,9 +99,11 @@ def _validate_run(config) -> None:
     fraction) raises ValueError, as does a scheme and POVM that
     :func:`scheme_povm` refuses, a custom POVM that is not positive and
     complete (:func:`povm._require_povm`), and one that
-    :func:`_scheme_setup` refuses.  The scheme is set up here, once per
-    config, and kept in ``config._setup`` for the run; the config is
-    frozen, so neither goes stale."""
+    :func:`_scheme_setup` refuses.  The set-up is kept in
+    ``config._setup`` for the run: a named scheme's comes from
+    :func:`_named_setup`, built once per process and estimator, and a
+    custom POVM's is built here, once per config.  The config is frozen
+    and the set-up read-only, so neither goes stale."""
     for name in ("n_copies", "n_trials", "seed"):
         object.__setattr__(config, name, _integer(getattr(config, name)))
     p = scheme_povm(config.scheme, config.povm)
@@ -104,7 +122,9 @@ def _validate_run(config) -> None:
         raise ValueError(f"n_copies must be a positive multiple of {p.copies}")
     if config.seed < 0:
         raise ValueError("seed must be nonnegative")
-    object.__setattr__(config, "_setup", _scheme_setup(p, config.estimator))
+    object.__setattr__(config, "_setup", (
+        _scheme_setup(p, config.estimator) if config.scheme == "custom"
+        else _named_setup(config.scheme, config.estimator)))
 
 
 @dataclass(frozen=True)
@@ -197,7 +217,7 @@ def _pauli_coeffs(elements, copies: int = 1) -> np.ndarray:
                      optimize=["einsum_path", (0, 2), (0, 1)]).real
 
 
-@dataclass
+@dataclass(frozen=True)
 class _QuadModel:
     """Outcome probabilities as p(s) = c + L s + s^T M s over Bloch space,
     with each M_k symmetric.  ``quad`` holds the M_k as a (k, 3, 3)
@@ -224,7 +244,7 @@ def _quad_model(p: Povm) -> _QuadModel:
         parts = q[:, 0, 0], 2.0 * q[:, 0, 1:], q[:, 1:, 1:]
     # contiguous copies of the slices: the MLE evaluates the model hundreds
     # of times per trial, and products with strided views are slower
-    return _QuadModel(*map(np.ascontiguousarray, parts))
+    return _QuadModel(*map(_read_only, parts))
 
 
 def _sampling_probs(rhos: np.ndarray, p: Povm) -> np.ndarray:
@@ -242,7 +262,7 @@ def _sampling_probs(rhos: np.ndarray, p: Povm) -> np.ndarray:
     return probs / total
 
 
-@dataclass
+@dataclass(frozen=True)
 class _LinearSystem:
     """Linear model target = offset + rows @ s extracted from a POVM.
 
@@ -288,10 +308,11 @@ def _linear_system(p: Povm, model: _QuadModel) -> _LinearSystem:
         if not indices.size:
             raise ValueError("two-copy POVM has no symmetric rank-one-power "
                              "outcomes; linear inversion is unavailable")
-        squares = c[indices]
+        squares = _read_only(c[indices])
         rows = lin[indices] / (2.0 * squares[:, None])
         offset = np.ones(len(indices))
-    return _LinearSystem(indices, offset, _identifying(rows), squares)
+    rows = _identifying(rows)
+    return _LinearSystem(*map(_read_only, (indices, offset, rows)), squares)
 
 
 def _identifying(rows: np.ndarray) -> np.ndarray:
@@ -368,15 +389,37 @@ def _ldl_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return np.array([b0 / a00 - l10 * x1 - l20 * x2, x1, x2])
 
 
+class _Observed:
+    """A model restricted to the outcomes that a trial's counts observed,
+    n_k > 0, laid out for one product per term of :func:`_mle_bloch`:
+    the counts; the restricted :class:`_QuadModel`, with its M_k as
+    (3k, 3) rows, so that :meth:`_QuadModel.evaluate` forms M s in one
+    product; -2 M_k as rows of 9, so that -Hess l = G + w (-2 M) with
+    w = n / p is one product; 1 / sqrt(n), so that G = U^T U with
+    U = grad p (w / sqrt(n)); and ``rounding``, k eps, the rounding of
+    l = sum_k n_k log p_k relative to |l|.  :func:`_estimate` builds it
+    once per trial and hands it to the ascent from each start."""
+
+    def __init__(self, counts: np.ndarray, model: _QuadModel):
+        observed = counts > 0
+        self.counts = counts[observed]
+        quad = model.quad[observed]
+        self.model = _QuadModel(model.c[observed], model.lin[observed],
+                                quad.reshape(-1, 3))
+        self.neg_quad9 = -2.0 * quad.reshape(-1, 9)
+        self.inv_root = 1.0 / np.sqrt(self.counts)
+        self.rounding = self.counts.size * _EPS
+
+
 def _mle_bloch(
-    counts: np.ndarray,
-    model: _QuadModel,
+    obs: _Observed,
     init: np.ndarray,
     clip: float,
 ) -> tuple[np.ndarray, float]:
     """Projected damped-Newton ascent on the multinomial log-likelihood
     l(s) = sum_k n_k log p_k(s) over the ball |s| <= clip, with Fisher
-    scoring after Hradil, PRA 55, R1561 (1997).
+    scoring after Hradil, PRA 55, R1561 (1997), of the trial whose
+    counts and model ``obs`` restricts to its observed outcomes.
 
     Each iteration solves A d = b and backtracks along d: for
     t = 1, 1/2, 1/4, ... it takes the first trial point s + t d,
@@ -406,29 +449,19 @@ def _mle_bloch(
     or the system A d = b is not finite, or after ``_MLE_MAX_ITER``
     iterations.
 
-    The model is restricted to the observed outcomes once, and laid out
-    there for one product per term: the M_k as (3k, 3) rows, so that
-    :meth:`_QuadModel.evaluate` forms M s in one product; -2 M_k as rows
-    of 9, so that -Hess l = G + w (-2 M) with w = n / p is one product;
-    and 1 / sqrt(n), so that G = U^T U with U = grad p (w / sqrt(n)).
-    The model is evaluated once per trial point: that one M s gives its
-    probabilities p = c + (L + M s) s, which l comes with, and, once the
-    point is accepted, the gradients L + 2 M s and the weights of the
-    next iteration.  The scalar tests (p > 0, |g|, s.s and g.s) run on
-    Python floats, as :func:`_ldl_solve` does, where numpy's per-call
-    cost would exceed the arithmetic.  Returns the point and its
-    log-likelihood.
+    The restriction, made once per trial (:class:`_Observed`), lays the
+    model out for one product per term.  The model is evaluated once per
+    trial point: that one M s gives its probabilities
+    p = c + (L + M s) s, which l comes with, and, once the point is
+    accepted, the gradients L + 2 M s and the weights of the next
+    iteration.  The scalar tests (p > 0, |g|, s.s and g.s) run on Python
+    floats, as :func:`_ldl_solve` does, where numpy's per-call cost would
+    exceed the arithmetic.  Returns the point and its log-likelihood.
     """
-    observed = counts > 0
-    c_obs = counts[observed]
-    quad = model.quad[observed]
-    obs = _QuadModel(model.c[observed], model.lin[observed],
-                     quad.reshape(-1, 3))
-    neg_quad9 = -2.0 * quad.reshape(-1, 9)
-    inv_root = 1.0 / np.sqrt(c_obs)
+    c_obs, model, inv_root = obs.counts, obs.model, obs.inv_root
 
     def loglik(s):
-        pr, ms = obs.evaluate(s)
+        pr, ms = model.evaluate(s)
         if min(pr.tolist()) <= 0.0:
             return -math.inf, pr, ms
         return float(c_obs.dot(np.log(pr))), pr, ms
@@ -438,9 +471,8 @@ def _mle_bloch(
     if not math.isfinite(f):
         s = np.zeros(3)
         f, pr, ms = loglik(s)
-    rounding = c_obs.size * np.finfo(float).eps  # of l, relative to |l|
     for _ in range(_MLE_MAX_ITER):
-        grads = obs.lin + 2.0 * ms
+        grads = model.lin + 2.0 * ms
         w = c_obs / pr
         g = w.dot(grads)
         g0, g1, g2 = g.tolist()
@@ -448,7 +480,7 @@ def _mle_bloch(
             break
         u = grads.T * (w * inv_root)
         fisher = u.dot(u.T)
-        hess = fisher + w.dot(neg_quad9).reshape(3, 3)
+        hess = fisher + w.dot(obs.neg_quad9).reshape(3, 3)
         d = _ldl_solve(hess, g)  # Newton's step, where -Hess l is definite
         a, b = (fisher if d is None else hess), g
         s0, s1, s2 = s.tolist()
@@ -473,19 +505,23 @@ def _mle_bloch(
             fc, pc, mc = loglik(cand)
             if fc > f:
                 break
-            if t <= 0.125 and not 0.5 * t * b.dot(d) > rounding * abs(f):
+            if t <= 0.125 and not 0.5 * t * b.dot(d) > obs.rounding * abs(f):
                 return s, f  # any rise left is rounding of l
             t *= 0.5
         s, f, pr, ms = cand, fc, pc, mc
     return s, f
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Scheme:
-    """What estimation needs from a POVM, built once per config:
-    its Pauli model, which the MLE and a sweep's analytic columns read,
-    the linear system that :func:`_linear_system` reads from the model,
-    with no eigendecomposition, and the MLE's starts."""
+    """What estimation needs from a POVM: its Pauli model, which the MLE
+    and a sweep's analytic columns read, the linear system that
+    :func:`_linear_system` reads from the model, with no
+    eigendecomposition, and the MLE's starts.  A named scheme's is built
+    once per process and estimator (:func:`_named_setup`) and shared by
+    every run; a custom POVM's once per config.  So that no run can
+    change it for another, it and its parts are frozen and every array
+    in them is read-only (:func:`_read_only`)."""
 
     povm: Povm
     model: _QuadModel
@@ -523,16 +559,26 @@ def _scheme_setup(p: Povm, estimator: str) -> _Scheme:
     return _Scheme(p, model, linsys, mle, starts)
 
 
+@functools.cache
+def _named_setup(scheme: str, estimator: str) -> _Scheme:
+    """The set-up of a scheme of ``povm.NAMED_POVMS``, whose POVMs are
+    frozen: built on first use and shared by every later config of the
+    process that names the scheme and estimator."""
+    return _scheme_setup(NAMED_POVMS[scheme], estimator)
+
+
 def _estimate(counts: np.ndarray, setup: _Scheme) -> np.ndarray:
     """Bloch estimates for a (trials, outcomes) count array: the linear
     inversion projected into the unit ball, or the MLE over the ball
     clipped at ``_tol.INTERIOR_CLIP``, which keeps Bures distances
-    finite, one trial at a time: one :func:`_mle_bloch` ascent per start
-    of the scheme, from s0 projected into the clipped ball and moved by
-    the start's offset (which the ascent projects again).  It keeps the
-    end of the first start whose log-likelihood is within k eps |l| of
-    the highest l, the rounding of l on which an ascent stops, so
-    rounding does not pick among ends that tie to within it."""
+    finite, one trial at a time.  Each trial restricts the model to its
+    observed outcomes once (:class:`_Observed`) and runs one
+    :func:`_mle_bloch` ascent on that restriction per start of the
+    scheme, from s0 projected into the clipped ball and moved by the
+    start's offset (which the ascent projects again).  It keeps the end
+    of the first start whose log-likelihood is within k eps |l| of the
+    highest l, the rounding of l on which an ascent stops, so rounding
+    does not pick among ends that tie to within it."""
     s_lin = (np.zeros((len(counts), 3)) if setup.linsys is None
              else _linear_bloch(counts, setup.linsys))
     if not setup.mle:
@@ -541,10 +587,10 @@ def _estimate(counts: np.ndarray, setup: _Scheme) -> np.ndarray:
     estimates = []
     for c, s0 in zip(counts, s_lin):
         s0 = _project(s0, clip)
-        ends = [_mle_bloch(c, setup.model, s0 + d, clip)
-                for d in setup.starts]
+        observed = _Observed(c, setup.model)
+        ends = [_mle_bloch(observed, s0 + d, clip) for d in setup.starts]
         top = max(f for _, f in ends)
-        floor = top - np.count_nonzero(c) * np.finfo(float).eps * abs(top)
+        floor = top - observed.rounding * abs(top)
         estimates.append(next(s for s, f in ends if f >= floor))
     return np.array(estimates)
 
@@ -570,7 +616,7 @@ def _simulate(config, bloch: np.ndarray, seeds) -> list[dict]:
     infidelities of every estimate from its point's vector are stacked,
     and one mean and one standard deviation along the trial axis reduce
     them.  ``config`` (a :class:`SimConfig` or :class:`SweepConfig`) gives
-    the scheme it set up, the copies and the trials.  Returns, per point,
+    its scheme's set-up, the copies and the trials.  Returns, per point,
     the fields of :class:`SimResult` other than ``config``.
     """
     setup = config._setup
@@ -727,7 +773,7 @@ def sweep(config: SweepConfig) -> list[dict]:
     its trials draw from the streams keyed by (that seed, i) and each row
     equals an independent :func:`run_simulation` there.  Rows carry the
     scaled Monte Carlo errors next to the asymptotic values
-    t * tr(W I^{-1}).  The scheme, set up when the config was checked,
+    t * tr(W I^{-1}).  The scheme's set-up, which the config holds,
     serves the whole grid.  The analytic columns come first, from
     ``setup.model``, the scheme's Pauli model, for the whole grid at once
     (:func:`_analytic_columns`), with one batched singular-I check and

@@ -51,6 +51,11 @@ point, sum over n_k > 0 of n_k log p_k, for random one- and two-copy
 POVMs and counts with zeros, so no probabilities of an earlier point
 survive into the result.
 
+A named scheme is set up once per process and estimator and shared by
+every run.  For random counts of every named scheme, with either
+estimator, its shared set-up must give the estimates of a fresh set-up
+of the same POVM bit for bit.
+
 The MLE must return the maximum, not a local one, for every model it
 accepts.  For random two-copy qubit POVMs, whose likelihood need not be
 concave, the log-likelihood l at the estimate must reach l at the end of
@@ -87,8 +92,8 @@ from fisym.states import (_PAULI, BlochQubit, _bloch_matrices,
 from fisym._tol import CLIP_MARGIN, INTERIOR_CLIP
 from fisym.tomosim import (SCHEMES, _analytic_columns, _estimate,
                            _ldl_solve, _linear_bloch, _linear_system,
-                           _mle_bloch, _quad_model, _QuadModel,
-                           _sampling_probs, _scheme_setup,
+                           _mle_bloch, _named_setup, _Observed, _quad_model,
+                           _QuadModel, _sampling_probs, _scheme_setup,
                            asymptotic_metrics, scheme_povm)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -492,10 +497,33 @@ def test_mle_loglik_is_the_full_model_at_the_estimate(p, start, data):
         model = _scheme_setup(p, "mle").model
     except ValueError:
         assume(False)
-    s, loglik = _mle_bloch(counts, model, start, INTERIOR_CLIP)
+    s, loglik = _mle_bloch(_Observed(counts, model), start, INTERIOR_CLIP)
     observed = counts > 0
     full = counts[observed] @ np.log(model.evaluate(s)[0][observed])
     assert loglik == pytest.approx(full, rel=1e-12)
+
+
+@st.composite
+def named_scheme_counts(draw):
+    """A named scheme, an estimator, and the counts of 1 to 3 trials on
+    the scheme's POVM, each trial with an observed outcome."""
+    name = draw(st.sampled_from(SCHEMES[:-1]))
+    size = NAMED_POVMS[name].size
+    counts = draw(hnp.arrays(int, (draw(st.integers(1, 3)), size),
+                             elements=st.integers(0, 1000)))
+    counts[:, draw(st.integers(0, size - 1))] += 1
+    return name, draw(st.sampled_from(["mle", "linear"])), counts.astype(float)
+
+
+@settings(max_examples=100)
+@given(case=named_scheme_counts())
+def test_shared_setup_estimates_as_a_fresh_one(case):
+    name, estimator, counts = case
+    shared = _named_setup(name, estimator)
+    assert _named_setup(name, estimator) is shared
+    fresh = _scheme_setup(NAMED_POVMS[name], estimator)
+    assert (_estimate(counts, shared).tobytes()
+            == _estimate(counts, fresh).tobytes())
 
 
 def _lattice_started_maximum(model, counts, n=41):
@@ -510,7 +538,7 @@ def _lattice_started_maximum(model, counts, n=41):
     with np.errstate(divide="ignore"):  # p <= 0 gives l = -inf
         loglik = np.log(np.clip(probs[:, observed], 0.0, None)) \
             @ counts[observed]
-    return _mle_bloch(counts, model, grid[np.argmax(loglik)],
+    return _mle_bloch(_Observed(counts, model), grid[np.argmax(loglik)],
                       INTERIOR_CLIP)[1]
 
 

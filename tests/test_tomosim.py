@@ -48,6 +48,21 @@ def estimate(counts, p, estimator):
                      _scheme_setup(p, estimator))[0]
 
 
+def criterion_7_mix():
+    """MLE runs of the criterion-7 mix: collective-sic at three radii and
+    sic-single at the centre, N = 10^4, 10 trials each."""
+    return [SimConfig(scheme=scheme, bloch=(s, 0.0, 0.0), n_copies=10**4,
+                      n_trials=10, seed=21, estimator="mle")
+            for scheme, s in (("collective-sic", 0.0), ("collective-sic", 0.5),
+                              ("collective-sic", 0.9), ("sic-single", 0.0))]
+
+
+def ascents_of(configs):
+    """The MLE ascents that runs of ``configs`` make: one per start of
+    each config's scheme, per trial."""
+    return sum(len(c._setup.starts) * c.n_trials for c in configs)
+
+
 class TestSchemePovm:
     def test_known_schemes_resolve(self):
         for name in SCHEMES:
@@ -343,12 +358,10 @@ class TestMleEstimator:
 
         monkeypatch.setattr(tomosim._QuadModel, "evaluate", counted_evaluate)
         monkeypatch.setattr(tomosim, "_mle_bloch", counted_ascent)
-        for scheme, s in (("collective-sic", 0.0), ("collective-sic", 0.5),
-                          ("collective-sic", 0.9), ("sic-single", 0.0)):
-            run_simulation(SimConfig(
-                scheme=scheme, bloch=(s, 0.0, 0.0), n_copies=10**4,
-                n_trials=10, seed=21, estimator="mle"))
-        assert ascents[0] == 130
+        configs = criterion_7_mix()
+        for config in configs:
+            run_simulation(config)
+        assert ascents[0] == ascents_of(configs)
         # at least the start of each ascent, so the count is not vacuous
         assert ascents[0] <= evals[0] <= 15 * ascents[0]
 
@@ -369,18 +382,18 @@ class TestMleEstimator:
 
         monkeypatch.setattr(tomosim._QuadModel, "evaluate", recorded_evaluate)
         monkeypatch.setattr(tomosim, "_mle_bloch", recorded_ascent)
-        for scheme, s in (("collective-sic", 0.0), ("collective-sic", 0.5),
-                          ("collective-sic", 0.9), ("sic-single", 0.0)):
-            run_simulation(SimConfig(
-                scheme=scheme, bloch=(s, 0.0, 0.0), n_copies=10**4,
-                n_trials=10, seed=21, estimator="mle"))
-        assert len(points) == 130
+        configs = criterion_7_mix()
+        for config in configs:
+            run_simulation(config)
+        n_ascents = ascents_of(configs)
+        assert len(points) == n_ascents
         assert all(points)  # each ascent evaluated its start at least
         assert sum(map(len, points)) <= 8 * len(points)
         for name, counts in (("sic-single", [7, 0, 3, 2]),
                              ("collective-sic", [9, 0, 4, 0, 2])):
             estimate(counts, scheme_povm(name), "mle")
-        assert len(points) == 135
+            n_ascents += len(_scheme_setup(scheme_povm(name), "mle").starts)
+        assert len(points) == n_ascents
         for ascent in points:
             assert len(set(ascent)) == len(ascent)
 
@@ -394,8 +407,9 @@ class TestMleEstimator:
         counts = np.array([42.0, 42.0, 9.0, 4.0, 3.0])
         s0 = tomosim._project(tomosim._linear_bloch(
             counts[None], setup.linsys)[0], INTERIOR_CLIP)
-        ends = [tomosim._mle_bloch(counts, setup.model, s0 + d,
-                                   INTERIOR_CLIP) for d in setup.starts]
+        ends = [tomosim._mle_bloch(tomosim._Observed(counts, setup.model),
+                                   s0 + d, INTERIOR_CLIP)
+                for d in setup.starts]
         first, f0 = ends[0]
         bound = counts.size * np.finfo(float).eps * abs(f0)
         assert max(np.linalg.norm(s - first) for s, _ in ends) > 1e-9
@@ -430,7 +444,8 @@ class TestMleEstimator:
         u = np.array([1.0, -1.0, -1.0]) / np.sqrt(3.0)
         start = tomosim._project(INTERIOR_CLIP * u + [0.0, 0.05, 0.0],
                                  INTERIOR_CLIP)
-        s, _ = tomosim._mle_bloch(counts, model, start, INTERIOR_CLIP)
+        s, _ = tomosim._mle_bloch(tomosim._Observed(counts, model), start,
+                                  INTERIOR_CLIP)
         assert singular
         assert np.linalg.norm(s - INTERIOR_CLIP * u) < 1e-9
 
@@ -451,8 +466,8 @@ class TestMleEstimator:
                             lambda a, b: np.full(3, np.inf))
         model = _quad_model(scheme_povm("collective-sic"))
         start = np.array([0.1, 0.2, -0.1])
-        s, f = tomosim._mle_bloch(np.array([3.0, 1.0, 2.0, 0.0, 1.0]),
-                                  model, start, INTERIOR_CLIP)
+        s, f = tomosim._mle_bloch(tomosim._Observed(
+            np.array([3.0, 1.0, 2.0, 0.0, 1.0]), model), start, INTERIOR_CLIP)
         assert np.array_equal(s, start) and np.isfinite(f)
         assert np.linalg.norm(s) <= INTERIOR_CLIP
         assert evals[0] == 1  # the start alone
@@ -480,8 +495,9 @@ class TestMleEstimator:
         model = _quad_model(scheme_povm("collective-sic"))
         start = np.array([0.1, 0.2, -0.1])
         with np.errstate(invalid="ignore"):  # inf - inf in the products
-            s, f = tomosim._mle_bloch(np.array([3.0, 1.0, 2.0, 0.0, 1.0]),
-                                      model, start, INTERIOR_CLIP)
+            s, f = tomosim._mle_bloch(tomosim._Observed(
+                np.array([3.0, 1.0, 2.0, 0.0, 1.0]), model), start,
+                INTERIOR_CLIP)
         assert np.array_equal(s, start) and np.isfinite(f)
         assert evals[0] == 1  # the start, whose M s is not finite
 
@@ -584,6 +600,76 @@ class TestNotInformationallyComplete:
         flat = Povm([np.eye(4) / 2, np.eye(4) / 2], copies=2, base_dim=2)
         with pytest.raises(ValueError, match=NOT_IC):
             _scheme_setup(flat, "mle")
+
+
+def setup_arrays(obj):
+    """Every array reachable from a set-up through dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from setup_arrays(getattr(obj, f.name))
+
+
+def setup_parts(setup):
+    """The set-up and the dataclasses in its fields."""
+    return [setup, *(getattr(setup, f.name) for f in dataclasses.fields(setup)
+                     if dataclasses.is_dataclass(getattr(setup, f.name)))]
+
+
+class TestNamedSetup:
+    """A named scheme is set up once per process and estimator and shared
+    by every config that names it, so no run may be able to change it."""
+
+    def config(self, cls=SimConfig, **kw):
+        args = dict(scheme="collective-sic", n_copies=40, n_trials=2,
+                    seed=5, estimator="mle")
+        args.update(kw)
+        if cls is SimConfig:
+            return SimConfig(bloch=(0.3, 0.0, 0.0), **args)
+        return SweepConfig(radii=(0.3,), **args)
+
+    @pytest.mark.parametrize("estimator", ["mle", "linear"])
+    @pytest.mark.parametrize("scheme", SCHEMES[:-1])
+    def test_every_array_is_read_only(self, scheme, estimator):
+        setup = self.config(scheme=scheme, estimator=estimator)._setup
+        arrays = list(setup_arrays(setup))
+        # povm.elements, c, L, M, starts, and the linear system's arrays
+        assert len(arrays) >= 8
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+    @pytest.mark.parametrize("scheme", SCHEMES[:-1])
+    def test_its_parts_are_frozen(self, scheme):
+        for part in setup_parts(self.config(scheme=scheme)._setup):
+            name = dataclasses.fields(part)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(part, name, None)
+
+    @pytest.mark.parametrize("estimator", ["mle", "linear"])
+    @pytest.mark.parametrize("scheme", SCHEMES[:-1])
+    def test_configs_share_one_setup(self, scheme, estimator):
+        configs = [self.config(scheme=scheme, estimator=estimator),
+                   self.config(scheme=scheme, estimator=estimator, seed=6,
+                               n_copies=400),
+                   self.config(SweepConfig, scheme=scheme,
+                               estimator=estimator)]
+        assert all(c._setup is configs[0]._setup for c in configs)
+        other = "linear" if estimator == "mle" else "mle"
+        assert self.config(scheme=scheme,
+                           estimator=other)._setup is not configs[0]._setup
+
+    @pytest.mark.parametrize("cls", [SimConfig, SweepConfig])
+    def test_custom_config_has_its_own_setup(self, cls):
+        named = self.config(cls)._setup
+        p = NAMED_POVMS["collective-sic"]
+        a = self.config(cls, scheme="custom", povm=p)._setup
+        b = self.config(cls, scheme="custom", povm=p)._setup
+        assert a is not named and b is not named and a is not b
+        assert a.povm is p
+        for x, y in zip(setup_arrays(a), setup_arrays(named)):
+            assert np.array_equal(x, y)
 
 
 class TestRunSimulation:
