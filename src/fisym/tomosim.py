@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -154,7 +154,8 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Aggregated Monte Carlo output; all errors are scaled by n_copies."""
+    """Aggregated Monte Carlo output; all errors are scaled by n_copies.
+    Its float fields are the point's statistics, :data:`STATISTICS`."""
 
     config: SimConfig
     scaled_mse: float
@@ -174,15 +175,17 @@ class SimResult:
             "n_copies": self.config.n_copies,
             "n_trials": self.config.n_trials,
             "seed": self.config.seed,
-            "scaled_mse": self.scaled_mse,
-            "mse_stderr": self.mse_stderr,
-            "scaled_msb": self.scaled_msb,
-            "msb_stderr": self.msb_stderr,
-            "scaled_infidelity": self.scaled_infidelity,
-            "infidelity_stderr": self.infidelity_stderr,
+            **{name: getattr(self, name) for name in STATISTICS},
             "n_clipped": self.n_clipped,
             "counts_total": [int(c) for c in self.counts_total],
         }
+
+
+# A point's statistics, the float fields of SimResult in their order: the
+# scaled mean squared Hilbert-Schmidt and Bures distances and the scaled
+# mean infidelity, each followed by its standard error.  The one list of
+# their names, which the record, the sweep rows and the CSV header read.
+STATISTICS = tuple(f.name for f in fields(SimResult) if f.type == "float")
 
 
 def scheme_povm(scheme: str, custom: Povm | None = None) -> Povm:
@@ -595,10 +598,6 @@ def _estimate(counts: np.ndarray, setup: _Scheme) -> np.ndarray:
     return np.array(estimates)
 
 
-_ERROR_FIELDS = ("scaled_mse", "scaled_msb", "scaled_infidelity",
-                 "mse_stderr", "msb_stderr", "infidelity_stderr")
-
-
 def _simulate(config, bloch: np.ndarray, seeds) -> list[dict]:
     """Monte Carlo runs at the states of a (g, 3) array of Bloch vectors,
     point a with seed ``seeds[a]``, as one batch.
@@ -615,9 +614,11 @@ def _simulate(config, bloch: np.ndarray, seeds) -> list[dict]:
     per trial).  The squared Hilbert-Schmidt and Bures distances and the
     infidelities of every estimate from its point's vector are stacked,
     and one mean and one standard deviation along the trial axis reduce
-    them.  ``config`` (a :class:`SimConfig` or :class:`SweepConfig`) gives
-    its scheme's set-up, the copies and the trials.  Returns, per point,
-    the fields of :class:`SimResult` other than ``config``.
+    them, each mean stacked with its standard error in the order of
+    :data:`STATISTICS`.  ``config`` (a :class:`SimConfig` or
+    :class:`SweepConfig`) gives its scheme's set-up, the copies and the
+    trials.  Returns, per point, the fields of :class:`SimResult` other
+    than ``config``.
     """
     setup = config._setup
     p = setup.povm
@@ -646,13 +647,14 @@ def _simulate(config, bloch: np.ndarray, seeds) -> list[dict]:
                        np.maximum(2.0 - 2.0 * np.sqrt(fid), 0.0), 1.0 - fid])
     n = config.n_copies
     means = n * errors.mean(axis=-1)
-    # rows in _ERROR_FIELDS order: the means, then their standard errors
-    fields = np.concatenate([means, n * errors.std(axis=-1, ddof=1)
-                             / np.sqrt(nt) if nt > 1 else 0.0 * means])
+    stderrs = (n * errors.std(axis=-1, ddof=1) / np.sqrt(nt) if nt > 1
+               else 0.0 * means)
+    # rows in STATISTICS order: each mean, then its standard error
+    stats = np.stack([means, stderrs], axis=1).reshape(len(STATISTICS), -1)
     n_clipped = np.count_nonzero(
         radii >= _tol.INTERIOR_CLIP - _tol.CLIP_MARGIN, axis=1)
     totals = counts.sum(axis=1)
-    return [{**dict(zip(_ERROR_FIELDS, map(float, fields[:, a]))),
+    return [{**dict(zip(STATISTICS, map(float, stats[:, a]))),
              "n_clipped": int(n_clipped[a]), "counts_total": totals[a]}
             for a in range(len(bloch))]
 
@@ -762,8 +764,9 @@ class SweepConfig:
         object.__setattr__(self, "radii", radii)
 
 
-SWEEP_COLUMNS = ("s", "scheme", "scaled_mse", "mse_stderr",
-                 "scaled_msb", "msb_stderr", "analytic_mse", "analytic_msb")
+# the Hilbert-Schmidt and Bures statistics, then their asymptotic values
+SWEEP_COLUMNS = ("s", "scheme", *STATISTICS[:4], "analytic_mse",
+                 "analytic_msb")
 
 
 def sweep(config: SweepConfig) -> list[dict]:
@@ -773,11 +776,11 @@ def sweep(config: SweepConfig) -> list[dict]:
     its trials draw from the streams keyed by (that seed, i) and each row
     equals an independent :func:`run_simulation` there.  Rows carry the
     scaled Monte Carlo errors next to the asymptotic values
-    t * tr(W I^{-1}).  The scheme's set-up, which the config holds,
-    serves the whole grid.  The analytic columns come first, from
-    ``setup.model``, the scheme's Pauli model, for the whole grid at once
-    (:func:`_analytic_columns`), with one batched singular-I check and
-    one batched inverse; they equal :func:`asymptotic_metrics` of the
+    t * tr(W I^{-1}), keyed by :data:`SWEEP_COLUMNS`.  The scheme's
+    set-up, which the config holds, serves the whole grid.  The analytic
+    columns come first, from ``setup.model``, the scheme's Pauli model,
+    for the whole grid at once (:func:`_analytic_columns`), with one
+    batched singular-I check and one batched inverse; they equal :func:`asymptotic_metrics` of the
     point's :class:`BlochQubit` chart to rounding, and a grid that they
     refuse, such as one with a near-pure radius, raises before any trial
     runs.  Then the whole grid is one Monte Carlo batch
@@ -790,16 +793,10 @@ def sweep(config: SweepConfig) -> list[dict]:
     mse, msb = _analytic_columns(setup.model, bloch, setup.povm.copies)
     sims = _simulate(config, bloch, [config.seed + 99991 * idx
                                      for idx in range(len(bloch))])
-    return [{
-        "s": s,
-        "scheme": config.scheme,
-        "scaled_mse": sim["scaled_mse"],
-        "mse_stderr": sim["mse_stderr"],
-        "scaled_msb": sim["scaled_msb"],
-        "msb_stderr": sim["msb_stderr"],
-        "analytic_mse": float(m),
-        "analytic_msb": float(b),
-    } for s, sim, m, b in zip(config.radii, sims, mse, msb)]
+    return [dict(zip(SWEEP_COLUMNS, (s, config.scheme,
+                                     *(sim[name] for name in STATISTICS[:4]),
+                                     float(m), float(b))))
+            for s, sim, m, b in zip(config.radii, sims, mse, msb)]
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
@@ -811,7 +808,7 @@ def write_sweep_csv(rows: list[dict], path) -> None:
     """
     lines = [SWEEP_COLUMNS, *([row[c] for c in SWEEP_COLUMNS] for row in rows)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# scaled_mse weights squared error by the Hilbert-Schmidt "
-                 "metric, 0.5*|delta s|^2 in Bloch coordinates; scaled_msb "
-                 "uses squared Bures distance\n")
+        fh.write(f"# {STATISTICS[0]} weights squared error by the "
+                 "Hilbert-Schmidt metric, 0.5*|delta s|^2 in Bloch "
+                 f"coordinates; {STATISTICS[2]} uses squared Bures distance\n")
         fh.write("".join(",".join(map(str, line)) + "\r\n" for line in lines))

@@ -8,8 +8,9 @@ through ``fisym.cli.main`` in one temporary directory, each of them
 exiting 0, after the files that ``cat > FILE <<'EOF' ... EOF`` writes
 there; other lines (``pip``, ``pytest``, ``python tools/...``) are
 skipped.  Every build name, verify kind, chart, mode, scheme, estimator
-and config key of the CLI is named in README.md, and every name in a row
-of its module table exists in that row's module.
+and config key of the CLI, every key of the ``simulate`` record and every
+column of the ``sweep`` CSV is named in README.md, and every name in a
+row of its module table exists in that row's module.
 """
 
 import contextlib
@@ -81,10 +82,14 @@ def test_commands_exit_zero(tmp_path, monkeypatch, capsys):
 
 
 def test_every_cli_name_is_documented():
+    record = tomosim.run_simulation(tomosim.SimConfig(
+        scheme="sic-single", bloch=(0.0, 0.0, 0.0), n_copies=4, n_trials=1,
+        seed=0, estimator="linear")).to_dict()
     names = {*cli._BUILDS, *cli._VERIFIERS, *cli._CHARTS, *fisher._MODES,
              *tomosim.SCHEMES, "mle", "linear",
              *(f.name for cls in (tomosim.SimConfig, tomosim.SweepConfig)
-               for f in dataclasses.fields(cls) if not f.name.startswith("_"))}
+               for f in dataclasses.fields(cls) if not f.name.startswith("_")),
+             *record, *tomosim.SWEEP_COLUMNS}
     documented = set(re.findall(r"[\w-]+", README))
     assert names - documented == set()
 

@@ -16,16 +16,18 @@ for each scheme and estimator at small N, with a near-pure sweep and an
 oversized ``n_copies`` among them, a linear sweep of each named scheme
 along the direction (1, -1, 0.5), and ``simulate`` with the MLE for each
 scheme at ``n_copies`` 10 and 40 over 200 trials, at a mixed state and
-at radius 0.99; ``fisher`` with each ``--param`` chart at pure and mixed
-states of d = 2 and 3, an unknown ``--param`` and ``fisher --help``;
-``fisher`` on the one-element POVM {1}, whose Fisher matrix is 0, at a
-Bloch state; ``simulate`` and ``sweep`` on custom files that are no POVM
-and on the qutrit POVM ``tight-coherent-d3.json``; ``simulate`` and
-``sweep`` that name ``sic-single`` and also a valid ``povm`` file, which
-only ``custom`` takes; and the usage errors of ``build`` (a missing
-``--design`` or ``--source``, an unfit input file), an unknown ``build``
-name and ``verify`` kind, and ``simulate`` and ``sweep`` on
-collective-sic with an odd ``n_copies``.
+at radius 0.99; ``simulate --out`` on collective-sic with each
+estimator, whose record file is compared as well; ``fisher`` with each
+``--param`` chart at pure and mixed states of d = 2 and 3, an unknown
+``--param`` and ``fisher --help``; ``fisher`` on the one-element POVM
+{1}, whose Fisher matrix is 0, at a Bloch state; ``simulate`` and
+``sweep`` on custom files that are no POVM and on the qutrit POVM
+``tight-coherent-d3.json``; ``simulate`` and ``sweep`` that name
+``sic-single`` and also a valid ``povm`` file, which only ``custom``
+takes; and the usage errors of ``build`` (a missing ``--design`` or
+``--source``, an unfit input file), an unknown ``build`` name and
+``verify`` kind, and ``simulate`` and ``sweep`` on collective-sic with
+an odd ``n_copies``.
 
 Some requests are expected to differ from a tree older than the change
 that mended them, and only these:
@@ -281,6 +283,11 @@ def _requests():
     requests.append((["simulate", "--config", "sim-oversized.json"], []))
     requests.append((["sweep", "--config", "sweep-near-pure.json", "--out",
                       "near.csv"], ["near.csv"]))
+    # the record file that simulate --out writes
+    for estimator in ("mle", "linear"):
+        requests.append((["simulate", "--config",
+                          f"sim-collective-sic-{estimator}.json", "--out",
+                          "record.json"], ["record.json"]))
     # usage errors of build and the parser's refusals of unknown choices
     for args in (["twocopy-design"], ["companion"],
                  ["companion", "--source", "collective-sic.json"],
