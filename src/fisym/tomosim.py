@@ -442,12 +442,14 @@ def _mle_bloch(
     Halving a far step along a flat direction of l brings the trial point
     back from the sphere into the ball, where d ascends.
 
-    The ascent ends when no trial point down to t = 1/8 rises and the
-    rise the step predicts, t b.d / 2 with b.d the Newton decrement
-    lambda^2 (Boyd and Vandenberghe, Convex Optimization, 9.5), is within
+    The ascent ends, before each trial point, when the rise the step
+    predicts, t b.d / 2 with b.d the Newton decrement lambda^2, is within
     k eps |l|: l sums k observed terms n_k log p_k <= 0, so it is computed
-    only to that, and no shorter step could show a rise.  A NaN
-    prediction ends it too, and t reaches 0 within about 1075 halvings.
+    only to about that, and a smaller rise would be rounding.  At t = 1
+    this is the decrement test that Newton's method runs before its line
+    search (Boyd and Vandenberghe, Convex Optimization, 2004, Alg. 9.5).
+    A NaN prediction ends it too, and t reaches 0 within about 1075
+    halvings.
     The ascent also ends when |g| falls to ``_tol.MLE_GRAD_TOL``, when d
     or the system A d = b is not finite, or after ``_MLE_MAX_ITER``
     iterations.
@@ -502,14 +504,14 @@ def _mle_bloch(
             d = np.linalg.lstsq(a, b, rcond=None)[0]  # b is in G's range
         if not all(map(math.isfinite, d.tolist())):
             break  # d is not finite (a list checks faster than an array)
-        t = 1.0
+        t, rise = 1.0, 0.5 * b.dot(d)
         while True:  # backtrack along d to the first point that rises
+            if not t * rise > obs.rounding * abs(f):
+                return s, f  # any rise left is rounding of l
             cand = _project(s + t * d, clip)
             fc, pc, mc = loglik(cand)
             if fc > f:
                 break
-            if t <= 0.125 and not 0.5 * t * b.dot(d) > obs.rounding * abs(f):
-                return s, f  # any rise left is rounding of l
             t *= 0.5
         s, f, pr, ms = cand, fc, pc, mc
     return s, f
@@ -580,8 +582,9 @@ def _estimate(counts: np.ndarray, setup: _Scheme) -> np.ndarray:
     scheme, from s0 projected into the clipped ball and moved by the
     start's offset (which the ascent projects again).  It keeps the end
     of the first start whose log-likelihood is within k eps |l| of the
-    highest l, the rounding of l on which an ascent stops, so rounding
-    does not pick among ends that tie to within it."""
+    highest l, the rounding of l that ends an ascent once its Newton
+    step predicts no larger rise, so rounding does not pick among ends
+    that tie to within it."""
     s_lin = (np.zeros((len(counts), 3)) if setup.linsys is None
              else _linear_bloch(counts, setup.linsys))
     if not setup.mle:

@@ -63,6 +63,31 @@ def ascents_of(configs):
     return sum(len(c._setup.starts) * c.n_trials for c in configs)
 
 
+def seeded_ascent_ends():
+    """(counts, model, end, l) of 1800 MLE ascents: one per start, for 100
+    seeded trials of each named scheme at N = 10, 200 and 5000, at states
+    drawn uniformly from the Bloch ball."""
+    ends = []
+    for scheme in ("collective-sic", "sic-single", "mub-single"):
+        setup = _scheme_setup(scheme_povm(scheme), "mle")
+        copies = setup.povm.copies
+        for n in (10, 200, 5000):
+            rng = np.random.default_rng((36, n))
+            for _ in range(100):
+                v = rng.normal(size=3)
+                v *= rng.uniform() ** (1 / 3) / np.linalg.norm(v)
+                probs = outcome_probs(density_from_bloch(v), setup.povm)
+                counts = rng.multinomial(n // copies, probs / probs.sum())
+                counts = counts.astype(float)
+                obs = tomosim._Observed(counts, setup.model)
+                s0 = tomosim._project(tomosim._linear_bloch(
+                    counts[None], setup.linsys)[0], INTERIOR_CLIP)
+                for d in setup.starts:
+                    end, f = tomosim._mle_bloch(obs, s0 + d, INTERIOR_CLIP)
+                    ends.append((counts, setup.model, end, f))
+    return ends
+
+
 class TestSchemePovm:
     def test_known_schemes_resolve(self):
         for name in SCHEMES:
@@ -353,10 +378,11 @@ class TestMleEstimator:
         assert np.linalg.norm(s) <= INTERIOR_CLIP
 
     def test_ascent_ends_at_the_rounding_of_the_likelihood(self, monkeypatch):
-        # an ascent stops once no backtracked Newton point rises and the
-        # step predicts a rise within the rounding of l; searching on past
-        # that point, down to a 1e-18 step, took the criterion-7 mix to 40
-        # model evaluations per ascent instead of about 10.5
+        # an ascent stops, before its next trial point, once the Newton
+        # step predicts a rise within the rounding of l; trying the
+        # backtracked points t = 1, 1/2, 1/4, 1/8 first took the
+        # criterion-7 mix to 6.87 model evaluations per ascent instead of
+        # 3.52, and searching on down to a 1e-18 step to 40
         evals, ascents = [0], [0]
         evaluate, mle_bloch = tomosim._QuadModel.evaluate, tomosim._mle_bloch
 
@@ -375,12 +401,14 @@ class TestMleEstimator:
             run_simulation(config)
         assert ascents[0] == ascents_of(configs)
         # at least the start of each ascent, so the count is not vacuous
-        assert ascents[0] <= evals[0] <= 15 * ascents[0]
+        assert ascents[0] <= evals[0] <= 5 * ascents[0]
 
     def test_each_ascent_evaluates_a_point_once(self, monkeypatch):
         # an accepted point's probabilities serve the next iteration, so no
-        # point is evaluated twice; evaluating it again used to take the
-        # criterion-7 mix from about 6.6 to 10.7 evaluations per ascent
+        # point is evaluated twice; evaluating it again took the
+        # criterion-7 mix from 6.6 to 10.7 evaluations per ascent, when
+        # an ascent still tried four backtracked points before it ended
+        # (3.52 since it ends on the predicted rise alone)
         points = []
         evaluate, mle_bloch = tomosim._QuadModel.evaluate, tomosim._mle_bloch
 
@@ -408,6 +436,72 @@ class TestMleEstimator:
         assert len(points) == n_ascents
         for ascent in points:
             assert len(set(ascent)) == len(ascent)
+
+    def test_ascent_restarted_at_its_end_evaluates_only_the_end(
+            self, monkeypatch):
+        # an ascent ends when its Newton step predicts a rise within the
+        # rounding k eps |l| of l, before it tries a point; restarted at
+        # its own end it evaluates that end alone, where it used to try
+        # the backtracked points t = 1, 1/2, 1/4, 1/8 first (in 1103 of
+        # these 1800 restarts)
+        ends = seeded_ascent_ends()
+        assert len(ends) == 1800
+        evals = [0]
+        evaluate = tomosim._QuadModel.evaluate
+
+        def counted_evaluate(model, s):
+            evals[0] += 1
+            return evaluate(model, s)
+
+        monkeypatch.setattr(tomosim._QuadModel, "evaluate", counted_evaluate)
+        for counts, model, end, f in ends:
+            evals[0] = 0
+            s, f_again = tomosim._mle_bloch(tomosim._Observed(counts, model),
+                                            end, INTERIOR_CLIP)
+            assert np.array_equal(s, end) and f_again == f
+            assert evals[0] == 1
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="where one outcome is observed, l = n log p "
+                              "rounds to several k eps |l|: from the ends "
+                              "of collective-sic counts [0, 5, 0, 0, 0] a "
+                              "backtracked point reads 5.6 k eps |l| higher")
+    def test_backtracked_points_from_an_end_rise_within_the_rounding(
+            self, monkeypatch):
+        # restarted at its end with no rounding allowed, an ascent tries the
+        # backtracked Newton points t = 1, 1/2, 1/4, 1/8 that it skips; none
+        # should rise over the end by more than the rounding of l at the two
+        # points, 2 k eps |l|.  Every other end meets this, but at the
+        # single-outcome ends of [0, 5, 0, 0, 0], l = -1.438, a point reads
+        # 1.78e-15 higher in floating point; computed exactly, from the same
+        # points, it rises 3.2e-16, k eps |l|
+        evaluated = []
+        evaluate = tomosim._QuadModel.evaluate
+
+        class Enough(Exception):
+            pass
+
+        def capped_evaluate(model, s):
+            if len(evaluated) == 5:  # the end and four trial points
+                raise Enough
+            pr, ms = evaluate(model, s)
+            evaluated.append(pr)
+            return pr, ms
+
+        ends = seeded_ascent_ends()
+        monkeypatch.setattr(tomosim._QuadModel, "evaluate", capped_evaluate)
+        for counts, model, end, f in ends:
+            free = tomosim._Observed(counts, model)
+            free.rounding = 0.0
+            evaluated.clear()
+            try:
+                tomosim._mle_bloch(free, end, INTERIOR_CLIP)
+            except Enough:
+                pass
+            rises = [free.counts.dot(np.log(pr)) - f
+                     for pr in evaluated[1:] if pr.min() > 0.0]
+            bound = 2.0 * free.counts.size * np.finfo(float).eps * abs(f)
+            assert max(rises, default=0.0) <= bound, counts
 
     def test_starts_that_tie_within_rounding_keep_the_first(
             self, monkeypatch):

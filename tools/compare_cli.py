@@ -105,6 +105,14 @@ that mended them, and only these:
   against a tree whose ``fisher`` took ``--drop-threshold``: their usage
   text no longer shows ``[--drop-threshold DROP_THRESHOLD]``, which is
   all that differs.
+- every ``simulate`` with the MLE (the 16 requests at ``n_copies`` 10 and
+  40, ``sim-collective-sic-mle.json`` with and without ``--out``,
+  ``sim-mub-single-mle.json`` and ``sim-custom-mle.json``, 20 outputs)
+  and the four MLE sweeps, against a tree whose ascent ended only after
+  the backtracked Newton points t = 1, 1/2, 1/4, 1/8 failed to rise: the
+  numbers move by at most 3.5e-7 relative (3.44e-7 measured), since an
+  ascent now ends, before it tries a point, once the step predicts a
+  rise within k eps |l|.
 
 Each request's output files are deleted before it runs, so a request
 that fails before writing shows no file rather than the last request's.
