@@ -52,11 +52,13 @@ def _load(path) -> dict:
         raise UsageError(f"no such file: {path}")
     try:
         return opfile.load_json(path)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid JSON in {path}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        # a directory, an unreadable file, or bytes that are not UTF-8
+        # a directory, an unreadable file, or bytes that are not UTF-8;
+        # first, as a UnicodeDecodeError is a ValueError too
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not JSON, nested too deeply, or an integer too long to read
+        raise UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _finite_float(text: str) -> float:
@@ -334,7 +336,10 @@ def cmd_sweep(args) -> int:
 
 # ------------------------------------------------------------------ main
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by later calls;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fisym",
         description="Measurement designs, Fisher information bounds, and "
@@ -382,13 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on first use and shared by later calls;
-    parsing leaves it unchanged."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -85,7 +85,9 @@ class OperatorSet:
 
     ``elements`` may be given as a sequence of n x n matrices or as one
     (k, n, n) array; it is checked once, as a whole, and stored as the
-    validated (k, n, n) complex stack, read-only.
+    validated (k, n, n) complex stack, read-only.  Some of the elements of
+    a set make a new OperatorSet, checked again: the check leaves
+    operators that passed it bit for bit as they are.
     """
 
     elements: np.ndarray
@@ -105,15 +107,6 @@ class OperatorSet:
             raise ValueError("operator has (near) zero trace")
         elems.flags.writeable = False
         object.__setattr__(self, "elements", elems)
-
-    def subset(self, keep) -> "OperatorSet | None":
-        """The elements where ``keep`` is true, or None if there are none.
-        They were validated with this set and are not checked again."""
-        sub = object.__new__(OperatorSet)
-        elems = np.compress(keep, self.elements, axis=0)
-        elems.flags.writeable = False
-        object.__setattr__(sub, "elements", elems)
-        return sub if len(elems) else None
 
     @property
     def size(self) -> int:

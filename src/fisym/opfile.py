@@ -118,13 +118,13 @@ def _entries(**columns) -> list:
     return list(map(dict, map(zip, repeat(columns), zip(*columns.values()))))
 
 
-def _field(entry, key: str, convert):
-    """``convert(entry[key])`` for a header field, with any missing key or
-    unconvertible value raised as ValueError."""
+def _field(entry, key: str) -> int:
+    """``_integer(entry[key])`` for a header field, with any missing key or
+    value that is not an integer raised as ValueError."""
     if not isinstance(entry, dict) or key not in entry:
         raise ValueError(f"operator-file entry is missing the {key!r} field")
     try:
-        return convert(entry[key])
+        return _integer(entry[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad {key!r} field: {exc}") from exc
 
@@ -150,8 +150,8 @@ def _number(x) -> float:
 def _header(obj) -> tuple[int, int, str | None]:
     if not isinstance(obj, dict):
         raise ValueError("operator file must contain a JSON object")
-    dim = _field(obj, "dim", _integer)
-    copies = _field(obj, "copies", _integer)
+    dim = _field(obj, "dim")
+    copies = _field(obj, "copies")
     if copies not in (1, 2):
         raise ValueError("copies must be 1 or 2")
     subspace = obj.get("subspace")

@@ -311,14 +311,14 @@ def marginal_Q(element: np.ndarray) -> np.ndarray:
     return matcore.partial_trace(element, 0) + matcore.partial_trace(element, 1)
 
 
-def _check_rank_profile(ops: OperatorSet, rank: int, tol: float) -> None:
+def _check_rank_profile(ops: OperatorSet, rank: int) -> None:
     """Each operator A must be tr(A)/rank times a rank-``rank`` projector:
-    A^2 = (tr A / rank) A to ``tol`` |A|_F^2.  The operators of an
+    A^2 = (tr A / rank) A to ``_tol.RANK_TOL`` |A|_F^2.  The operators of an
     OperatorSet are PSD with positive trace, so that identity is enough."""
     a = ops.elements
     resid = np.linalg.norm(a @ a - (ops.traces() / rank)[:, None, None] * a,
                            axis=(1, 2))
-    if np.any(resid > tol * np.linalg.norm(a, axis=(1, 2)) ** 2):
+    if np.any(resid > _tol.RANK_TOL * np.linalg.norm(a, axis=(1, 2)) ** 2):
         raise ValueError(f"operator is not a multiple of a rank-{rank} "
                          "projector")
 
@@ -345,8 +345,8 @@ def tight_coherent_from_designs(
     d, tol = sym_ops.dim, _tol.DESIGN_TOL
     if antisym_ops.dim != d:
         raise ValueError("seed designs must share one dimension")
-    _check_rank_profile(sym_ops, 1, _tol.RANK_TOL)
-    _check_rank_profile(antisym_ops, 2, _tol.RANK_TOL)
+    _check_rank_profile(sym_ops, 1)
+    _check_rank_profile(antisym_ops, 2)
     eye = np.eye(d)
     sym_sum = np.linalg.norm(sym_ops.total() - (d + 1) / 2.0 * eye)
     if sym_sum > tol * d:
@@ -427,7 +427,9 @@ def tight_coherent_check(
     residual of :func:`classify_coherent`'s identities, the frame-potential
     slack of the marginals {Q_xi} and, with ``_tol.TIGHT_PURITY_TOL`` as
     its floor, their purity residual.  Positivity and completeness are
-    :func:`validate_povm` at its default ``_tol.POVM_TOL``.
+    :func:`validate_povm` at its default ``_tol.POVM_TOL``.  The marginals
+    of the slater elements, when there are d^2 of them, are a new
+    OperatorSet of elements of {Q_xi}.
     """
     if p.copies != 2 or p.subspace is not None:
         raise ValueError("tightness applies to complete two-copy POVMs")
@@ -439,11 +441,11 @@ def tight_coherent_check(
     target = (3.0 * d + 1.0) / (4.0 * d)
     purity_residual = abs(q_cert.purity - target)
 
-    anti_q = q_all.subset([c.kind == "slater"
-                           for c in classification.classes])
+    slater = [c.kind == "slater" for c in classification.classes]
     anti_gsic = None
-    if anti_q and anti_q.size == d * d:
-        anti_gsic = generalized_sic_check(anti_q, tol)
+    if sum(slater) == d * d:
+        anti_gsic = generalized_sic_check(OperatorSet(q_all.elements[slater]),
+                                          tol)
 
     ok = (report.ok and classification.coherent and q_cert.is_design
           and purity_residual <= max(tol, _tol.TIGHT_PURITY_TOL))

@@ -193,7 +193,8 @@ class Parametrization:
     A chart is built from its base state and its tangents, the partial
     derivatives of rho at theta = 0, which are checked once, here (a stack
     of the state's size, and :func:`_tangent_stack`), and kept as the
-    read-only stack ``basis``.
+    read-only stack ``basis``.  The charts below pass their own tangents;
+    tangents of another choice are checked by building this class.
     """
 
     def __init__(self, base_state: DensityMatrix, tangents):
@@ -278,14 +279,14 @@ _HALF_PAULI = _tangent_stack(0.5 * np.array(_PAULI))
 class AffineMixed(Parametrization):
     """Affine chart rho(theta) = rho0 + sum_a theta_a E_a.
 
-    The default operator basis is the orthonormal traceless basis from
+    The operators E_a are the orthonormal traceless basis from
     :func:`gell_mann_basis`, giving d^2 - 1 parameters.  ``basis`` holds
-    the checked operators as a read-only (n_params, d, d) stack.
+    them as a read-only (n_params, d, d) stack.  Other tangents make a
+    :class:`Parametrization`, which checks them the same way.
     """
 
-    def __init__(self, base: DensityMatrix, basis: list[np.ndarray] | None = None):
-        super().__init__(base, gell_mann_basis(base.dim) if basis is None
-                         else basis)
+    def __init__(self, base: DensityMatrix):
+        super().__init__(base, gell_mann_basis(base.dim))
 
     def density(self, theta: np.ndarray) -> DensityMatrix:
         theta = np.asarray(theta, dtype=float).reshape(self.n_params)

@@ -350,12 +350,14 @@ def _to_ball(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _project(s: np.ndarray, clip: float) -> np.ndarray:
-    """s if |s| <= clip, else s scaled onto the sphere of radius clip and
-    then, where rounding left it outside, moved toward 0 an ulp per
-    coordinate at a time until |s| <= clip holds in floating point.
-    |s| is sqrt(s.s), which is how ``np.linalg.norm`` computes the norm of
-    a real vector, without its per-call cost."""
+def _project(s: np.ndarray) -> np.ndarray:
+    """s if |s| <= clip, with clip ``_tol.INTERIOR_CLIP``, else s scaled
+    onto the sphere of radius clip and then, where rounding left it
+    outside, moved toward 0 an ulp per coordinate at a time until
+    |s| <= clip holds in floating point.  |s| is sqrt(s.s), which is how
+    ``np.linalg.norm`` computes the norm of a real vector, without its
+    per-call cost."""
+    clip = _tol.INTERIOR_CLIP
     r = math.sqrt(s.dot(s))
     if r <= clip:
         return s
@@ -414,13 +416,10 @@ class _Observed:
         self.rounding = self.counts.size * _EPS
 
 
-def _mle_bloch(
-    obs: _Observed,
-    init: np.ndarray,
-    clip: float,
-) -> tuple[np.ndarray, float]:
+def _mle_bloch(obs: _Observed, init: np.ndarray) -> tuple[np.ndarray, float]:
     """Projected damped-Newton ascent on the multinomial log-likelihood
-    l(s) = sum_k n_k log p_k(s) over the ball |s| <= clip, with Fisher
+    l(s) = sum_k n_k log p_k(s) over the ball |s| <= clip, the ball that
+    :func:`_project` clips to at ``_tol.INTERIOR_CLIP``, with Fisher
     scoring after Hradil, PRA 55, R1561 (1997), of the trial whose
     counts and model ``obs`` restricts to its observed outcomes.
 
@@ -471,7 +470,9 @@ def _mle_bloch(
             return -math.inf, pr, ms
         return float(c_obs.dot(np.log(pr))), pr, ms
 
-    s = _project(init, clip)
+    # the |s|^2 from which a step presses against the clip
+    edge2 = (_tol.INTERIOR_CLIP - _tol.CLIP_MARGIN) ** 2
+    s = _project(init)
     f, pr, ms = loglik(s)
     if not math.isfinite(f):
         s = np.zeros(3)
@@ -490,7 +491,7 @@ def _mle_bloch(
         a, b = (fisher if d is None else hess), g
         s0, s1, s2 = s.tolist()
         r2, gs = s0 * s0 + s1 * s1 + s2 * s2, g0 * s0 + g1 * s1 + g2 * s2
-        if r2 >= (clip - _tol.CLIP_MARGIN) ** 2 and gs > 0.0:
+        if r2 >= edge2 and gs > 0.0:
             # pressed against the clip: a Newton step along the sphere
             tan = np.eye(3) - np.outer(s, s) / r2
             a = tan @ (a + (gs / r2) * np.eye(3)) @ tan + np.eye(3) - tan
@@ -508,7 +509,7 @@ def _mle_bloch(
         while True:  # backtrack along d to the first point that rises
             if not t * rise > obs.rounding * abs(f):
                 return s, f  # any rise left is rounding of l
-            cand = _project(s + t * d, clip)
+            cand = _project(s + t * d)
             fc, pc, mc = loglik(cand)
             if fc > f:
                 break
@@ -579,22 +580,21 @@ def _estimate(counts: np.ndarray, setup: _Scheme) -> np.ndarray:
     finite, one trial at a time.  Each trial restricts the model to its
     observed outcomes once (:class:`_Observed`) and runs one
     :func:`_mle_bloch` ascent on that restriction per start of the
-    scheme, from s0 projected into the clipped ball and moved by the
-    start's offset (which the ascent projects again).  It keeps the end
-    of the first start whose log-likelihood is within k eps |l| of the
-    highest l, the rounding of l that ends an ascent once its Newton
-    step predicts no larger rise, so rounding does not pick among ends
-    that tie to within it."""
+    scheme, from s0 projected into the clipped ball (:func:`_project`)
+    and moved by the start's offset (which the ascent projects again).
+    It keeps the end of the first start whose log-likelihood is within
+    k eps |l| of the highest l, the rounding of l that ends an ascent
+    once its Newton step predicts no larger rise, so rounding does not
+    pick among ends that tie to within it."""
     s_lin = (np.zeros((len(counts), 3)) if setup.linsys is None
              else _linear_bloch(counts, setup.linsys))
     if not setup.mle:
         return _to_ball(s_lin)
-    clip = _tol.INTERIOR_CLIP
     estimates = []
     for c, s0 in zip(counts, s_lin):
-        s0 = _project(s0, clip)
+        s0 = _project(s0)
         observed = _Observed(c, setup.model)
-        ends = [_mle_bloch(observed, s0 + d, clip) for d in setup.starts]
+        ends = [_mle_bloch(observed, s0 + d) for d in setup.starts]
         top = max(f for _, f in ends)
         floor = top - observed.rounding * abs(top)
         estimates.append(next(s for s, f in ends if f >= floor))

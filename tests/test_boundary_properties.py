@@ -25,7 +25,7 @@ from fisym.designs import (OperatorSet, WeightedStateSet,
 from fisym.fisher import gm_value, optimal_fisher, wmse_bound
 from fisym.matcore import mat_power, require_hermitian
 from fisym.povm import NAMED_POVMS, Povm
-from fisym.states import (AffineMixed, DensityMatrix, PureCanonical,
+from fisym.states import (DensityMatrix, Parametrization, PureCanonical,
                           PureState, density_from_bloch, qfi_matrix, sld)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -42,7 +42,7 @@ CASES = {
     "DensityMatrix": (None, DensityMatrix),
     "Povm": (None, lambda m: Povm([m], copies=1, base_dim=len(m))),
     "OperatorSet": (None, lambda m: OperatorSet((m,))),
-    "AffineMixed": (_traceless, lambda m: AffineMixed(
+    "Parametrization": (_traceless, lambda m: Parametrization(
         DensityMatrix.maximally_mixed(len(m)), [m])),
     "sld": (_traceless, lambda m: sld(
         DensityMatrix.maximally_mixed(len(m)), m)),
@@ -136,16 +136,12 @@ def test_state_vectors_reject_non_finite_entries(name, v, kind, part, index):
     assert exc.type is ValueError
 
 
-def _sic_ops():
-    return OperatorSet(sic_qubit().projectors())
-
-
 # name -> array a validated type keeps after its check
 CHECKED = {
     "DensityMatrix.matrix": lambda: density_from_bloch([0.1, 0, 0]).matrix,
     "Povm.elements": lambda: NAMED_POVMS["sic-single"].elements,
-    "OperatorSet.elements": lambda: _sic_ops().elements,
-    "OperatorSet.subset": lambda: _sic_ops().subset([True, False] * 2).elements,
+    "OperatorSet.elements": lambda: OperatorSet(
+        sic_qubit().projectors()).elements,
     "WeightedStateSet.vectors": lambda: sic_qubit().vectors,
     "WeightedStateSet.weights": lambda: sic_qubit().weights,
     "PureState.vector": lambda: PureState([1.0, 0.0]).vector,

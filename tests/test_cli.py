@@ -188,7 +188,7 @@ class TestNamedPovms:
 
 def _choices(command, dest):
     """The choices that the parser of ``command`` offers for ``dest``."""
-    sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    sub = cli._parser()._subparsers._group_actions[0].choices[command]
     return next(a.choices for a in sub._actions if a.dest == dest)
 
 
@@ -945,6 +945,39 @@ def test_unreadable_input_is_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out is None
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "povm", "{bad}"),
+    ("fisher", "--povm", "{bad}", "--state", "bloch:0,0,0"),
+    ("fisher", "--povm", "sic-single", "--state", "{bad}"),
+    ("simulate", "--config", "{bad}"),
+    ("sweep", "--config", "{bad}", "--out", "{out}"),
+    ("simulate", "--config", "{custom}"),
+    ("build", "twocopy-design", "--design", "{bad}", "--out", "{out}"),
+], ids=["verify", "fisher-povm", "fisher-state", "simulate", "sweep",
+        "config-povm", "build-design"])
+@pytest.mark.parametrize("content", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"dim": ' + "7" * 5000 + "}",
+], ids=["nested-too-deeply", "integer-too-long"])
+def test_json_that_the_parser_refuses_is_usage_error(capsys, tmp_path, argv,
+                                                     content):
+    # RecursionError and the int-digits ValueError got past the loader:
+    # a traceback (exit 1), and "numerical failure" (exit 3) or, for
+    # build, "unfit input file"
+    paths = {"bad": tmp_path / "bad.json", "custom": tmp_path / "custom.json",
+             "out": tmp_path / "out"}
+    paths["bad"].write_text(content)
+    paths["custom"].write_text(json.dumps(
+        {"scheme": "custom", "povm": str(paths["bad"]), "bloch": [0, 0, 0],
+         "n_copies": 10, "n_trials": 1, "seed": 0}))
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out is None
+    assert err.startswith(f"error: invalid JSON in {paths['bad']}: ")
+    assert err.count("\n") == 1
     assert not paths["out"].exists()
 
 

@@ -1,9 +1,10 @@
 """The package's public surface: every name that a module exports exists,
-the package reports the version of its project metadata, and its
-tolerances are defined in one module."""
+the top-level names are those exports, the package reports the version of
+its project metadata, and its tolerances are defined in one module."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -21,6 +22,17 @@ def test_every_exported_name_resolves():
                     for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert missing == []
+
+
+def test_top_level_names_are_the_modules_exports():
+    # the modules' __all__ lists are the one list of the public API
+    modules = ("matcore", "states", "designs", "povm", "fisher", "tomosim")
+    exported = set()
+    for name in modules:
+        exported.update(importlib.import_module(f"fisym.{name}").__all__)
+    public = {name for name, obj in vars(fisym).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == exported
 
 
 def test_version_is_the_project_version():

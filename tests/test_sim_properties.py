@@ -497,7 +497,7 @@ def test_mle_loglik_is_the_full_model_at_the_estimate(p, start, data):
         model = _scheme_setup(p, "mle").model
     except ValueError:
         assume(False)
-    s, loglik = _mle_bloch(_Observed(counts, model), start, INTERIOR_CLIP)
+    s, loglik = _mle_bloch(_Observed(counts, model), start)
     observed = counts > 0
     full = counts[observed] @ np.log(model.evaluate(s)[0][observed])
     assert loglik == pytest.approx(full, rel=1e-12)
@@ -538,8 +538,7 @@ def _lattice_started_maximum(model, counts, n=41):
     with np.errstate(divide="ignore"):  # p <= 0 gives l = -inf
         loglik = np.log(np.clip(probs[:, observed], 0.0, None)) \
             @ counts[observed]
-    return _mle_bloch(_Observed(counts, model), grid[np.argmax(loglik)],
-                      INTERIOR_CLIP)[1]
+    return _mle_bloch(_Observed(counts, model), grid[np.argmax(loglik)])[1]
 
 
 @st.composite

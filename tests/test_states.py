@@ -170,7 +170,7 @@ class TestParametrizations:
         rho = random_full_rank(rng, 2)
         bad = [np.eye(2)] * 3
         with pytest.raises(ValueError):
-            AffineMixed(rho, basis=bad)
+            Parametrization(rho, bad)
 
     def test_bloch_qubit_tangents(self):
         par = BlochQubit([0.1, 0.2, 0.3])
@@ -253,8 +253,7 @@ class TestParametrizations:
             "not a stack": sx,
         }
         for what, ops in bad.items():
-            for build in (lambda o: Parametrization(rho, o),
-                          lambda o: AffineMixed(rho, basis=o), Bad):
+            for build in (lambda o: Parametrization(rho, o), Bad):
                 with pytest.raises(ValueError):
                     build(ops)
                     pytest.fail(f"accepted {what} tangents")

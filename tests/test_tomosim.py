@@ -81,9 +81,9 @@ def seeded_ascent_ends():
                 counts = counts.astype(float)
                 obs = tomosim._Observed(counts, setup.model)
                 s0 = tomosim._project(tomosim._linear_bloch(
-                    counts[None], setup.linsys)[0], INTERIOR_CLIP)
+                    counts[None], setup.linsys)[0])
                 for d in setup.starts:
-                    end, f = tomosim._mle_bloch(obs, s0 + d, INTERIOR_CLIP)
+                    end, f = tomosim._mle_bloch(obs, s0 + d)
                     ends.append((counts, setup.model, end, f))
     return ends
 
@@ -457,7 +457,7 @@ class TestMleEstimator:
         for counts, model, end, f in ends:
             evals[0] = 0
             s, f_again = tomosim._mle_bloch(tomosim._Observed(counts, model),
-                                            end, INTERIOR_CLIP)
+                                            end)
             assert np.array_equal(s, end) and f_again == f
             assert evals[0] == 1
 
@@ -495,7 +495,7 @@ class TestMleEstimator:
             free.rounding = 0.0
             evaluated.clear()
             try:
-                tomosim._mle_bloch(free, end, INTERIOR_CLIP)
+                tomosim._mle_bloch(free, end)
             except Enough:
                 pass
             rises = [free.counts.dot(np.log(pr)) - f
@@ -515,9 +515,9 @@ class TestMleEstimator:
             starts=tomosim._STARTS)
         counts = np.array([42.0, 42.0, 9.0, 4.0, 3.0])
         s0 = tomosim._project(tomosim._linear_bloch(
-            counts[None], setup.linsys)[0], INTERIOR_CLIP)
+            counts[None], setup.linsys)[0])
         ends = [tomosim._mle_bloch(tomosim._Observed(counts, setup.model),
-                                   s0 + d, INTERIOR_CLIP)
+                                   s0 + d)
                 for d in setup.starts]
         first, f0 = ends[0]
         bound = counts.size * np.finfo(float).eps * abs(f0)
@@ -580,10 +580,8 @@ class TestMleEstimator:
         model = _quad_model(scheme_povm("collective-sic"))
         counts = np.array([0.0, 7.0, 0.0, 0.0, 0.0])
         u = np.array([1.0, -1.0, -1.0]) / np.sqrt(3.0)
-        start = tomosim._project(INTERIOR_CLIP * u + [0.0, 0.05, 0.0],
-                                 INTERIOR_CLIP)
-        s, _ = tomosim._mle_bloch(tomosim._Observed(counts, model), start,
-                                  INTERIOR_CLIP)
+        start = tomosim._project(INTERIOR_CLIP * u + [0.0, 0.05, 0.0])
+        s, _ = tomosim._mle_bloch(tomosim._Observed(counts, model), start)
         assert singular
         assert np.linalg.norm(s - INTERIOR_CLIP * u) < 1e-9
 
@@ -605,7 +603,7 @@ class TestMleEstimator:
         model = _quad_model(scheme_povm("collective-sic"))
         start = np.array([0.1, 0.2, -0.1])
         s, f = tomosim._mle_bloch(tomosim._Observed(
-            np.array([3.0, 1.0, 2.0, 0.0, 1.0]), model), start, INTERIOR_CLIP)
+            np.array([3.0, 1.0, 2.0, 0.0, 1.0]), model), start)
         assert np.array_equal(s, start) and np.isfinite(f)
         assert np.linalg.norm(s) <= INTERIOR_CLIP
         assert evals[0] == 1  # the start alone
@@ -634,8 +632,7 @@ class TestMleEstimator:
         start = np.array([0.1, 0.2, -0.1])
         with np.errstate(invalid="ignore"):  # inf - inf in the products
             s, f = tomosim._mle_bloch(tomosim._Observed(
-                np.array([3.0, 1.0, 2.0, 0.0, 1.0]), model), start,
-                INTERIOR_CLIP)
+                np.array([3.0, 1.0, 2.0, 0.0, 1.0]), model), start)
         assert np.array_equal(s, start) and np.isfinite(f)
         assert evals[0] == 1  # the start, whose M s is not finite
 

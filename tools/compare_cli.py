@@ -24,10 +24,13 @@ estimator, whose record file is compared as well; ``fisher`` with each
 ``sweep`` on custom files that are no POVM and on the qutrit POVM
 ``tight-coherent-d3.json``; ``simulate`` and ``sweep`` that name
 ``sic-single`` and also a valid ``povm`` file, which only ``custom``
-takes; and the usage errors of ``build`` (a missing ``--design`` or
+takes; the usage errors of ``build`` (a missing ``--design`` or
 ``--source``, an unfit input file), an unknown ``build`` name and
 ``verify`` kind, and ``simulate`` and ``sweep`` on collective-sic with
-an odd ``n_copies``.
+an odd ``n_copies``; and two files that the JSON parser refuses,
+``verify povm`` on a list nested 10^5 deep and ``simulate --config`` on
+a config with a 5000-digit integer.  An input file given as a string is
+written as it is, since ``json.dump`` can write neither.
 
 Some requests are expected to differ from a tree older than the change
 that mended them, and only these:
@@ -113,6 +116,11 @@ that mended them, and only these:
   numbers move by at most 3.5e-7 relative (3.44e-7 measured), since an
   ascent now ends, before it tries a point, once the step predicts a
   rise within k eps |l|.
+- ``verify povm deep.json`` and ``simulate --config sim-long-int.json``:
+  exit 2 with one line, "error: invalid JSON in ...", where the reader's
+  ``RecursionError`` escaped ``main`` (the tool records
+  ``RecursionError: ...`` in place of an exit code) and the 5000-digit
+  integer exited 3 as a "numerical failure".
 
 Each request's output files are deleted before it runs, so a request
 that fails before writing shows no file rather than the last request's.
@@ -153,7 +161,10 @@ warnings.formatwarning = lambda message, category, *_: (
 job = json.load(sys.stdin)
 for name, obj in job["inputs"].items():
     with open(name, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        if isinstance(obj, str):
+            fh.write(obj)
+        else:
+            json.dump(obj, fh)
 results = []
 for argv, outputs in job["requests"]:
     for name in outputs:
@@ -356,6 +367,13 @@ def _requests():
     requests.append((["simulate", "--config", "sim-named-povm.json"], []))
     requests.append((["sweep", "--config", "sweep-named-povm.json", "--out",
                       "rows.csv"], ["rows.csv"]))
+    # JSON that the parser refuses: too deep, and an int too long to read
+    inputs["deep.json"] = "[" * 100_000 + "]" * 100_000
+    inputs["sim-long-int.json"] = (
+        '{"scheme": "sic-single", "bloch": [0.3, -0.2, 0.5], "n_trials": 5, '
+        '"seed": 7, "n_copies": ' + "7" * 5000 + "}")
+    requests.append((["verify", "povm", "deep.json"], []))
+    requests.append((["simulate", "--config", "sim-long-int.json"], []))
     return inputs, requests
 
 
